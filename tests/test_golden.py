@@ -1,0 +1,22 @@
+"""Pinned CLI outputs: the SHA-256 of stdout for a fixed list of `table` and
+`swc` commands.  The digests in golden_outputs.json were made from the code
+before the finite-field tables were rebuilt from integer polynomials; a
+refactor that changes no behaviour must leave every one of them unchanged."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from sl2swc.cli import run
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(case, capsys, tmp_path):
+    code = run([*case["argv"], "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
