@@ -1,22 +1,19 @@
 """Exact Stiefel-Whitney classes of orthogonal representations of SL(2,q).
 
-Everything is computed with exact arithmetic: finite fields as polynomial
-residues, character values as cyclotomic integers, cohomology classes as
-bit-packed F2 coordinate vectors.  The `oracle` module re-derives every class
-by brute force from restrictions to small subgroups, independently of the
-closed formulas in `swc`.
+Everything is computed with exact arithmetic: finite fields as dense tables
+built from polynomial residues, character values as cyclotomic integers,
+cohomology classes as bit-packed F2 coordinate vectors.  The `oracle` module
+re-derives every class by brute force from restrictions to small subgroups,
+independently of the closed formulas in `swc`.
 """
 
 from .algebra import (
     CompositeP,
     Cyclo,
-    FieldElement,
-    FieldSpec,
     NotRationalInteger,
     cyclo_make,
     cyclo_to_integer,
     field_make,
-    field_trace,
 )
 from .characters import (
     BadConstructionParams,
@@ -41,9 +38,6 @@ from .cohomology import (
     RestrictionMap,
     Ring,
     dickson,
-    ring_make,
-    ring_mul,
-    restriction_apply,
     steenrod_sq,
 )
 from .groups import (

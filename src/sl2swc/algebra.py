@@ -1,18 +1,17 @@
 """Exact arithmetic foundations: finite fields GF(p^r) and cyclotomic integers Z[zeta_m].
 
-Field elements are polynomial residues over the prime field in a canonical
-(fully reduced) form, so equality is coefficientwise.  Cyclotomic integers are
-stored as the unique normal form modulo the m-th cyclotomic polynomial, which
-makes equality and integrality tests exact.  Floating point appears only in
-the diagnostic `evalf`.
+A field is a set of dense tables over the ranks 0..q-1 of its elements,
+built once from integer polynomial arithmetic modulo a fixed irreducible.
+Cyclotomic integers are stored as the unique normal form modulo the m-th
+cyclotomic polynomial, which makes equality and integrality tests exact.
+Floating point appears only in the diagnostic `evalf`.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 class CompositeP(Exception):
@@ -109,49 +108,7 @@ def _digits(n: int, p: int, width: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """GF(p^r) presented as GF(p)[t] modulo a fixed monic irreducible of degree r.
-
-    `modulus` holds the r low coefficients; the leading coefficient is 1.
-    """
-
-    p: int
-    r: int
-    modulus: tuple[int, ...]
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.r
-
-    def element(self, coeffs) -> "FieldElement":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) < self.r:
-            c = c + (0,) * (self.r - len(c))
-        elif len(c) > self.r:
-            c = tuple(_poly_mod(list(c), list(self.modulus) + [1], self.p) + [0] * self.r)[: self.r]
-        return FieldElement(self, c)
-
-    def from_int(self, n: int) -> "FieldElement":
-        """Element with canonical rank n (digits of n base p, low power first)."""
-        return FieldElement(self, tuple(_digits(n % self.q, self.p, self.r)))
-
-    def zero(self) -> "FieldElement":
-        return self.from_int(0)
-
-    def one(self) -> "FieldElement":
-        return self.from_int(1)
-
-    def gen(self) -> "FieldElement":
-        # the class of t; equals 1 when r = 1
-        return self.from_int(self.p) if self.r > 1 else self.one()
-
-    def elements(self):
-        """All q elements in canonical order (rank 0, 1, 2, ...)."""
-        return [self.from_int(n) for n in range(self.q)]
-
-
-def field_make(p: int, r: int) -> FieldSpec:
+def field_make(p: int, r: int) -> "FieldTable":
     """GF(p^r) with the lowest-ranked monic irreducible modulus.
 
     Candidates are scanned by the integer encoding of their low coefficients,
@@ -164,121 +121,50 @@ def field_make(p: int, r: int) -> FieldSpec:
     for enc in range(p ** r):
         low = _digits(enc, p, r)
         if _is_irreducible(low + [1], p):
-            return FieldSpec(p, r, tuple(low))
+            return FieldTable(p, r, tuple(low))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class FieldElement:
-    """Element of GF(p^r), canonical coefficient tuple (low power first)."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
-        self.spec = spec
-        self.coeffs = coeffs
-
-    def rank(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.spec.p + c
-        return n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.r, self.coeffs))
-
-    def __add__(self, other):
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        p = self.spec.p
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), p)
-        red = _poly_mod(prod, list(self.spec.modulus) + [1], p)
-        red += [0] * (self.spec.r - len(red))
-        return FieldElement(self.spec, tuple(red))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.spec.q - 2)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def frobenius(self) -> "FieldElement":
-        return self ** self.spec.p
-
-    def __repr__(self):
-        names = {0: "1", 1: "t"}
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                mon = names.get(i, f"t^{i}")
-                terms.append(mon if (c == 1 and i > 0) else (str(c) if i == 0 else f"{c}*{mon}"))
-        return "+".join(terms) if terms else "0"
-
-
-def field_trace(a: FieldElement) -> int:
-    """Tr(a) = a + a^p + ... + a^{p^(r-1)}, returned as an element of GF(p)."""
-    acc = a
-    cur = a
-    for _ in range(a.spec.r - 1):
-        cur = cur.frobenius()
-        acc = acc + cur
-    assert all(c == 0 for c in acc.coeffs[1:]), "trace landed outside the prime field"
-    return acc.coeffs[0]
-
-
 class FieldTable:
-    """Dense index-based arithmetic tables for one small field.
+    """GF(p^r) = GF(p)[t] / (t^r + modulus) as dense index-based tables.
 
-    Elements are identified with their canonical rank 0..q-1; rank 0 is zero
-    and rank 1 is one.  Used by the group layer, where products are hot.
+    The element of rank n is the residue whose coefficients (constant term
+    first) are the base-p digits of n, so rank 0 is zero and rank 1 is one.
+    `modulus` holds the r low coefficients of the monic modulus; `trace[n]`
+    is Tr(n) = n + n^p + ... + n^(p^(r-1)) as an integer in 0..p-1.
     """
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.q = spec.q
-        elems = spec.elements()
-        self.elems = elems
-        q = self.q
-        rank = {e.coeffs: i for i, e in enumerate(elems)}
-        self.add = [[rank[(elems[i] + elems[j]).coeffs] for j in range(q)] for i in range(q)]
-        self.mul = [[rank[(elems[i] * elems[j]).coeffs] for j in range(q)] for i in range(q)]
-        self.neg = [rank[(-elems[i]).coeffs] for i in range(q)]
-        self.inv = [None] + [rank[elems[i].inverse().coeffs] for i in range(1, q)]
-        self.trace = [field_trace(e) for e in elems]
+    def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
+        self.p, self.r, self.modulus = p, r, modulus
+        q = self.q = p ** r
+        digits = self.digits = [tuple(_digits(n, p, r)) for n in range(q)]
+        mod = list(modulus) + [1]
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add[i][self.neg[j]]
+        def rank(coeffs) -> int:
+            n = 0
+            for c in reversed(coeffs):
+                n = n * p + c
+            return n
+
+        self.add = [[rank([(a + b) % p for a, b in zip(x, y)]) for y in digits]
+                    for x in digits]
+        self.mul = [[rank(_poly_mod(_poly_mul(x, y, p), mod, p)) for y in digits]
+                    for x in digits]
+        self.neg = [rank([-a % p for a in x]) for x in digits]
+        self.inv = [None] + [row.index(1) for row in self.mul[1:]]
+        self.trace = [self._trace(n) for n in range(q)]
+
+    def _trace(self, n: int) -> int:
+        acc = cur = n
+        for _ in range(self.r - 1):
+            frob = 1
+            for _ in range(self.p):
+                frob = self.mul[frob][cur]
+            cur = frob
+            acc = self.add[acc][cur]
+        if acc >= self.p:
+            raise AssertionError("trace landed outside the prime field")
+        return acc
 
     def mult_order(self, i: int) -> int:
         if i == 0:
@@ -570,8 +456,3 @@ def smallest_prime_in_progression(mod: int, residue: int, lower: int) -> int:
 
 def lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
-
-
-def isqrt_ceil(n: int) -> int:
-    s = isqrt(n)
-    return s if s * s == n else s + 1

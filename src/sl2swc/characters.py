@@ -381,7 +381,7 @@ def char_table(G: Group) -> CharacterTable:
     dual = tuple(by_values[chi.dual().values] for chi in chars)
 
     omega = None
-    if G.kind == "sl2" and G.field.spec.p != 2:
+    if G.kind == "sl2" and G.field.p != 2:
         neg1 = G.field.neg[1]
         zc = conj.class_of_elem((neg1, 0, 0, neg1))
         omega = tuple(chi.int_at(zc) // degrees[i] for i, chi in enumerate(chars))
@@ -446,16 +446,11 @@ def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
     return ClassFunction(G, conj_g, m, values)
 
 
-def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Values of chi at the containing parent classes, as a class function on H."""
-    assert chi.group is H.parent
-    conj_h = conjugacy(H.group)
-    vals = [chi.at_elem(H.group.elems[r]) for r in conj_h.reps]
-    return ClassFunction(H.group, conj_h, chi.m, vals)
-
-
-def restrict_to_group(chi: ClassFunction, K: Group) -> ClassFunction:
-    """Restriction along an inclusion given by literal element equality."""
+def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
+    """Restriction along the inclusion of K in chi's group, given by literal
+    element equality; ValueError if some element of K is not in that group."""
+    if any(e not in chi.group.index for e in K.elems):
+        raise ValueError(f"{K.name} is not contained in {chi.group.name}")
     conj_k = conjugacy(K)
     vals = [chi.at_elem(K.elems[r]) for r in conj_k.reps]
     return ClassFunction(K, conj_k, chi.m, vals)
@@ -709,7 +704,7 @@ def cuspidal(q: int, k: int) -> ClassFunction:
         raise BadConstructionParams("chi^q = chi is not allowed")
     Gt = build_gl2(q)
     F = Gt.field
-    p = F.spec.p
+    p = F.p
     Te = standard_subgroup(Gt, "Te")
     ZN = standard_subgroup(Gt, "ZN")
     m = conjugacy(Gt).exponent
@@ -754,12 +749,12 @@ def _dlog_table(F, gen: int) -> dict[int, int]:
 def principal_series_sl(q: int, k: int) -> VirtualRep:
     """Restriction to SL(2,q) of the degree q+1 principal series; irreducible."""
     G = build_sl2(q)
-    cf = restrict_to_group(principal_series(q, k), G)
+    cf = restrict(principal_series(q, k), G)
     return rep_from_class_function(char_table(G), cf)
 
 
 def cuspidal_sl(q: int, k: int) -> VirtualRep:
     """Restriction to SL(2,q) of the degree q-1 cuspidal character; irreducible."""
     G = build_sl2(q)
-    cf = restrict_to_group(cuspidal(q, k), G)
+    cf = restrict(cuspidal(q, k), G)
     return rep_from_class_function(char_table(G), cf)

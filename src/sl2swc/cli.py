@@ -3,7 +3,7 @@ verification pipelines, JSON emission, and a persistent character-table cache.
 
 All output is deterministic JSON on stdout (schema "sl2swc/1"); errors are
 JSON objects on stderr.  Exit codes: 0 success or all suites pass, 1 suite
-failure, 2 usage error.
+failure, 2 usage error, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .algebra import Cyclo
+from .algebra import Cyclo, factor_prime_power
 from .characters import (
     BadConstructionParams,
     CharacterTable,
@@ -31,7 +31,7 @@ from .characters import (
     trivial_rep,
 )
 from .cohomology import genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring, dickson
-from .groups import TooLarge, build_gl2, build_sl2, conjugacy
+from .groups import SIZE_CAP, build_gl2, build_sl2, conjugacy
 from .oracle import run_suite
 from .swc import swc_report
 
@@ -219,8 +219,6 @@ TABLE_VERSION = 1
 def serialize_table(table: CharacterTable) -> dict:
     G = table.group
     conj = table.conj
-    F = G.field
-    reps = [[list(F.elems[entry].coeffs) for entry in G.elems[r]] for r in conj.reps]
     payload = {
         "schema": SCHEMA,
         "kind": "character_table",
@@ -230,7 +228,7 @@ def serialize_table(table: CharacterTable) -> dict:
         "order": len(G),
         "exponent": table.m,
         "num_classes": conj.nclasses(),
-        "class_reps": reps,
+        "class_reps": _class_reps(G, conj),
         "class_sizes": list(conj.sizes),
         "class_orders": list(conj.orders),
         "degrees": list(table.degrees),
@@ -241,6 +239,12 @@ def serialize_table(table: CharacterTable) -> dict:
     }
     payload["digest"] = _digest(payload)
     return payload
+
+
+def _class_reps(G, conj) -> list:
+    """Each class representative as its four entries' coefficient lists."""
+    digits = G.field.digits
+    return [[list(digits[entry]) for entry in G.elems[r]] for r in conj.reps]
 
 
 def _digest(payload: dict) -> str:
@@ -255,9 +259,8 @@ def table_from_payload(payload: dict) -> CharacterTable:
     if G._char_table is not None:
         return G._char_table
     conj = conjugacy(G)
-    F = G.field
-    reps = [[list(F.elems[entry].coeffs) for entry in G.elems[r]] for r in conj.reps]
-    if reps != payload["class_reps"] or list(conj.sizes) != payload["class_sizes"]:
+    if (_class_reps(G, conj) != payload["class_reps"]
+            or list(conj.sizes) != payload["class_sizes"]):
         raise ValueError("cached class data does not match the rebuilt group")
     m = payload["exponent"]
     if m != conj.exponent:
@@ -439,28 +442,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def prime_power(text: str) -> int:
+    """A field order q: a prime power between 2 and SIZE_CAP."""
+    q = int(text)
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q={q} is not a prime power") from None
+    if q > SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"q={q} exceeds cap {SIZE_CAP}")
+    return q
+
+
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sl2swc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("table", help="emit an exact character table")
-    t.add_argument("--q", type=int, required=True)
+    t.add_argument("--q", type=prime_power, required=True)
     t.add_argument("--group", choices=("sl2", "gl2"), default="sl2")
     t.add_argument("--cache-dir", default=None)
     t.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("swc", help="total characteristic class of a representation")
-    s.add_argument("--q", type=int, required=True)
+    s.add_argument("--q", type=prime_power, required=True)
     s.add_argument("--rep", required=True)
-    s.add_argument("--truncate", type=int, default=None)
+    s.add_argument("--truncate", type=nonnegative_int, default=None)
     s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=cmd_swc)
 
     v = sub.add_parser("verify", help="run oracle verification suites")
-    v.add_argument("--q", type=int, required=True)
+    v.add_argument("--q", type=prime_power, required=True)
     v.add_argument("--suite", choices=("theorem", "wu", "gow", "obstruction", "all"),
                    required=True)
-    v.add_argument("--trials", type=int, default=None)
+    v.add_argument("--trials", type=nonnegative_int, default=None)
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(fn=cmd_verify)
 
@@ -470,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cohomology", help="graded dimensions and relations")
     c.add_argument("--group", required=True)
-    c.add_argument("--max-degree", type=int, required=True)
+    c.add_argument("--max-degree", type=nonnegative_int, required=True)
     c.set_defaults(fn=cmd_cohomology)
     return p
 
@@ -480,7 +502,6 @@ _USAGE_ERRORS = (
     RepSyntaxError,
     UnknownIrreducible,
     BadConstructionParams,
-    TooLarge,
 )
 
 
@@ -489,14 +510,10 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _USAGE_ERRORS as e:
-        print(json.dumps({"error": type(e).__name__, "detail": str(e)}),
-              file=sys.stderr)
-        return 2
     except Exception as e:  # internal failures still produce structured output
         print(json.dumps({"error": type(e).__name__, "detail": str(e)}),
               file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, _USAGE_ERRORS) else 3
 
 
 def main() -> None:

@@ -233,10 +233,6 @@ class Ring:
         return f"Ring(F2[{gens}]" + (f" / ({rel})" if rel else "") + f", D={self.D})"
 
 
-def ring_make(names, degrees, relations, D) -> Ring:
-    return Ring(names, degrees, relations, D)
-
-
 class GradedClass:
     """Element of a truncated graded ring: degree -> bit-packed coordinates."""
 
@@ -338,13 +334,6 @@ class GradedClass:
     def truncate(self, d_max: int) -> "GradedClass":
         return GradedClass(self.ring, {d: m for d, m in self.comps.items() if d <= d_max})
 
-    def frobenius(self, k: int = 1) -> "GradedClass":
-        """Raise every monomial exponent vector to the 2^k-th power."""
-        out = self
-        for _ in range(k):
-            out = out.square()
-        return out
-
     def monomials(self, d: int):
         ring = self.ring
         basis = ring.basis(d)
@@ -373,10 +362,6 @@ class GradedClass:
         for d in self.support_degrees():
             parts.extend(self.monomial_strings(d))
         return " + ".join(parts)
-
-
-def ring_mul(a: GradedClass, b: GradedClass) -> GradedClass:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +480,6 @@ class RestrictionMap:
             for mon in a.monomials(d):
                 out = out + self._image_of_monomial(mon)
         return out
-
-
-def restriction_apply(rmap: RestrictionMap, a: GradedClass) -> GradedClass:
-    return rmap(a)
 
 
 @lru_cache(maxsize=None)

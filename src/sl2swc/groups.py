@@ -104,7 +104,7 @@ def _matrix_ops(F: FieldTable):
 @lru_cache(maxsize=None)
 def _field_table(q: int) -> FieldTable:
     p, r = factor_prime_power(q)
-    return FieldTable(field_make(p, r))
+    return field_make(p, r)
 
 
 def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
@@ -259,9 +259,6 @@ class Subgroup:
     def __len__(self):
         return len(self.indices)
 
-    def parent_index(self, sub_index: int) -> int:
-        return self.parent.index[self.group.elems[sub_index]]
-
 
 def _make_subgroup(G: Group, elems, tag, gens=None) -> Subgroup:
     idxs = tuple(sorted(G.index[e] for e in set(elems)))
@@ -286,7 +283,7 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
     sl = G.kind == "sl2"
 
     if sl:
-        scalars = [1, neg[1]] if F.spec.p != 2 else [1]
+        scalars = [1, neg[1]] if F.p != 2 else [1]
     else:
         scalars = list(range(1, q))
 
@@ -347,7 +344,7 @@ def _quaternion_pairs(G: Group):
     """Ordered pairs (x, y) generating a copy of the quaternion group of order 8."""
     if G.kind != "sl2":
         raise UnsupportedTag("quaternion search implemented for SL(2,q)")
-    if G.field.spec.p == 2:
+    if G.field.p == 2:
         raise EvenQ("SL(2,q) with q even has no quaternion subgroups")
     m1 = _minus_one_index(G)
     mult, inv = G.mult, G.inv
@@ -400,8 +397,3 @@ def quaternion_embeddings(G: Group, limit: int = 3) -> list[Subgroup]:
         if len(chosen) == limit:
             return chosen
     return chosen
-
-
-def unitriangular_matrix(G: Group, x: int):
-    """The element (1, x, 0, 1) as a parent index; x is a field rank."""
-    return G.index[(1, x, 0, 1)]

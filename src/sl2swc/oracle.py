@@ -20,7 +20,7 @@ from .characters import (
     random_genuine_rep,
     random_orthogonal_rep,
     rep_from_oir_blocks,
-    restrict_to_group,
+    restrict,
 )
 from .cohomology import (
     GradedClass,
@@ -69,7 +69,7 @@ class RestrictionProfile:
 def central_involution(G: Group) -> int:
     """Index of the unique central element of order 2."""
     if G.kind == "sl2":
-        if G.field.spec.p == 2:
+        if G.field.p == 2:
             raise WrongParity("SL(2,q) with even q has no central involution")
         m1 = G.field.neg[1]
         return G.index[(m1, 0, 0, m1)]
@@ -125,7 +125,7 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     _check_embedding(emb)
     G = pi.table.group
     assert emb.parent is G
-    res = restrict_to_group(pi.character(), emb.group)
+    res = restrict(pi.character(), emb.group)
     qt = char_table(emb.group)
     x, y = emb.gens
     cx = qt.conj.class_of_elem(G.elems[x])
@@ -183,7 +183,7 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     """Multiplicity of each additive character (indexed by a in F_q) in the
     restriction to the unitriangular subgroup; exact integer arithmetic."""
     G = pi.table.group
-    assert G.kind == "sl2" and G.field.spec.p == 2
+    assert G.kind == "sl2" and G.field.p == 2
     F = G.field
     q = G.q
     conj = pi.table.conj
@@ -203,7 +203,7 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     assert pi.is_genuine()
     G = pi.table.group
     F = G.field
-    q, r = G.q, G.field.spec.r
+    q, r = G.q, G.field.r
     mults = unipotent_character_multiplicities(pi)
     assert all(m >= 0 for m in mults)
     d_max = min(D, pi.degree())
@@ -257,7 +257,7 @@ def verify_swc_formula(pi: VirtualRep, D: int, emb: Subgroup | None = None) -> d
     q = G.q
     deg = pi.degree()
     d_eff = min(D, deg)
-    if G.field.spec.p != 2:
+    if G.field.p != 2:
         total = total_swc(pi, d_eff)
         mapped = restrict_sl2odd_to_center(d_eff)(total.cls)
         oz = swc_from_center(pi, d_eff)
@@ -291,7 +291,7 @@ def restricted_total_class(pi: VirtualRep, D: int) -> GradedClass:
     """Oracle total class of the restriction to the parity's detecting
     elementary abelian subgroup (center for odd q, unitriangular for even)."""
     G = pi.table.group
-    if G.kind == "sl2" and G.field.spec.p == 2:
+    if G.kind == "sl2" and G.field.p == 2:
         return swc_from_unipotent(pi, D).cls
     return swc_from_center(pi, D).cls
 
@@ -450,9 +450,9 @@ def run_suite(name: str, q: int, trials: int | None = None,
     if name == "gow":
         return [suite_gow(q)]
     if name == "theorem":
-        return [suite_theorem(q, trials or 200, seed)]
+        return [suite_theorem(q, 200 if trials is None else trials, seed)]
     if name == "wu":
-        return [suite_wu(q, trials or 100, seed)]
+        return [suite_wu(q, 100 if trials is None else trials, seed)]
     if name == "obstruction":
         return [suite_obstruction(q)]
     if name == "all":

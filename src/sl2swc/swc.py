@@ -62,7 +62,7 @@ def _sl2_data(pi: VirtualRep):
     G = pi.table.group
     if G.kind != "sl2":
         raise WrongParity(f"these formulas apply to SL(2,q), not {G.name}")
-    return G, G.q, G.field.spec.p, G.field.spec.r
+    return G, G.q, G.field.p, G.field.r
 
 
 def _require_orthogonal(pi: VirtualRep):

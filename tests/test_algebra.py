@@ -5,15 +5,14 @@ import pytest
 from sl2swc.algebra import (
     CompositeP,
     Cyclo,
-    FieldTable,
     NotRationalInteger,
     binom_mod2,
     cyclo_make,
     cyclo_to_integer,
     cyclotomic_polynomial,
     euler_phi,
+    factor_prime_power,
     field_make,
-    field_trace,
     is_prime,
     ord2,
 )
@@ -23,35 +22,39 @@ from sl2swc.algebra import (
 # finite fields
 # ---------------------------------------------------------------------------
 
+def _power(F, a, n):
+    out = 1
+    for _ in range(n):
+        out = F.mul[out][a]
+    return out
+
+
 def test_gf4_modulus_and_product():
-    spec = field_make(2, 2)
-    assert spec.modulus == (1, 1)  # t^2 + t + 1, the only irreducible quadratic
-    t = spec.gen()
-    assert (t * t).coeffs == (1, 1)  # t^2 = t + 1
+    F = field_make(2, 2)
+    assert F.modulus == (1, 1)  # t^2 + t + 1, the only irreducible quadratic
+    t = 2
+    assert F.digits[t] == (0, 1)
+    assert F.digits[F.mul[t][t]] == (1, 1)  # t^2 = t + 1
 
 
 def test_gf5_inverse():
-    spec = field_make(5, 1)
-    assert spec.from_int(2).inverse() == spec.from_int(3)
+    F = field_make(5, 1)
+    assert F.inv[2] == 3
 
 
 def test_gf9_enumeration_and_cyclic_units():
-    spec = field_make(3, 2)
-    elems = spec.elements()
-    assert len(set(e.coeffs for e in elems)) == 9
+    F = field_make(3, 2)
+    assert len(set(F.digits)) == 9
     # exhaustive: some unit generates the full multiplicative group
-    units = [e for e in elems if not e.is_zero()]
-
-    def order(a):
-        k, cur = 1, a
-        one = spec.one()
-        while cur != one:
-            cur = cur * a
+    orders = []
+    for u in range(1, 9):
+        k, cur = 1, u
+        while cur != 1:
+            cur = F.mul[cur][u]
             k += 1
-        return k
-
-    assert sorted(order(u) for u in units).count(8) > 0
-    assert max(order(u) for u in units) == 8
+        assert F.mult_order(u) == k
+        orders.append(k)
+    assert max(orders) == 8
 
 
 def test_composite_p_rejected():
@@ -60,39 +63,18 @@ def test_composite_p_rejected():
 
 
 def test_trace_gf4():
-    spec = field_make(2, 2)
-    zero, one, t = spec.zero(), spec.one(), spec.gen()
-    assert field_trace(zero) == 0
-    assert field_trace(one) == 0       # 1 + 1 in characteristic 2
-    assert field_trace(t) == 1         # t + t^2 = t + (t+1) = 1
+    F = field_make(2, 2)
+    assert F.trace[0] == 0
+    assert F.trace[1] == 0   # 1 + 1 in characteristic 2
+    assert F.trace[2] == 1   # t + t^2 = t + (t+1) = 1
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
-def test_field_axioms_exhaustive_small(p, r):
-    spec = field_make(p, r)
-    elems = spec.elements()
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in elems:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-    for a in elems:
-        if not a.is_zero():
-            assert a * a.inverse() == spec.one()
-
-
-@pytest.mark.parametrize("q", [25, 27, 49, 81])
-def test_field_axioms_exhaustive_tables(q):
-    # larger fields: exhaustive through the index tables
-    p = 5 if q in (25,) else (3 if q in (27, 81) else 7)
-    r = {25: 2, 27: 3, 49: 2, 81: 4}[q]
-    F = FieldTable(field_make(p, r))
-    add, mul = F.add, F.mul
+def _check_axioms(F):
+    add, mul, q = F.add, F.mul, F.q
     rng = range(q)
     for a in rng:
+        assert add[0][a] == a and mul[1][a] == a
+        assert add[a][F.neg[a]] == 0
         for b in rng:
             assert add[a][b] == add[b][a]
             assert mul[a][b] == mul[b][a]
@@ -104,19 +86,31 @@ def test_field_axioms_exhaustive_tables(q):
         assert mul[a][F.inv[a]] == 1
 
 
+@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
+def test_field_axioms_exhaustive_small(p, r):
+    _check_axioms(field_make(p, r))
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 81])
+def test_field_axioms_exhaustive_tables(q):
+    # larger fields
+    _check_axioms(field_make(*factor_prime_power(q)))
+
+
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 1)])
 def test_frobenius_and_trace(p, r):
-    spec = field_make(p, r)
-    elems = spec.elements()
+    F = field_make(p, r)
+    elems = range(F.q)
+    frob = [_power(F, a, p) for a in elems]
     for a in elems:
         for b in elems:
-            assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-            assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+            assert frob[F.add[a][b]] == F.add[frob[a]][frob[b]]
+            assert frob[F.mul[a][b]] == F.mul[frob[a]][frob[b]]
     # trace is GF(p)-linear and onto GF(p)
     for a in elems:
         for b in elems:
-            assert field_trace(a + b) == (field_trace(a) + field_trace(b)) % p
-    assert set(field_trace(a) for a in elems) == set(range(p))
+            assert F.trace[F.add[a][b]] == (F.trace[a] + F.trace[b]) % p
+    assert set(F.trace) == set(range(p))
 
 
 # ---------------------------------------------------------------------------

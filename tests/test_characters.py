@@ -19,7 +19,6 @@ from sl2swc.characters import (
     regular_rep,
     rep_from_class_function,
     restrict,
-    restrict_to_group,
     symmetrize,
     trivial_rep,
 )
@@ -131,7 +130,7 @@ def test_induce_trivial_from_whole_group():
     G = build_sl2(3)
     t = char_table(G)
     whole = subgroup_from_indices(G, range(len(G)), "G")
-    chi = restrict(t.chars[t.trivial_index()], whole)
+    chi = restrict(t.chars[t.trivial_index()], whole.group)
     ind = induce(whole, chi, G)
     assert ind == t.chars[t.trivial_index()]
 
@@ -154,7 +153,7 @@ def test_frobenius_reciprocity():
         ind = induce(B, chi, G)
         for psi in tg.chars:
             lhs = ind.inner_int(psi)
-            rhs = restrict(psi, B).inner_int(chi)
+            rhs = restrict(psi, B.group).inner_int(chi)
             assert lhs == rhs
 
 
@@ -164,9 +163,17 @@ def test_restrict_rho_to_center_is_twice_sign():
     z = next(i for i in range(8) if i != Q.identity and Q.mult(i, i) == Q.identity)
     Z = subgroup_from_indices(Q, [Q.identity, z], "Z")
     rho = t.chars[next(i for i in range(t.nchars()) if t.degrees[i] == 2)]
-    res = restrict(rho, Z)
+    res = restrict(rho, Z.group)
     zc = res.conj.class_of_elem(Q.elems[z])
     assert res.degree() == 2 and res.int_at(zc) == -2  # sgn + sgn
+
+
+def test_restrict_rejects_a_group_outside_the_parent():
+    t = char_table(build_sl2(3))
+    with pytest.raises(ValueError):
+        restrict(t.chars[0], gen_quaternion(3))
+    with pytest.raises(ValueError):
+        restrict(t.chars[0], build_sl2(5))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,7 @@ def test_psc_degrees_and_indicators(q):
 
 def test_ps_restriction_stays_irreducible():
     G = build_sl2(5)
-    cf = restrict_to_group(principal_series(5, 1), G)
+    cf = restrict(principal_series(5, 1), G)
     assert cf.inner_int(cf) == 1
     assert cf.dual() == cf
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sl2swc.characters import char_table, regular_rep, symmetrize, trivial_rep
+from sl2swc import cli
+from sl2swc.characters import char_table, oir_labels, regular_rep, symmetrize, trivial_rep
 from sl2swc.cli import (
     RepSyntaxError,
     UnknownIrreducible,
@@ -128,6 +129,44 @@ def test_usage_errors(capsys):
     code, _, err = _run(capsys, "swc", "--q", "4", "--rep", "ps(1)")
     assert code == 2
     assert json.loads(err)["error"] == "BadConstructionParams"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "6", "--suite", "obstruction"),
+    ("verify", "--q", "1", "--suite", "obstruction"),
+    ("verify", "--q", "100", "--suite", "obstruction"),
+    ("table", "--q", "6"),
+    ("table", "--q", "128"),
+    ("swc", "--q", "10", "--rep", "triv"),
+    ("verify", "--q", "5", "--suite", "theorem", "--trials", "-1"),
+    ("swc", "--q", "3", "--rep", "reg", "--truncate", "-5"),
+    ("cohomology", "--group", "Q8", "--max-degree", "-1"),
+], ids=" ".join)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_zero_trials_runs_no_random_cases(capsys):
+    cases = {}
+    for trials in ("0", "1"):
+        code, out, _ = _run(capsys, "verify", "--q", "3", "--suite", "theorem",
+                            "--trials", trials)
+        assert code == 0
+        cases[trials] = json.loads(out)["suites"][0]["cases"]
+    assert cases["0"] == len(oir_labels(char_table(build_sl2(3))))
+    assert cases["1"] == cases["0"] + 1
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_dickson", boom)
+    code, out, err = _run(capsys, "dickson", "--rank", "2")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "RuntimeError", "detail": "boom"}
 
 
 def test_table_subcommand_and_determinism(capsys, tmp_path):

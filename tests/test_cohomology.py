@@ -7,6 +7,7 @@ from sl2swc.cohomology import (
     InhomogeneousRelation,
     OutsideDomain,
     RestrictionMap,
+    Ring,
     RingMismatch,
     TruncationTooLow,
     UnsupportedRing,
@@ -20,7 +21,6 @@ from sl2swc.cohomology import (
     restrict_genq_to_q8,
     restrict_q8_to_center,
     restrict_sl2odd_to_center,
-    ring_make,
     sl2_odd_ring,
     steenrod_sq,
     steenrod_total,
@@ -75,7 +75,7 @@ def test_ring_mismatch():
 
 def test_inhomogeneous_relation_rejected():
     with pytest.raises(InhomogeneousRelation):
-        ring_make(("a", "b"), (1, 2), (((1, 0), (0, 1)),), 6)
+        Ring(("a", "b"), (1, 2), (((1, 0), (0, 1)),), 6)
 
 
 def test_truncation_drops_high_degrees():

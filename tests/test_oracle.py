@@ -255,7 +255,7 @@ def test_genq_restriction_to_q8_is_rho():
     found = False
     for i in range(t16.nchars()):
         if t16.degrees[i] == 2 and t16.fs[i] == -1:
-            res = restrict(t16.chars[i], sub)
+            res = restrict(t16.chars[i], sub.group)
             if tuple(res.values) == tuple(v.upcast(res.m) for v in rho_vals):
                 found = True
     assert found
