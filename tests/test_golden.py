@@ -1,7 +1,9 @@
 """Pinned CLI outputs: the SHA-256 of stdout for a fixed list of `table` and
 `swc` commands.  The digests in golden_outputs.json were made from the code
-before the finite-field tables were rebuilt from integer polynomials; a
-refactor that changes no behaviour must leave every one of them unchanged."""
+before the finite-field tables were rebuilt from integer polynomials, and the
+SL(2,16) and SL(2,17) table digests from the code before the group layer
+moved to numpy index arrays; a refactor that changes no behaviour must leave
+every one of them unchanged."""
 
 import hashlib
 import json
