@@ -319,15 +319,7 @@ def char_table(G: Group) -> CharacterTable:
     bound = 2 * (isqrt(n) + 1) * max(conj.sizes)
     l = smallest_prime_in_progression(m, 1, bound)
 
-    # structure constants a[i][j][k] = #{x in C_i : x^-1 z in C_j}, z a fixed rep of C_k
-    struct = [[[0] * s for _ in range(s)] for _ in range(s)]
-    mult, inv, cls = G.mult, G.inv, conj.class_of
-    for k in range(s):
-        z = conj.reps[k]
-        for x in range(n):
-            struct[cls[x]][cls[mult(inv(x), z)]][k] += 1
-
-    omegas = _dixon_eigenvectors(struct, s, id_class, l)
+    omegas = _dixon_eigenvectors(structure_constants(G, conj), s, id_class, l)
     if len(omegas) != s:
         raise LiftFailure("wrong number of eigenvectors")
 
@@ -392,6 +384,17 @@ def char_table(G: Group) -> CharacterTable:
     return table
 
 
+def structure_constants(G: Group, conj: ConjugacyData) -> list:
+    """a[i][j][k] = #{x in C_i : x^-1 z in C_j}, z the representative of C_k."""
+    s = conj.nclasses()
+    cls = np.asarray(conj.class_of)
+    a = np.empty((s, s, s), dtype=np.int64)
+    for k, z in enumerate(conj.reps):
+        pairs = cls * s + cls[G.mul_many(G.inverses, z)]
+        a[:, :, k] = np.bincount(pairs, minlength=s * s).reshape(s, s)
+    return a.tolist()
+
+
 def _validate_orthogonality(G, conj, chars, inv_of):
     n = len(G)
     s = conj.nclasses()
@@ -425,23 +428,19 @@ def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
     conj_h = conjugacy(H.group)
     m = lcm(chi.m, conj_g.exponent)
     chi = chi.align(m)
-    mult, inv = G.mult, G.inv
-    h_index = H.group.index
-    n = len(G)
+    X = np.arange(len(G))
+    h_cls = np.asarray(conj_h.class_of)
     phi = len(Cyclo.integer(m, 0).coeffs)
     values = []
     for g in conj_g.reps:
+        # H-index of each conjugate x^-1 g x, or -1 outside H
+        y = H.group.locate(G.codes[G.mul_many(G.inverses, G.mul_many(g, X))])
+        counts = np.bincount(h_cls[y[y >= 0]], minlength=conj_h.nclasses())
         acc_vec = [0] * phi
-        for x in range(n):
-            y = mult(inv(x), mult(g, x))
-            e = G.elems[y]
-            hi = h_index.get(e)
-            if hi is None:
-                continue
-            v = chi.values[conj_h.class_of[hi]]
-            for i, cc in enumerate(v.coeffs):
+        for c in np.flatnonzero(counts).tolist():
+            for i, cc in enumerate(chi.values[c].coeffs):
                 if cc:
-                    acc_vec[i] += cc
+                    acc_vec[i] += int(counts[c]) * cc
         values.append(Cyclo(m, tuple(acc_vec)).exact_div(len(H.group)))
     return ClassFunction(G, conj_g, m, values)
 

@@ -291,22 +291,46 @@ def cache_path(cache_dir: Path, kind: str, q: int) -> Path:
     return cache_dir / f"table-{kind}-{q}-v{TABLE_VERSION}.json"
 
 
+_PAYLOAD_KEYS = frozenset({
+    "schema", "kind", "version", "group", "q", "order", "exponent", "num_classes",
+    "class_reps", "class_sizes", "class_orders", "degrees", "fs", "dual",
+    "omega_minus1", "values", "digest",
+})
+
+
 def load_cached_table(cache_dir: Path, kind: str, q: int):
+    """The cached table of the `kind` group over F_q, or None when there is
+    none.  A file that cannot be used is reported as one JSON line on stderr
+    and treated as absent, so the caller rebuilds the table."""
     path = cache_path(cache_dir, kind, q)
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("version") != TABLE_VERSION or payload.get("schema") != SCHEMA:
-        return None
-    if payload.get("digest") != _digest(payload):
-        return None
+    except (OSError, ValueError) as e:
+        return _reject(path, f"unreadable: {e}")
+    if not isinstance(payload, dict):
+        return _reject(path, f"not a table object but a JSON {type(payload).__name__}")
+    missing = sorted(_PAYLOAD_KEYS - payload.keys())
+    if missing:
+        return _reject(path, f"missing keys: {', '.join(missing)}")
+    if payload["version"] != TABLE_VERSION or payload["schema"] != SCHEMA:
+        return _reject(path, "schema or version differs")
+    if payload["digest"] != _digest(payload):
+        return _reject(path, "digest mismatch")
+    if payload["group"] != kind or payload["q"] != q:
+        return _reject(path, f"holds the {payload['group']} table for q={payload['q']}, "
+                             f"not the {kind} table for q={q}")
     try:
         return table_from_payload(payload)
-    except ValueError:
-        return None
+    except (ValueError, TypeError) as e:
+        return _reject(path, str(e))
+
+
+def _reject(path: Path, reason: str) -> None:
+    print(json.dumps({"cache": "rejected", "path": str(path), "reason": reason}),
+          file=sys.stderr)
+    return None
 
 
 def store_table(cache_dir: Path, table: CharacterTable) -> dict:

@@ -5,12 +5,31 @@ Matrix elements are 4-tuples (a, b, c, d) of field element ranks, ordered
 lexicographically; quaternion words are pairs (k, l) meaning a^k b^l.  All
 data is immutable once built; conjugacy and power tables are cached on the
 group object.
+
+Products are computed on numpy arrays of element indices (`Group.mul_many`).
+Every element has an integer code that increases strictly with its index:
+a*q^3 + b*q^2 + c*q + d for the matrix (a, b, c, d), which is its rank among
+all q^4 matrices in lexicographic order, and 2k + l for the word a^k b^l.
+A product is taken entrywise on codes (matrix entries through numpy copies of
+the field's add and mul tables) and the resulting codes are mapped back to
+indices by binary search in the sorted code array.  A subgroup keeps its
+parent's codes and arithmetic.
+
+`conjugacy` checks that the power map is well defined on classes: every
+element x has the order d of its class representative r, and class(x^k) =
+class(r^k) for 0 <= k < d.  Both sides are periodic in k with period d, and d
+divides the exponent, so this is the same condition as class(x^k) =
+class(r^k) for every k below the exponent; conversely that condition at k = d
+and at k = ord(x) forces the orders to agree.  The check costs the sum of the
+element orders in products instead of |G| times the exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+
+import numpy as np
 
 from .algebra import FieldTable, factor_prime_power, field_make, lcm
 
@@ -34,71 +53,108 @@ class NotFound(Exception):
 
 
 class Group:
-    """Finite group as an ordered element list with an index-based product."""
+    """Finite group as an ordered element list with an index-based product.
 
-    def __init__(self, name, kind, elems, raw_mult, raw_inv, identity_elem,
-                 q=None, field=None):
+    `codes` holds the element codes in increasing order, so that `locate`
+    finds them by binary search; `arith` multiplies and inverts code arrays
+    and decodes them into element tuples.
+    """
+
+    def __init__(self, name, kind, codes, arith, identity_elem, q=None, field=None):
         self.name = name
         self.kind = kind  # "sl2" | "gl2" | "genq" | "sub"
-        self.elems = list(elems)
+        self.codes = codes
+        self.arith = arith
+        self.elems = arith.decode(codes)
         self.index = {e: i for i, e in enumerate(self.elems)}
-        assert len(self.index) == len(self.elems), "duplicate elements"
-        self.raw_mult = raw_mult
-        self.raw_inv = raw_inv
+        if len(self.index) != len(self.elems):
+            raise AssertionError(f"{name}: duplicate elements")
         self.identity = self.index[identity_elem]
+        # a sentinel above every code keeps every search position a valid index
+        self._search = np.empty(len(codes) + 1, dtype=codes.dtype)
+        self._search[:-1] = codes
+        self._search[-1] = np.iinfo(codes.dtype).max
+        self.inverses = self.locate(arith.inv(codes))
+        if np.count_nonzero(self.inverses < 0):
+            raise AssertionError(f"{name}: elements not closed under inverses")
         self.q = q
         self.field = field
-        self._inv = None
         self._conj = None
         self._char_table = None
+        self._q8 = None
 
     def __len__(self):
         return len(self.elems)
 
+    def locate(self, codes) -> np.ndarray:
+        """Index of each code, or -1 where the code is not an element."""
+        pos = np.searchsorted(self._search, codes)
+        pos[self._search[pos] != codes] = -1
+        return pos
+
+    def mul_many(self, I, J) -> np.ndarray:
+        """Indices of the products elems[I] * elems[J], entrywise (broadcast)."""
+        K = self.locate(self.arith.mul(self.codes[I], self.codes[J]))
+        if np.count_nonzero(K < 0):
+            raise AssertionError(f"{self.name}: a product left the element list")
+        return K
+
     def mult(self, i: int, j: int) -> int:
-        return self.index[self.raw_mult(self.elems[i], self.elems[j])]
+        return int(self.mul_many([i], [j])[0])
 
     def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [self.index[self.raw_inv(e)] for e in self.elems]
-        return self._inv[i]
+        return int(self.inverses[i])
 
     def elem_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.mult(cur, i)
-            k += 1
-        return k
+        """Order of element i, read from the conjugacy data."""
+        conj = conjugacy(self)
+        return conj.orders[conj.class_of[i]]
 
     def subset_group(self, indices, name) -> "Group":
-        elems = [self.elems[i] for i in indices]
-        return Group(name, "sub", elems, self.raw_mult, self.raw_inv,
+        """The elements at the given sorted indices, as a group of their own."""
+        return Group(name, "sub", self.codes[np.asarray(indices)], self.arith,
                      self.elems[self.identity], q=self.q, field=self.field)
 
     def __repr__(self):
         return f"Group({self.name}, order {len(self)})"
 
 
-def _matrix_ops(F: FieldTable):
-    add, mul, neg = F.add, F.mul, F.neg
+class _MatrixCodes:
+    """2x2 matrices over F_q coded as a*q^3 + b*q^2 + c*q + d."""
 
-    def mm(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            add[mul[a][e]][mul[b][g]],
-            add[mul[a][f]][mul[b][h]],
-            add[mul[c][e]][mul[d][g]],
-            add[mul[c][f]][mul[d][h]],
-        )
+    def __init__(self, F: FieldTable):
+        self.q = F.q
+        self.fadd = np.array(F.add)
+        self.fmul = np.array(F.mul)
+        self.fneg = np.array(F.neg)
+        self.finv = np.array([0] + F.inv[1:])  # 0 -> 0 only makes singular codes
 
-    def inv_gl(x):
-        a, b, c, d = x
-        det = add[mul[a][d]][neg[mul[b][c]]]
-        di = F.inv[det]
-        return (mul[d][di], mul[neg[b]][di], mul[neg[c]][di], mul[a][di])
+    def entries(self, x):
+        q = self.q
+        return x // (q * q * q), x // (q * q) % q, x // q % q, x % q
 
-    return mm, inv_gl
+    def code(self, a, b, c, d):
+        q = self.q
+        return ((a * q + b) * q + c) * q + d
+
+    def det(self, a, b, c, d):
+        return self.fadd[self.fmul[a, d], self.fneg[self.fmul[b, c]]]
+
+    def mul(self, x, y):
+        add, mul = self.fadd, self.fmul
+        a, b, c, d = self.entries(x)
+        e, f, g, h = self.entries(y)
+        return self.code(add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
+                         add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]])
+
+    def inv(self, x):
+        mul, neg = self.fmul, self.fneg
+        a, b, c, d = self.entries(x)
+        di = self.finv[self.det(a, b, c, d)]
+        return self.code(mul[d, di], mul[neg[b], di], mul[neg[c], di], mul[a, di])
+
+    def decode(self, codes):
+        return list(zip(*(e.tolist() for e in self.entries(codes))))
 
 
 @lru_cache(maxsize=None)
@@ -111,22 +167,19 @@ def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
     if q > cap:
         raise TooLarge(f"q={q} exceeds cap {cap}")
     F = _field_table(q)
-    add, mul, neg = F.add, F.mul, F.neg
-    elems = []
+    arith = _MatrixCodes(F)
+    # member[a, n] says whether the matrix of code a*q^3 + n is in the group
+    _, b, c, d = arith.entries(np.arange(q ** 3))
+    member = np.empty((q, q ** 3), dtype=bool)
     for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                bc = neg[mul[b][c]]
-                for d in range(q):
-                    det = add[mul[a][d]][bc]
-                    if (det == 1) if want_sl else (det != 0):
-                        elems.append((a, b, c, d))
-    mm, inv_gl = _matrix_ops(F)
+        det = arith.det(a, b, c, d)
+        member[a] = (det == 1) if want_sl else (det != 0)
     name = f"{'SL' if want_sl else 'GL'}(2,{q})"
-    G = Group(name, "sl2" if want_sl else "gl2", elems, mm, inv_gl,
+    G = Group(name, "sl2" if want_sl else "gl2", np.flatnonzero(member), arith,
               (1, 0, 0, 1), q=q, field=F)
     expect = q * (q * q - 1) if want_sl else (q * q - 1) * (q * q - q)
-    assert len(G) == expect, f"{name}: got {len(G)} elements, expected {expect}"
+    if len(G) != expect:
+        raise AssertionError(f"{name}: got {len(G)} elements, expected {expect}")
     return G
 
 
@@ -140,32 +193,35 @@ def build_gl2(q: int, cap: int = SIZE_CAP) -> Group:
     return _build_matrix_group(q, False, cap)
 
 
+class _WordCodes:
+    """Words a^k b^l (0 <= k < M, l in {0, 1}) coded as 2k + l, with
+    a^M = 1, b^2 = a^(M/2) and b a b^-1 = a^-1."""
+
+    def __init__(self, M: int):
+        self.M = M
+
+    def mul(self, x, y):
+        k, l, k2, l2 = x >> 1, x & 1, y >> 1, y & 1
+        # a^k b^l a^k2 b^l2 = a^(k +- k2) b^(l + l2), and b^2 = a^(M/2)
+        kk = np.where(l == 0, k + k2, k - k2) + (l & l2) * (self.M // 2)
+        return kk % self.M * 2 + (l ^ l2)
+
+    def inv(self, x):
+        k, l, M = x >> 1, x & 1, self.M
+        return np.where(l == 0, -k % M * 2, (k + M // 2) % M * 2 + 1)
+
+    def decode(self, codes):
+        return list(zip((codes >> 1).tolist(), (codes & 1).tolist()))
+
+
 @lru_cache(maxsize=None)
 def gen_quaternion(n: int) -> Group:
     """Order-2^n group on words a^k b^l with a^{2^{n-2}} = b^2, b^4 = 1, bab^-1 = a^-1."""
     if n < 3:
         raise ValueError("generalized quaternion groups need n >= 3")
     M = 2 ** (n - 1)
-    elems = [(k, l) for k in range(M) for l in range(2)]
-
-    def mm(x, y):
-        k, l = x
-        k2, l2 = y
-        if l == 0:
-            kk, ll = k + k2, l2
-        else:
-            kk, ll = k - k2, 1 + l2
-            if ll == 2:
-                kk, ll = kk + M // 2, 0
-        return (kk % M, ll)
-
-    def inv(x):
-        k, l = x
-        if l == 0:
-            return ((-k) % M, 0)
-        return ((k + M // 2) % M, 1)
-
-    return Group(f"Q{2**n}", "genq", elems, mm, inv, (0, 0), q=None, field=None)
+    return Group(f"Q{2**n}", "genq", np.arange(2 * M), _WordCodes(M), (0, 0),
+                 q=None, field=None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,49 +253,60 @@ class ConjugacyData:
 
 
 def conjugacy(G: Group) -> ConjugacyData:
-    """Orbit partition under conjugation plus the exhaustive power-class table."""
+    """Orbit partition under conjugation, element orders and the power-class
+    table, with the power map checked to be well defined on classes."""
     if G._conj is not None:
         return G._conj
     n = len(G)
-    mult, inv = G.mult, G.inv
-    class_of = [-1] * n
+    X = np.arange(n)
+    cls = np.full(n, -1)
     classes, reps = [], []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        c = len(classes)
-        orbit = set()
-        for x in range(n):
-            orbit.add(mult(mult(x, g), inv(x)))
-        for h in orbit:
-            assert class_of[h] == -1
-            class_of[h] = c
-        classes.append(tuple(sorted(orbit)))
+    g = 0
+    while g < n:  # g is the first element in no class yet
+        in_orbit = np.zeros(n, dtype=bool)
+        in_orbit[G.mul_many(G.mul_many(X, g), G.inverses)] = True
+        orbit = np.flatnonzero(in_orbit)
+        if np.count_nonzero(cls[orbit] >= 0):
+            raise AssertionError(f"the conjugacy orbit of element {g} meets an earlier class")
+        cls[orbit] = len(classes)
+        classes.append(tuple(orbit.tolist()))
         reps.append(g)
+        rest = np.flatnonzero(cls[g:] < 0)
+        g = g + int(rest[0]) if rest.size else n
     sizes = [len(c) for c in classes]
-    assert sum(sizes) == n, "class equation failed"
-    orders = [G.elem_order(r) for r in reps]
+    if sum(sizes) != n:
+        raise AssertionError("class equation failed")
+
+    # Raise every element to the powers k = 1, 2, ... until it reaches the
+    # identity; alive holds the elements of order > k, cur their k-th powers.
+    rep_idx = np.array(reps)
+    order = np.zeros(n, dtype=np.int64)
+    rows = [np.full(len(reps), cls[G.identity])]  # rows[k][c] = class of rep_c^k
+    alive, cur, rep_cur = X, X, rep_idx
+    k = 1
+    while alive.size:
+        if k > n:
+            raise AssertionError(f"element {alive[0]} has no order up to |G| = {n}")
+        rows.append(cls[rep_cur])
+        order[alive[cur == G.identity]] = k
+        keep = cur != G.identity
+        alive, cur = alive[keep], cur[keep]
+        bad = np.flatnonzero(cls[cur] != rows[k][cls[alive]])
+        if bad.size:
+            raise AssertionError(f"power map ill-defined at element {alive[bad[0]]}, k={k}")
+        cur = G.mul_many(cur, alive)
+        rep_cur = G.mul_many(rep_cur, rep_idx)
+        k += 1
+    bad = np.flatnonzero(order != order[rep_idx][cls])
+    if bad.size:
+        raise AssertionError(f"power map ill-defined: element {bad[0]} and its class "
+                             "representative differ in order")
+    orders = order[rep_idx].tolist()
     exponent = reduce(lcm, orders, 1)
+    power = [[int(rows[k][c]) for k in range(d)] * (exponent // d)
+             for c, d in enumerate(orders)]
 
-    power = []
-    for r in reps:
-        row = [class_of[G.identity]]
-        cur = G.identity
-        for _ in range(exponent - 1):
-            cur = mult(cur, r)
-            row.append(class_of[cur])
-        power.append(row)
-
-    # well-definedness: every member's powers land in the rep's power classes
-    for x in range(n):
-        row = power[class_of[x]]
-        cur = G.identity
-        for k in range(exponent):
-            if class_of[cur] != row[k]:
-                raise AssertionError(f"power map ill-defined at element {x}, k={k}")
-            cur = mult(cur, x)
-
-    data = ConjugacyData(G, classes, class_of, reps, sizes, orders, exponent, power)
+    data = ConjugacyData(G, classes, cls.tolist(), reps, sizes, orders, exponent, power)
     G._conj = data
     return data
 
@@ -262,10 +329,7 @@ class Subgroup:
 
 def _make_subgroup(G: Group, elems, tag, gens=None) -> Subgroup:
     idxs = tuple(sorted(G.index[e] for e in set(elems)))
-    sub = G.subset_group(idxs, f"{G.name}:{tag}")
-    # closure sanity on small subgroups
-    for i in range(len(sub)):
-        assert sub.elems[sub.inv(i)] in sub.index
+    sub = G.subset_group(idxs, f"{G.name}:{tag}")  # raises unless inverse-closed
     return Subgroup(G, idxs, tag, sub, gens)
 
 
@@ -318,7 +382,8 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
                     add[a][mul[b][C[0]]], mul[b][C[1]],
                     mul[b][C[2]], add[a][mul[b][C[3]]],
                 ))
-        assert len(set(elems)) == q * q - 1
+        if len(set(elems)) != q * q - 1:
+            raise AssertionError(f"elliptic torus of {G.name} has {len(set(elems))} elements")
     else:
         raise UnsupportedTag(f"unknown subgroup tag {tag!r}")
     return _make_subgroup(G, elems, tag)
@@ -347,15 +412,15 @@ def _quaternion_pairs(G: Group):
     if G.field.p == 2:
         raise EvenQ("SL(2,q) with q even has no quaternion subgroups")
     m1 = _minus_one_index(G)
-    mult, inv = G.mult, G.inv
-    roots = [i for i in range(len(G)) if G.mult(i, i) == m1]
-    for x in roots:
-        x_inv = inv(x)
+    X = np.arange(len(G))
+    roots = np.flatnonzero(G.mul_many(X, X) == m1)
+    roots_inv = G.inverses[roots]
+    for x in roots.tolist():
+        x_inv = G.inv(x)
         cyc = {x, m1, x_inv}
-        for y in roots:
-            if y in cyc:
-                continue
-            if mult(mult(y, x), inv(y)) == x_inv:
+        inverted = G.mul_many(G.mul_many(roots, x), roots_inv) == x_inv
+        for y in roots[inverted].tolist():
+            if y not in cyc:
                 yield x, y
 
 
@@ -364,17 +429,22 @@ def _quaternion_subgroup(G: Group, x: int, y: int) -> Subgroup:
     m1 = _minus_one_index(G)
     xy = mult(x, y)
     idxs = {G.identity, m1, x, mult(m1, x), y, mult(m1, y), xy, mult(m1, xy)}
-    assert len(idxs) == 8
+    if len(idxs) != 8:
+        raise AssertionError(f"quaternion generators {x}, {y} span {len(idxs)} elements")
     elems = [G.elems[i] for i in idxs]
     return _make_subgroup(G, elems, "Q8", gens=(x, y))
 
 
 def find_quaternion(G: Group) -> Subgroup:
     """First quaternion subgroup of order 8 in canonical element order, with
-    generators x, y satisfying x^2 = y^2 = -1 and y x y^-1 = x^-1."""
-    for x, y in _quaternion_pairs(G):
-        return _quaternion_subgroup(G, x, y)
-    raise NotFound("no quaternion subgroup found")  # unreachable for odd q
+    generators x, y satisfying x^2 = y^2 = -1 and y x y^-1 = x^-1.  Found
+    once per group; later calls return the same Subgroup."""
+    if G._q8 is None:
+        pair = next(_quaternion_pairs(G), None)
+        if pair is None:
+            raise NotFound("no quaternion subgroup found")  # unreachable for odd q
+        G._q8 = _quaternion_subgroup(G, *pair)
+    return G._q8
 
 
 def quaternion_embeddings(G: Group, limit: int = 3) -> list[Subgroup]:

@@ -202,3 +202,41 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_text(json.dumps(doc))
     build_sl2.cache_clear()
     assert load_cached_table(tmp_path, "sl2", 2) is None
+
+
+def _digest_valid(doc):
+    doc = dict(doc)
+    doc["digest"] = cli._digest(doc)
+    return doc
+
+
+def _other_table(group, q):
+    return serialize_table(char_table((build_sl2 if group == "sl2" else cli.build_gl2)(q)))
+
+
+@pytest.mark.parametrize("bad, why", [
+    ([], "not a table object"),
+    (_digest_valid({"schema": cli.SCHEMA, "version": cli.TABLE_VERSION}), "missing keys"),
+    (_other_table("sl2", 5), "q=5"),
+    (_other_table("gl2", 3), "gl2 table"),
+], ids=["list", "missing-keys", "other-q", "other-group"])
+def test_cache_rejects_unusable_payload(capsys, tmp_path, bad, why):
+    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+    code, fresh, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(fresh_dir))
+    assert code == 0 and err == ""
+    path = cli.cache_path(bad_dir, "sl2", 3)
+    bad_dir.mkdir()
+    path.write_text(json.dumps(bad))
+    code, out, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(bad_dir))
+    assert code == 0 and out == fresh
+    lines = err.splitlines()
+    assert len(lines) == 1
+    note = json.loads(lines[0])
+    assert note["cache"] == "rejected" and note["path"] == str(path)
+    assert why in note["reason"]
+    # the rebuilt table replaced the unusable file
+    assert json.loads(path.read_text()) == json.loads(fresh)
+
+
+def test_payload_keys_match_serialized_table():
+    assert set(serialize_table(char_table(build_sl2(2)))) == cli._PAYLOAD_KEYS

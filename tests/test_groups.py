@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from functools import reduce
+from math import lcm
+from pathlib import Path
+
 import pytest
 
+from sl2swc.characters import structure_constants
 from sl2swc.groups import (
     EvenQ,
     TooLarge,
@@ -40,15 +48,133 @@ def test_class_equation(q):
     assert all(len(G) % s == 0 for s in conj.sizes)
 
 
-def test_power_class_consistency_recomputed():
-    # the build itself asserts this; recheck one group explicitly
-    G = build_sl2(3)
+# ---------------------------------------------------------------------------
+# Brute-force reference: products of element tuples written out here, with no
+# use of the group's own product
+# ---------------------------------------------------------------------------
+
+REFERENCE_GROUPS = (
+    [("sl2", q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [("gl2", q) for q in (2, 3, 4)]
+    + [("genq", n) for n in (4, 5)]
+)
+
+
+def _group(kind, param):
+    return {"sl2": build_sl2, "gl2": build_gl2, "genq": gen_quaternion}[kind](param)
+
+
+def _tuple_product(G):
+    """(x, y) -> x*y on element tuples, and the identity tuple."""
+    if G.kind in ("sl2", "gl2"):
+        add, mul = G.field.add, G.field.mul
+
+        def prod(x, y):
+            a, b, c, d = x
+            e, f, g, h = y
+            return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                    add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
+
+        return prod, (1, 0, 0, 1)
+    M = len(G) // 2
+
+    def prod(x, y):  # a^M = 1, b^2 = a^(M/2), b a b^-1 = a^-1
+        (k, l), (k2, l2) = x, y
+        if l == 0:
+            return ((k + k2) % M, l2)
+        if l2 == 0:
+            return ((k - k2) % M, 1)
+        return ((k - k2 + M // 2) % M, 0)
+
+    return prod, (0, 0)
+
+
+def _reference_conjugacy(G):
+    prod, one = _tuple_product(G)
+    elems = G.elems
+    index = {e: i for i, e in enumerate(elems)}
+    powers = []  # powers[i][k] = elems[i]^k for k < ord(elems[i])
+    for x in elems:
+        row = [one]
+        while (nxt := prod(row[-1], x)) != one:
+            row.append(nxt)
+        powers.append(row)
+    inverse = [row[-1] for row in powers]
+    class_of, classes, reps = [-1] * len(elems), [], []
+    for g, y in enumerate(elems):
+        if class_of[g] >= 0:
+            continue
+        orbit = sorted({index[prod(prod(x, y), inverse[i])] for i, x in enumerate(elems)})
+        for h in orbit:
+            class_of[h] = len(classes)
+        classes.append(tuple(orbit))
+        reps.append(g)
+    orders = [len(powers[r]) for r in reps]
+    exponent = reduce(lcm, orders, 1)
+    power = [[class_of[index[powers[r][k % len(powers[r])]]] for k in range(exponent)]
+             for r in reps]
+    return {"classes": classes, "class_of": class_of, "reps": reps,
+            "sizes": [len(c) for c in classes], "orders": orders,
+            "exponent": exponent, "power": power, "inverse": inverse}
+
+
+@pytest.mark.parametrize("kind, param", REFERENCE_GROUPS,
+                         ids=[f"{k}-{p}" for k, p in REFERENCE_GROUPS])
+def test_conjugacy_matches_brute_force(kind, param):
+    G = _group(kind, param)
     conj = conjugacy(G)
-    for x in range(len(G)):
-        cur = x
-        for k in range(2, conj.exponent + 1):
-            cur = G.mult(cur, x)
-            assert conj.class_of[cur] == conj.power_class(conj.class_of[x], k)
+    ref = _reference_conjugacy(G)
+    for name in ("classes", "class_of", "reps", "sizes", "orders", "exponent", "power"):
+        assert getattr(conj, name) == ref[name], name
+    assert [G.elems[G.inv(i)] for i in range(len(G))] == ref["inverse"]
+    assert [G.elem_order(i) for i in range(len(G))] == \
+        [ref["orders"][c] for c in ref["class_of"]]
+
+
+def test_power_class_consistency_recomputed():
+    # the build checks this only up to each element's order; recheck every
+    # element through the full exponent with tuple products
+    for kind, param in REFERENCE_GROUPS:
+        G = _group(kind, param)
+        prod, one = _tuple_product(G)
+        conj = conjugacy(G)
+        for x, e in enumerate(G.elems):
+            cur = one
+            for k in range(conj.exponent + 1):
+                got = conj.class_of_elem(cur)
+                assert got == conj.power_class(conj.class_of[x], k), (G.name, x, k)
+                cur = prod(cur, e)
+
+
+def test_structure_constants_match_brute_force():
+    G = build_sl2(5)
+    prod, _ = _tuple_product(G)
+    ref = _reference_conjugacy(G)
+    cls, s = ref["class_of"], len(ref["reps"])
+    want = [[[0] * s for _ in range(s)] for _ in range(s)]
+    for k, r in enumerate(ref["reps"]):
+        z = G.elems[r]
+        for x in range(len(G)):
+            y = prod(ref["inverse"][x], z)
+            want[cls[x]][cls[G.index[y]]][k] += 1
+    assert structure_constants(G, conjugacy(G)) == want
+
+
+def test_checks_survive_python_O():
+    # {1, a} in Q8 is not closed under inverses (a has order 4); the check
+    # must raise with assert statements stripped
+    code = ("import sys\n"
+            "from sl2swc.groups import gen_quaternion, subgroup_from_indices\n"
+            "if not sys.flags.optimize: sys.exit(5)\n"
+            "G = gen_quaternion(3)\n"
+            "subgroup_from_indices(G, [G.identity, G.index[(1, 0)]], 'bad')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError" in proc.stderr
+    assert "not closed under inverses" in proc.stderr
 
 
 def test_center_sl25():
