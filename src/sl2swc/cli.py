@@ -22,6 +22,7 @@ from .characters import (
     BadConstructionParams,
     CharacterTable,
     ClassFunction,
+    NotOrthogonal,
     VirtualRep,
     char_table,
     cuspidal_sl,
@@ -526,6 +527,7 @@ _USAGE_ERRORS = (
     RepSyntaxError,
     UnknownIrreducible,
     BadConstructionParams,
+    NotOrthogonal,
 )
 
 

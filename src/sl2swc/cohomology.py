@@ -1,11 +1,16 @@
 """Finitely presented graded F2-algebras, restriction homomorphisms, Steenrod
 squares on polynomial rings, and Dickson invariants.
 
-Normal forms are computed degree by degree: the monomials of each degree are
-row-reduced against all relation multiples, and the surviving monomials form
-that degree's basis.  Coordinate vectors are bit-packed into Python ints.
-Rings are truncated at a fixed degree D; per-degree data and monomial products
-are materialized lazily and cached.
+A class maps each degree to the frozenset of its normal-form monomials.  In a
+ring on n generators truncated at D, x1^e1...xn^en is the integer code
+sum e_i·(D+1)^(n-i), so descending codes list monomials in descending
+exponent order.  Generators have positive degree, so no exponent exceeds D
+and digits never carry: a product of monomials adds codes, a square doubles
+them, and over F2 sums and products of components are symmetric differences
+(a code that occurs twice cancels).  A free ring enumerates a degree's
+monomials only for basis()/dim().  A presented ring row-reduces each degree's
+relation multiples once (pivot: the largest monomial of a row); the
+non-pivots are the basis, and products rewrite only the other codes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,17 @@ def _bits(mask: int):
         mask ^= low
 
 
+_ONE = frozenset((0,))
+
+
+def _add_products(acc: set, c1, c2) -> None:
+    """acc += c1 * c2 over F2, on the monomial codes of two components."""
+    if len(c1) > len(c2):
+        c1, c2 = c2, c1
+    for a in c1:
+        acc ^= {a + b for b in c2}
+
+
 class Ring:
     """Graded F2-algebra F2[gens]/(relations), truncated at degree D."""
 
@@ -53,17 +69,35 @@ class Ring:
         self.names = tuple(names)
         self.degs = tuple(degrees)
         self.D = D
+        if any(d < 1 for d in self.degs):
+            raise ValueError("generator degrees must be positive")
+        n = len(self.degs)
+        self._weights = tuple((D + 1) ** (n - 1 - i) for i in range(n))
         rels = []
         for rel in relations:
             rel = frozenset(tuple(e) for e in rel)
-            rdegs = {sum(e * d for e, d in zip(mon, self.degs)) for mon in rel}
+            rdegs = {self.degree(mon) for mon in rel}
             if len(rdegs) != 1:
                 raise InhomogeneousRelation(f"relation {sorted(rel)} is not homogeneous")
             rels.append((rdegs.pop(), rel))
         self.relations = tuple(rels)
-        self._deg_cache: dict[int, tuple[list, dict, dict | None]] = {}
-        self._pair_cache: dict[tuple, tuple[int, int]] = {}
-        self._sq_cache: dict[tuple, tuple[int, int]] = {}
+        # presented rings: degree -> (basis, normal form of every monomial code)
+        self._deg_cache: dict[int, tuple[list, dict[int, frozenset]]] = {}
+
+    # -- monomial codes -------------------------------------------------------
+
+    def degree(self, expvec) -> int:
+        return sum(e * g for e, g in zip(expvec, self.degs))
+
+    def _code(self, expvec) -> int:
+        return sum(e * w for e, w in zip(expvec, self._weights))
+
+    def _exponents(self, code: int) -> tuple[int, ...]:
+        out = []
+        for w in self._weights:
+            e, code = divmod(code, w)
+            out.append(e)
+        return tuple(out)
 
     # -- per-degree data ----------------------------------------------------
 
@@ -85,24 +119,23 @@ class Ring:
         return sorted(out, reverse=True)
 
     def _degree_data(self, d):
-        """(basis monomials, basis positions, residue-by-monomial or None)."""
+        """(basis monomials, normal form of each monomial code) of a presented
+        ring in degree d <= D."""
         if d in self._deg_cache:
             return self._deg_cache[d]
         mons = self._monomials_of_degree(d)
-        pos_all = {m: i for i, m in enumerate(mons)}
-        if not self.relations:
-            data = (mons, pos_all, None)
-            self._deg_cache[d] = data
-            return data
+        codes = [self._code(m) for m in mons]
+        pos = {c: i for i, c in enumerate(codes)}
         rows = []
         for rdeg, rel in self.relations:
             if rdeg > d:
                 continue
+            rel_codes = [self._code(mon) for mon in rel]
             for mu in self._monomials_of_degree(d - rdeg):
+                c = self._code(mu)
                 mask = 0
-                for mon in rel:
-                    prod = tuple(a + b for a, b in zip(mu, mon))
-                    mask ^= 1 << pos_all[prod]
+                for r in rel_codes:
+                    mask ^= 1 << pos[c + r]
                 if mask:
                     rows.append(mask)
         # F2 row reduction over the monomial list; pivot = lowest set bit
@@ -118,45 +151,43 @@ class Ring:
         # back-substitute so each pivot row has a single pivot bit
         for p in sorted(pivots, reverse=True):
             row = pivots[p]
-            rest = row ^ (1 << p)
-            fixed = 1 << p
-            for b in list(_bits(rest)):
-                if b in pivots and b != p:
+            for b in list(_bits(row ^ (1 << p))):
+                if b in pivots:
                     row ^= pivots[b]
             pivots[p] = row
-        basis = [m for i, m in enumerate(mons) if i not in pivots]
-        basis_pos = {m: i for i, m in enumerate(basis)}
-        old_to_new = {pos_all[m]: basis_pos[m] for m in basis}
-        residue = {}
-        for i, m in enumerate(mons):
-            if i in old_to_new:
-                residue[m] = 1 << old_to_new[i]
-            else:
-                mask = pivots[i] ^ (1 << i)
-                out = 0
-                for b in _bits(mask):
-                    assert b in old_to_new, "reduction did not terminate in basis"
-                    out ^= 1 << old_to_new[b]
-                residue[m] = out
-        data = ([m for m in basis], basis_pos, residue)
+        normal = {}
+        for i, c in enumerate(codes):
+            if i not in pivots:
+                normal[c] = frozenset((c,))
+                continue
+            rest = list(_bits(pivots[i] ^ (1 << i)))
+            if any(b in pivots for b in rest):
+                raise AssertionError("reduction did not terminate in basis")
+            normal[c] = frozenset(codes[b] for b in rest)
+        data = ([m for i, m in enumerate(mons) if i not in pivots], normal)
         self._deg_cache[d] = data
         return data
 
+    def _normal(self, d, codes) -> frozenset:
+        """Normal form of the sum of the degree-d monomials with these codes."""
+        if not self.relations:
+            return frozenset(codes)
+        normal = self._degree_data(d)[1]
+        out = set()
+        for c in codes:
+            out ^= normal[c]
+        return frozenset(out)
+
     def basis(self, d):
+        """The normal-form monomials of degree d, largest first."""
+        if d > self.D:
+            return []
+        if not self.relations:
+            return self._monomials_of_degree(d)
         return self._degree_data(d)[0]
 
     def dim(self, d):
         return len(self.basis(d))
-
-    def reduce_monomial(self, expvec) -> tuple[int, int]:
-        """(degree, bitmask) of the residue of a raw monomial."""
-        d = sum(e * g for e, g in zip(expvec, self.degs))
-        if d > self.D:
-            return d, 0
-        mons, pos, residue = self._degree_data(d)
-        if residue is None:
-            return d, 1 << pos[expvec]
-        return d, residue[expvec]
 
     # -- element constructors -------------------------------------------------
 
@@ -164,11 +195,10 @@ class Ring:
         return GradedClass(self, {})
 
     def one(self) -> "GradedClass":
-        return self.monomial((0,) * len(self.names))
+        return GradedClass(self, {0: _ONE})
 
     def monomial(self, expvec) -> "GradedClass":
-        d, mask = self.reduce_monomial(tuple(expvec))
-        return GradedClass(self, {d: mask} if mask else {})
+        return self.from_monomials([expvec])
 
     def gen_class(self, name) -> "GradedClass":
         i = self.names.index(name)
@@ -177,43 +207,17 @@ class Ring:
         return self.monomial(e)
 
     def from_monomials(self, expvecs) -> "GradedClass":
-        out = self.zero()
+        """The sum of the given monomials (one listed twice cancels); those of
+        degree above D vanish."""
+        comps: dict[int, set] = {}
         for e in expvecs:
-            out = out + self.monomial(e)
-        return out
-
-    # -- products -------------------------------------------------------------
-
-    def _pair_product(self, d1, i1, d2, i2):
-        key = (d1, i1, d2, i2) if (d1, i1) <= (d2, i2) else (d2, i2, d1, i1)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        m1 = self.basis(d1)[i1]
-        m2 = self.basis(d2)[i2]
-        prod = tuple(a + b for a, b in zip(m1, m2))
-        val = self.reduce_monomial(prod)
-        self._pair_cache[key] = val
-        return val
-
-    def _square_basis(self, d, i):
-        key = (d, i)
-        hit = self._sq_cache.get(key)
-        if hit is not None:
-            return hit
-        m = self.basis(d)[i]
-        val = self.reduce_monomial(tuple(2 * e for e in m))
-        self._sq_cache[key] = val
-        return val
-
-    def mul_masks(self, d1, mask1, d2, mask2) -> int:
-        """Product of two homogeneous components; degree d1+d2 (must be <= D)."""
-        out = 0
-        for i1 in _bits(mask1):
-            for i2 in _bits(mask2):
-                _, m = self._pair_product(d1, i1, d2, i2)
-                out ^= m
-        return out
+            e = tuple(e)
+            if len(e) != len(self.names) or any(x < 0 for x in e):
+                raise ValueError(f"{e} is not an exponent vector of {self.names}")
+            d = self.degree(e)
+            if d <= self.D:
+                comps.setdefault(d, set()).symmetric_difference_update((self._code(e),))
+        return GradedClass(self, {d: self._normal(d, c) for d, c in comps.items()})
 
     def monomial_string(self, expvec) -> str:
         parts = []
@@ -234,25 +238,28 @@ class Ring:
 
 
 class GradedClass:
-    """Element of a truncated graded ring: degree -> bit-packed coordinates."""
+    """Element of a truncated graded ring: degree -> frozenset of the codes of
+    its normal-form monomials (see the module docstring)."""
 
     __slots__ = ("ring", "comps")
 
-    def __init__(self, ring: Ring, comps: dict[int, int]):
+    def __init__(self, ring: Ring, comps: dict[int, frozenset]):
         self.ring = ring
-        self.comps = {d: m for d, m in comps.items() if m}
+        self.comps = {d: c for d, c in comps.items() if c}
 
-    def component(self, d: int) -> int:
-        return self.comps.get(d, 0)
+    def component(self, d: int) -> frozenset:
+        """The codes of the degree-d monomials; compare components of classes
+        of one ring, or test them for emptiness."""
+        return self.comps.get(d, frozenset())
 
     def is_zero(self) -> bool:
         return not self.comps
 
     def is_one(self) -> bool:
-        return self.comps == {0: 1}
+        return self.comps == {0: _ONE}
 
     def has_constant_term(self) -> bool:
-        return self.comps.get(0, 0) == 1
+        return 0 in self.comps
 
     def support_degrees(self):
         return sorted(self.comps)
@@ -265,8 +272,8 @@ class GradedClass:
         if self.ring is not other.ring:
             raise RingMismatch("classes live in different rings")
         out = dict(self.comps)
-        for d, m in other.comps.items():
-            out[d] = out.get(d, 0) ^ m
+        for d, c in other.comps.items():
+            out[d] = out[d] ^ c if d in out else c
         return GradedClass(self.ring, out)
 
     __sub__ = __add__   # characteristic 2
@@ -277,45 +284,36 @@ class GradedClass:
         if self.ring is not other.ring:
             raise RingMismatch("classes live in different rings")
         ring = self.ring
-        out: dict[int, int] = {}
-        for d1, m1 in self.comps.items():
-            for d2, m2 in other.comps.items():
-                d = d1 + d2
-                if d > ring.D:
-                    continue
-                m = ring.mul_masks(d1, m1, d2, m2)
-                if m:
-                    out[d] = out.get(d, 0) ^ m
-        return GradedClass(ring, out)
+        sums: dict[int, set] = {}
+        for d1, c1 in self.comps.items():
+            for d2, c2 in other.comps.items():
+                if d1 + d2 <= ring.D:
+                    _add_products(sums.setdefault(d1 + d2, set()), c1, c2)
+        return GradedClass(ring, {d: ring._normal(d, s) for d, s in sums.items()})
 
     def square(self) -> "GradedClass":
-        # char 2: squaring is additive, one lookup per basis monomial
+        # char 2: squaring is additive and doubles each monomial's code
         ring = self.ring
-        out: dict[int, int] = {}
-        for d, mask in self.comps.items():
-            if 2 * d > ring.D:
-                continue
-            for i in _bits(mask):
-                sd, sm = ring._square_basis(d, i)
-                if sm:
-                    out[sd] = out.get(sd, 0) ^ sm
-        return GradedClass(ring, out)
+        return GradedClass(ring, {
+            2 * d: ring._normal(2 * d, [2 * x for x in c])
+            for d, c in self.comps.items() if 2 * d <= ring.D
+        })
 
     def inverse(self) -> "GradedClass":
         """Series inverse of a unit (constant term 1), degree by degree."""
         if not self.has_constant_term():
             raise ValueError("only units with constant term 1 are invertible")
         ring = self.ring
-        inv: dict[int, int] = {0: 1}
+        inv: dict[int, frozenset] = {0: _ONE}
         for d in range(1, ring.D + 1):
-            acc = 0
+            acc: set = set()
             for i in range(1, d + 1):
                 ui = self.comps.get(i)
                 wj = inv.get(d - i)
                 if ui and wj:
-                    acc ^= ring.mul_masks(i, ui, d - i, wj)
+                    _add_products(acc, ui, wj)
             if acc:
-                inv[d] = acc
+                inv[d] = ring._normal(d, acc)
         return GradedClass(ring, inv)
 
     def pow_int(self, n: int) -> "GradedClass":
@@ -331,13 +329,14 @@ class GradedClass:
                 base = base.square()
         return result
 
-    def truncate(self, d_max: int) -> "GradedClass":
-        return GradedClass(self.ring, {d: m for d, m in self.comps.items() if d <= d_max})
+    def truncate(self, d_max: int, d_min: int = 0) -> "GradedClass":
+        """The components of degrees d_min..d_max."""
+        return GradedClass(self.ring, {d: c for d, c in self.comps.items()
+                                       if d_min <= d <= d_max})
 
     def monomials(self, d: int):
-        ring = self.ring
-        basis = ring.basis(d)
-        return [basis[i] for i in _bits(self.component(d))]
+        """Exponent vectors of the degree-d component, largest first."""
+        return [self.ring._exponents(c) for c in sorted(self.component(d), reverse=True)]
 
     def monomial_strings(self, d: int):
         return [self.ring.monomial_string(m) for m in self.monomials(d)]
@@ -541,24 +540,24 @@ def steenrod_sq(i: int, a: GradedClass) -> GradedClass:
         raise UnsupportedRing("Steenrod squares implemented on free rings with degree-1 generators")
     if i < 0:
         raise ValueError("negative Steenrod index")
-    out = ring.zero()
+    terms = []
     nvars = len(ring.names)
     for d in a.support_degrees():
+        if i > d:
+            continue
         for mon in a.monomials(d):
             # distribute i among the variables; C(e_j, k_j) odd iff k_j submask of e_j
             def rec(j, rem, acc):
-                nonlocal out
                 if j == nvars - 1:
                     if rem <= mon[j] and binom_mod2(mon[j], rem):
-                        out = out + ring.monomial(tuple(acc + [mon[j] + rem]))
+                        terms.append(tuple(acc + [mon[j] + rem]))
                     return
                 for k in range(min(rem, mon[j]) + 1):
                     if binom_mod2(mon[j], k):
                         rec(j + 1, rem - k, acc + [mon[j] + k])
 
-            if i <= d:
-                rec(0, i, [])
-    return out
+            rec(0, i, [])
+    return ring.from_monomials(terms)
 
 
 def steenrod_total(a: GradedClass) -> GradedClass:
@@ -592,7 +591,7 @@ def dickson(r: int, D: int) -> tuple[GradedClass, ...]:
     out = []
     for i in range(1, r + 1):
         d = 2**r - 2 ** (r - i)
-        out.append(GradedClass(ring, {d: prod.component(d)}))
+        out.append(prod.truncate(d, d))
     return tuple(out)
 
 

@@ -98,8 +98,8 @@ def swc_from_center(pi: VirtualRep, D: int) -> TotalSWC:
     assert (deg - chi_z) % 2 == 0 and b >= 0
     d_max = min(D, deg)
     ring = center_ring(d_max)
-    comps = {d: 1 for d in range(d_max + 1) if binom_mod2(b, d)}
-    return TotalSWC(GradedClass(ring, comps), "center")
+    cls = ring.from_monomials([(d,) for d in range(d_max + 1) if binom_mod2(b, d)])
+    return TotalSWC(cls, "center")
 
 
 def _check_embedding(emb: Subgroup):
@@ -209,24 +209,17 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     d_max = min(D, pi.degree())
     ring = unipotent_ring(r, max(d_max, 2**r - 1))
     out = ring.one()
-    one = ring.one()
     for a in range(1, q):
-        n = mults[a]
-        if n == 0:
-            continue
         # t^i has canonical rank 2^i; pair against the basis via the trace
-        coeffs = [F.trace[F.mul[a][2**i]] for i in range(r)]
-        form = ring.zero()
-        for i, c in enumerate(coeffs):
-            if c:
-                form = form + ring.monomial(tuple(1 if j == i else 0 for j in range(r)))
-        u = form
+        u = ring.one() + ring.from_monomials([tuple(int(j == i) for j in range(r))
+                                              for i in range(r) if F.trace[F.mul[a][2**i]]])
+        # multiply by the sparse factors (1+w1)^(2^j) = 1 + w1^(2^j), j in bits n
+        n = mults[a]
         while n:
             if n & 1:
-                out = out * (one + u)
+                out = out * u
             n >>= 1
-            if n:
-                u = u.square()
+            u = u.square()
     return TotalSWC(out.truncate(d_max), "unipotent")
 
 
@@ -302,15 +295,13 @@ def wu_formula_holds(pi: VirtualRep, i: int, j: int) -> bool:
     D = i + j
     w = restricted_total_class(pi, D)
     ring = w.ring
-    wj = GradedClass(ring, {j: w.component(j)})
+    wj = w.truncate(j, j)
     lhs = steenrod_sq(i, wj)
     rhs = ring.zero()
     for t in range(i + 1):
         if not binom_mod2(j + t - i - 1, t):
             continue
-        wa = GradedClass(ring, {i - t: w.component(i - t)}) if i - t <= ring.D else ring.zero()
-        wb = GradedClass(ring, {j + t: w.component(j + t)}) if j + t <= ring.D else ring.zero()
-        rhs = rhs + wa * wb
+        rhs = rhs + w.truncate(i - t, i - t) * w.truncate(j + t, j + t)
     return lhs == rhs
 
 

@@ -132,22 +132,19 @@ def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
         if pi.is_genuine():
             assert 4 * rp <= pi.degree(), "classes above deg pi must vanish"
         ring = sl2_odd_ring(D)
-        comps = {}
-        i = 0
-        while 4 * i <= D:
-            if binom_mod2(rp, i):
-                _, mask = ring.reduce_monomial((i, 0))
-                comps[4 * i] = mask
-            i += 1
-        return TotalSWC(GradedClass(ring, comps), "sl2-odd")
+        cls = ring.from_monomials([(i, 0) for i in range(D // 4 + 1) if binom_mod2(rp, i)])
+        return TotalSWC(cls, "sl2-odd")
     _, m = unipotent_multiplicities(pi)
     if pi.is_genuine():
         assert m * (q - 1) <= pi.degree(), "classes above deg pi must vanish"
-    ring = dickson_ring(r, D)
-    base = ring.one()
-    for name in ring.names:
-        base = base + ring.gen_class(name)
-    return TotalSWC(base.pow_int(m), "dickson")
+    return TotalSWC(_one_plus_gens(dickson_ring(r, D)).pow_int(m), "dickson")
+
+
+def _one_plus_gens(ring):
+    """1 plus the sum of the generators: 1 + D in the Dickson ring."""
+    n = len(ring.names)
+    return ring.from_monomials([(0,) * n] + [tuple(int(i == j) for j in range(n))
+                                             for i in range(n)])
 
 
 def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
@@ -189,9 +186,7 @@ def obstruction(pi: VirtualRep, D: int | None = None):
         # the verification window must reach the closed-form degree
         D = max(D if D is not None else default_truncation(pi), deg_o)
         total = total_swc(pi, D)
-        ring = total.ring
-        _, mask = ring.reduce_monomial((2**t, 0))
-        cls = GradedClass(ring, {deg_o: mask})
+        cls = total.ring.monomial((2**t, 0))
     else:
         _, m = unipotent_multiplicities(pi)
         if m == 0:
@@ -200,14 +195,12 @@ def obstruction(pi: VirtualRep, D: int | None = None):
         deg_o = 2 ** (r + s - 1)
         D = max(D if D is not None else default_truncation(pi), deg_o)
         total = total_swc(pi, D)
-        ring = total.ring
-        e = [0] * r
-        e[0] = 2**s
-        _, mask = ring.reduce_monomial(tuple(e))
-        cls = GradedClass(ring, {deg_o: mask})
+        cls = total.ring.monomial((2**s,) + (0,) * (r - 1))
     low = total.cls.lowest_positive_degree()
-    assert low == deg_o, f"closed form {deg_o} != expansion minimum {low}"
-    assert total.cls.component(deg_o) == cls.component(deg_o), "obstruction class mismatch"
+    if low != deg_o:
+        raise AssertionError(f"closed form {deg_o} != expansion minimum {low}")
+    if total.cls.component(deg_o) != cls.component(deg_o):
+        raise AssertionError("obstruction class mismatch")
     return deg_o, cls
 
 
@@ -222,47 +215,60 @@ def top_class_nonzero(pi: VirtualRep) -> tuple[bool, str]:
         criterion = "central element acts by -1"
         rp = quaternionic_multiplicity(pi)
         top_coeff = binom_mod2(rp, deg // 4) if deg % 4 == 0 else 0
-        assert bool(top_coeff) == flag, "top coefficient disagrees with the criterion"
     else:
         ell, m = unipotent_multiplicities(pi)
         flag = ell == 0
         criterion = "no nonzero vectors fixed by the unitriangular subgroup"
-        total = total_swc(pi, deg)
-        assert bool(total.cls.component(deg)) == flag, \
-            "top coefficient disagrees with the criterion"
+        top_coeff = _dickson_power_component(r, m, deg)
+    if bool(top_coeff) != flag:
+        raise AssertionError("top coefficient disagrees with the criterion")
     return flag, criterion
+
+
+def _dickson_power_component(r: int, m: int, deg: int):
+    """The degree-deg component of (1+D)^m, m >= 0, in the Dickson ring.
+
+    (1+D)^m is the product of the factors (1+D)^(2^j) = 1 + D^(2^j) over the
+    set bits j of m.  After each factor, the degrees below deg minus the top
+    degrees of the factors still to come are dropped: no term of them can
+    reach deg, so the component is exactly that of the full product.
+    """
+    base = _one_plus_gens(dickson_ring(r, deg))
+    factors = []
+    while m:
+        if m & 1:
+            factors.append(base)
+        m >>= 1
+        base = base.square()
+    rest = sum(max(f.support_degrees()) for f in factors)
+    prod = base.ring.one()
+    for f in factors:
+        rest -= max(f.support_degrees())
+        prod = (prod * f).truncate(deg, deg - rest)
+    return prod.component(deg)
 
 
 def image_exponent(total: TotalSWC):
     """Certificate (n, 2^k) with total = (1+g)^n up to the truncation degree,
-    or None.  Binary digits of n are the coefficients of g^(2^j)."""
+    or None.  Binary digits of n are the coefficients of g^(2^j), read off
+    the power x^(2^j) of the first generator x (e, resp. d1)."""
     ring = total.ring
     D = ring.D
     if total.tag == "sl2-odd":
         base = ring.one() + ring.gen_class("e")
-        min_deg = 4
-
-        def digit_monomial(j):
-            return (2**j, 0)
     elif total.tag == "dickson":
-        base = ring.one()
-        for name in ring.names:
-            base = base + ring.gen_class(name)
-        min_deg = ring.degs[0]
-
-        def digit_monomial(j):
-            e = [0] * len(ring.names)
-            e[0] = 2**j
-            return tuple(e)
+        base = _one_plus_gens(ring)
     else:
         raise ValueError(f"no single-parameter image in ring tagged {total.tag!r}")
+    min_deg = ring.degs[0]
     if D < min_deg:
         return None
     k = 0
     n = 0
     while min_deg * 2**k <= D:
-        d, mask = ring.reduce_monomial(digit_monomial(k))
-        if total.cls.component(d) & mask:
+        d = min_deg * 2**k
+        digit = ring.monomial((2**k,) + (0,) * (len(ring.names) - 1))
+        if total.cls.component(d) & digit.component(d):
             n += 2**k
         k += 1
     if base.pow_int(n).truncate(D) == total.cls:
@@ -324,7 +330,7 @@ def swc_report(pi: VirtualRep, D: int | None = None) -> SwcReport:
         low = total.cls.lowest_positive_degree()
         if low is not None:
             deg_o = low
-            cls_o = GradedClass(total.ring, {low: total.cls.component(low)})
+            cls_o = total.cls.truncate(low, low)
     if pi.is_genuine():
         top, criterion = top_class_nonzero(pi)
     else:

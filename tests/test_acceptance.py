@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import sl2swc.groups as groups_mod
+from sl2swc.algebra import Cyclo, cyclo_to_integer
 from sl2swc.characters import (
     VirtualRep,
     char_table,
@@ -249,21 +250,25 @@ def test_criterion_10_image_and_bezout():
         assert lhs == rhs and lhs.component(45)
 
 
+def _check_columns(t):
+    """Column orthogonality: sum_a chi_a(c1) chi_a(c2^-1) = |G|/|C_c1| [c1 = c2]."""
+    conj = t.conj
+    for c1 in range(conj.nclasses()):
+        for c2 in range(c1, conj.nclasses()):
+            tot = sum((chi.values[c1] * chi.values[conj.inverse_class(c2)] for chi in t.chars),
+                      Cyclo.integer(t.m, 0))
+            assert cyclo_to_integer(tot) == (len(t.group) // conj.sizes[c1] if c1 == c2 else 0)
+
+
 def test_criterion_11_character_table_validity():
     with criterion(11, "exact orthogonality and degree sums for all tables; "
                        "principal-series/cuspidal degrees and indicators"):
-        for q in (2, 3, 4, 5, 7, 8, 9):
-            G = build_sl2(q)
+        for G in [build_sl2(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [build_gl2(3), build_gl2(5)]:
             t = char_table(G)
             assert sum(d * d for d in t.degrees) == len(G)
             inv_of = [t.conj.inverse_class(c) for c in range(t.conj.nclasses())]
             _validate_orthogonality(G, t.conj, t.chars, inv_of)
-        for q in (3, 5):
-            G = build_gl2(q)
-            t = char_table(G)
-            assert sum(d * d for d in t.degrees) == len(G)
-            inv_of = [t.conj.inverse_class(c) for c in range(t.conj.nclasses())]
-            _validate_orthogonality(G, t.conj, t.chars, inv_of)
+            _check_columns(t)
         for q in (5, 7):
             assert principal_series(q, 1).degree() == q + 1
             assert cuspidal(q, 1).degree() == q - 1

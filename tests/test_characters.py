@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sl2swc.algebra import Cyclo, cyclo_to_integer
 from sl2swc.characters import (
     BadConstructionParams,
     NotIndicator,
@@ -77,6 +78,13 @@ def test_orthogonality(q, kind):
         for b in range(a, t.nchars()):
             got = t.chars[a].inner_int(t.chars[b])
             assert got == (1 if a == b else 0)
+    # column orthogonality, exact
+    conj = t.conj
+    for c1 in range(conj.nclasses()):
+        for c2 in range(c1, conj.nclasses()):
+            tot = sum((chi.values[c1] * chi.values[conj.inverse_class(c2)] for chi in t.chars),
+                      Cyclo.integer(t.m, 0))
+            assert cyclo_to_integer(tot) == (len(G) // conj.sizes[c1] if c1 == c2 else 0)
 
 
 # ---------------------------------------------------------------------------

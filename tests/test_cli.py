@@ -117,7 +117,7 @@ def test_verify_subcommand_exit_codes(capsys):
     assert doc["suites"][0]["failures"] == []
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, out, err = _run(capsys, "swc", "--q", "3")
     assert code == 2
     assert json.loads(err)["error"] == "UsageError"
@@ -129,6 +129,12 @@ def test_usage_errors(capsys):
     code, _, err = _run(capsys, "swc", "--q", "4", "--rep", "ps(1)")
     assert code == 2
     assert json.loads(err)["error"] == "BadConstructionParams"
+    # a representation that is not orthogonal: genuine, then virtual
+    for q, rep in (("5", "X2"), ("5", "ps(1)"), ("3", "X2 - X3")):
+        code, out, err = _run(capsys, "swc", "--q", q, "--rep", rep,
+                              "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "", rep
+        assert json.loads(err)["error"] == "NotOrthogonal"
 
 
 @pytest.mark.parametrize("argv", [

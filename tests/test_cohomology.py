@@ -78,6 +78,19 @@ def test_inhomogeneous_relation_rejected():
         Ring(("a", "b"), (1, 2), (((1, 0), (0, 1)),), 6)
 
 
+def test_monomial_codes_need_positive_degrees_and_exponents():
+    # a monomial is coded by its exponents as digits below D + 1
+    with pytest.raises(ValueError):
+        Ring(("a", "b"), (1, 0), (), 6)
+    R = poly_ring(("a", "b"), 6)
+    for bad in ((1, -1), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            R.monomial(bad)
+    assert R.monomial((7, 0)).is_zero()
+    assert (R.monomial((6, 0)) * R.gen_class("b")).is_zero()
+    assert (R.monomial((3, 0)) * R.monomial((0, 3))).monomials(6) == [(3, 3)]
+
+
 def test_truncation_drops_high_degrees():
     R = center_ring(4)
     v = R.gen_class("v")
@@ -266,3 +279,101 @@ def test_series_inverse():
     # all-ones series
     assert all(w.component(4 * i) for i in range(6))
     assert u.pow_int(-3) == w * w * w
+
+
+# ---------------------------------------------------------------------------
+# Products against a reference on exponent tuples
+# ---------------------------------------------------------------------------
+
+def _ref_deg(ring, mon):
+    return sum(e * g for e, g in zip(mon, ring.degs))
+
+
+def _ref(cls):
+    """A class of a free ring as the set of its monomials' exponent tuples."""
+    return {mon for d in cls.support_degrees() for mon in cls.monomials(d)}
+
+
+def _ref_mul(ring, a, b):
+    out = set()
+    for m1 in a:
+        for m2 in b:
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if _ref_deg(ring, m) <= ring.D:
+                out ^= {m}
+    return out
+
+
+def _ref_pow(ring, a, n):
+    out = {(0,) * len(ring.names)}
+    for _ in range(n):
+        out = _ref_mul(ring, out, a)
+    return out
+
+
+def _random_monomials(ring, rng, n):
+    """n random monomials of degree <= D, repeats allowed (a pair cancels)."""
+    out = []
+    while len(out) < n:
+        mon = tuple(rng.randrange(0, ring.D // g + 1) for g in ring.degs)
+        if _ref_deg(ring, mon) <= ring.D:
+            out.append(mon)
+    return out
+
+
+FREE_RINGS = {
+    "poly1": lambda: poly_ring(("a",), 16),
+    "poly2": lambda: poly_ring(("a", "b"), 10),
+    "poly3": lambda: poly_ring(("a", "b", "c"), 7),
+    "dickson2": lambda: dickson_ring(2, 24),
+    "center": lambda: center_ring(20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_RINGS))
+def test_free_ring_products_match_reference(name):
+    ring = FREE_RINGS[name]()
+    rng = random.Random(name)
+    one = {(0,) * len(ring.names)}
+    for _ in range(40):
+        ma, mb = _random_monomials(ring, rng, 5), _random_monomials(ring, rng, 4)
+        a, b = ring.from_monomials(ma), ring.from_monomials(mb)
+        ra, rb = _ref(a), _ref(b)
+        assert ra == {m for m in ma if ma.count(m) % 2}
+        assert _ref(a * b) == _ref_mul(ring, ra, rb)
+        assert _ref(a.square()) == _ref_mul(ring, ra, ra)
+        n = rng.randrange(0, 6)
+        assert _ref(a.pow_int(n)) == _ref_pow(ring, ra, n)
+        # a unit 1 + x; its inverse is the geometric series in x, which is
+        # finite because x^k vanishes for k > D
+        x = ra - one
+        u = ring.from_monomials(list(one | x))
+        inv = set()
+        for k in range(ring.D + 1):
+            inv ^= _ref_pow(ring, x, k)
+        assert _ref(u.inverse()) == inv
+        assert _ref_mul(ring, _ref(u), inv) == one
+        assert _ref(u.pow_int(-n)) == _ref_pow(ring, inv, n)
+
+
+PRESENTED_RINGS = {
+    "sl2odd": lambda: sl2_odd_ring(24),
+    "Q8": lambda: quaternion8_ring(12),
+    "genq": lambda: genq_ring(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED_RINGS))
+def test_presented_ring_axioms(name):
+    ring = PRESENTED_RINGS[name]()
+    rng = random.Random(name)
+    for _ in range(40):
+        a, b, c = (ring.from_monomials(_random_monomials(ring, rng, 4)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a.square() == a * a
+        assert a.pow_int(3) == a * a * a
+        # every component is written in the degree's basis
+        for d in (a * b).support_degrees():
+            assert set((a * b).monomials(d)) <= set(ring.basis(d))

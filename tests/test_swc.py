@@ -1,3 +1,11 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from itertools import combinations_with_replacement
+from pathlib import Path
+
 import pytest
 
 from sl2swc.characters import (
@@ -9,6 +17,7 @@ from sl2swc.characters import (
     trivial_rep,
 )
 from sl2swc.groups import build_sl2
+from sl2swc.oracle import verify_swc_formula
 from sl2swc.swc import (
     WrongParity,
     image_exponent,
@@ -20,6 +29,8 @@ from sl2swc.swc import (
     total_swc_expanded,
     unipotent_multiplicities,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _single(table, i):
@@ -200,6 +211,47 @@ def test_top_class_even_cuspidal_degree():
     total = total_swc_expanded(_single(t, i), 64)
     d2 = dickson(2, total.ring.D)[1]
     assert total.cls.component(3) == d2.component(3)
+
+
+@pytest.mark.parametrize("q,size", [(2, 4), (4, 4), (8, 3)])
+def test_top_class_matches_full_product(q, size):
+    # the pruned top component against the full product (1+D)^m at deg pi
+    t = char_table(build_sl2(q))
+    cases = 0
+    for n in range(1, size + 1):
+        for combo in combinations_with_replacement(range(t.nchars()), n):
+            mults = [combo.count(i) for i in range(t.nchars())]
+            pi = VirtualRep(t, mults)
+            deg = pi.degree()
+            flag, _ = top_class_nonzero(pi)
+            assert flag == bool(total_swc(pi, deg).cls.component(deg)), combo
+            cases += 1
+    assert cases == {2: 34, 4: 125, 8: 219}[q]
+
+
+def test_regular_q16_report_matches_oracle():
+    reg = regular_rep(char_table(build_sl2(16)))
+    report = swc_report(reg, 32)
+    assert report.total_expanded == verify_swc_formula(reg, 32)["expanded"]
+
+
+def test_regular_q16_cli_fits_in_512_mib(tmp_path):
+    # swc --q 16 --rep reg used to exhaust this address-space cap
+    limit = 512 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2swc.cli", "swc", "--q", "16", "--rep", "reg",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, env=env, preexec_fn=cap, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["degree"], out["r_or_m"], out["ell"]) == (4080, 255, 255)
+    assert out["top_nonzero"] is False and out["obstruction_degree"] == 8
 
 
 # ---------------------------------------------------------------------------
