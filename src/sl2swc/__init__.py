@@ -2,9 +2,9 @@
 
 Everything is computed with exact arithmetic: finite fields as dense tables
 built from polynomial residues, character values as cyclotomic integers,
-cohomology classes as bit-packed F2 coordinate vectors.  The `oracle` module
-re-derives every class by brute force from restrictions to small subgroups,
-independently of the closed formulas in `swc`.
+cohomology classes as per-degree sets of integer-coded monomials.  The
+`oracle` module re-derives every class by brute force from restrictions to
+small subgroups, independently of the closed formulas in `swc`.
 """
 
 from .algebra import (
