@@ -82,7 +82,7 @@ class Ring:
             rels.append((rdegs.pop(), rel))
         self.relations = tuple(rels)
         # presented rings: degree -> (basis, normal form of every monomial code)
-        self._deg_cache: dict[int, tuple[list, dict[int, frozenset]]] = {}
+        self._deg_cache: dict[int, tuple[list, dict[int, tuple[int, ...]]]] = {}
 
     # -- monomial codes -------------------------------------------------------
 
@@ -101,22 +101,13 @@ class Ring:
 
     # -- per-degree data ----------------------------------------------------
 
-    def _monomials_of_degree(self, d):
-        out = []
-
-        def rec(i, rem, acc):
-            if i == len(self.degs) - 1:
-                if rem % self.degs[i] == 0:
-                    out.append(tuple(acc + [rem // self.degs[i]]))
-                return
-            step = self.degs[i]
-            for e in range(rem // step + 1):
-                rec(i + 1, rem - e * step, acc + [e])
-
-        if d == 0:
-            return [tuple([0] * len(self.degs))]
-        rec(0, d, [])
-        return sorted(out, reverse=True)
+    def _monomials_of_degree(self, d, i=0):
+        """Exponent vectors of degree d in generators i.., largest first."""
+        g = self.degs[i]
+        if i == len(self.degs) - 1:
+            return [(d // g,)] if d % g == 0 else []
+        return [(e,) + rest for e in range(d // g, -1, -1)
+                for rest in self._monomials_of_degree(d - e * g, i + 1)]
 
     def _degree_data(self, d):
         """(basis monomials, normal form of each monomial code) of a presented
@@ -158,12 +149,12 @@ class Ring:
         normal = {}
         for i, c in enumerate(codes):
             if i not in pivots:
-                normal[c] = frozenset((c,))
+                normal[c] = (c,)
                 continue
             rest = list(_bits(pivots[i] ^ (1 << i)))
             if any(b in pivots for b in rest):
                 raise AssertionError("reduction did not terminate in basis")
-            normal[c] = frozenset(codes[b] for b in rest)
+            normal[c] = tuple(codes[b] for b in rest)
         data = ([m for i, m in enumerate(mons) if i not in pivots], normal)
         self._deg_cache[d] = data
         return data
@@ -175,7 +166,7 @@ class Ring:
         normal = self._degree_data(d)[1]
         out = set()
         for c in codes:
-            out ^= normal[c]
+            out.symmetric_difference_update(normal[c])
         return frozenset(out)
 
     def basis(self, d):
