@@ -463,36 +463,43 @@ def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
 # ---------------------------------------------------------------------------
 
 class VirtualRep:
-    """Integer combination of the irreducible characters of a fixed table."""
+    """Integer combination of the irreducible characters of a fixed table.
 
-    __slots__ = ("table", "mults", "_char")
+    Its value at a class is summed when first asked for and kept, so a
+    caller that reads a few classes, as the oracles do, never sums the whole
+    character."""
+
+    __slots__ = ("table", "mults", "_values")
 
     def __init__(self, table: CharacterTable, mults):
         self.table = table
         self.mults = tuple(mults)
         assert len(self.mults) == table.nchars()
-        self._char = None
+        self._values: dict[int, Cyclo] = {}
+
+    def value_at(self, c: int) -> Cyclo:
+        """sum_i n_i chi_i(c) in Z[zeta_m], m = exp G."""
+        v = self._values.get(c)
+        if v is None:
+            acc = list(Cyclo.integer(self.table.m, 0).coeffs)
+            for chi, n in zip(self.table.chars, self.mults):
+                if n:
+                    for k, a in enumerate(chi.values[c].coeffs):
+                        if a:
+                            acc[k] += n * a
+            v = self._values[c] = Cyclo(self.table.m, tuple(acc))
+        return v
 
     def character(self) -> ClassFunction:
-        if self._char is None:
-            conj = self.table.conj
-            m = self.table.m
-            s = conj.nclasses()
-            vals = []
-            for c in range(s):
-                acc = Cyclo.integer(m, 0)
-                for i, n in enumerate(self.mults):
-                    if n:
-                        acc = acc + self.table.chars[i].values[c] * n
-                vals.append(acc)
-            self._char = ClassFunction(self.table.group, conj, m, vals)
-        return self._char
+        conj = self.table.conj
+        return ClassFunction(self.table.group, conj, self.table.m,
+                             [self.value_at(c) for c in range(conj.nclasses())])
 
     def degree(self) -> int:
         return sum(n * d for n, d in zip(self.mults, self.table.degrees))
 
     def int_at(self, c: int) -> int:
-        return self.character().int_at(c)
+        return cyclo_to_integer(self.value_at(c))
 
     def is_genuine(self) -> bool:
         return all(n >= 0 for n in self.mults)

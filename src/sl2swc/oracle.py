@@ -4,7 +4,14 @@ linear characters, and suites checking every closed formula against them.
 
 Nothing here reuses the closed-form route: classes come from character inner
 products over the center, a quaternion subgroup of order 8, or the
-unitriangular subgroup, then products of (1 + w1) factors.
+unitriangular subgroup, then products of (1 + w1) factors.  Each oracle reads
+pi only at the classes of the subgroup it restricts to, where pi takes
+rational integer values: the Q8 multiplicities are integer inner products of
+pi's values at Q8's five classes with Q8's own rational table.
+
+The suites record every failing case, a Mismatch with its diff and any other
+exception with its type and message, and give each failure an `expr`:
+pi's multiplicities as an `swc --rep` expression that replays the case.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from .characters import (
     random_genuine_rep,
     random_orthogonal_rep,
     rep_from_oir_blocks,
-    restrict,
 )
 from .cohomology import (
     GradedClass,
@@ -107,12 +113,13 @@ def _check_embedding(emb: Subgroup):
         raise BadEmbedding("embedding must carry generator indices (x, y)")
     G = emb.parent
     x, y = emb.gens
-    x2 = G.mult(x, x)
-    if G.mult(x2, x2) != G.identity or x2 == G.identity:
+    x2, y2, yx = G.mul_many([x, y, y], [x, y, x]).tolist()
+    x4, yxy = G.mul_many([x2, yx], [x2, G.inv(y)]).tolist()
+    if x4 != G.identity or x2 == G.identity:
         raise BadEmbedding("x does not have order 4")
-    if G.mult(y, y) != x2:
+    if y2 != x2:
         raise BadEmbedding("y^2 != x^2")
-    if G.mult(G.mult(y, x), G.inv(y)) != G.inv(x):
+    if yxy != G.inv(x):
         raise BadEmbedding("y x y^-1 != x^-1")
     if len(emb.group) != 8:
         raise BadEmbedding("embedding does not span 8 elements")
@@ -121,15 +128,32 @@ def _check_embedding(emb: Subgroup):
 def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     """(m0, m1, m2, m3, m4): multiplicities of the trivial, the three order-2
     characters labeled by the generators, and the 4-dimensional block, in the
-    restriction along the embedding."""
+    restriction along the embedding.
+
+    Every element of Q8 has order at most 4 and is conjugate to its inverse
+    inside Q8, so any character takes rational integer values on it.  The
+    restriction is therefore five integers, pi at the class of each Q8 class
+    representative, and each multiplicity is the integer sum
+    |C| res(C) psi(C^-1) / 8 against Q8's own rational table."""
     _check_embedding(emb)
     G = pi.table.group
-    assert emb.parent is G
-    res = restrict(pi.character(), emb.group)
-    qt = char_table(emb.group)
+    K = emb.group
+    if emb.parent is not G or any(e not in G.index for e in K.elems):
+        raise ValueError(f"{K.name} is not contained in {G.name}")
+    qt = char_table(K)
+    conj = qt.conj
+    res = [pi.int_at(pi.table.conj.class_of_elem(K.elems[r])) for r in conj.reps]
+
+    def multiplicity(psi) -> int:
+        tot = sum(size * v * psi.int_at(conj.inverse_class(c))
+                  for c, (size, v) in enumerate(zip(conj.sizes, res)))
+        if tot % 8:
+            raise AssertionError(f"inner product sum {tot} is not divisible by 8")
+        return tot // 8
+
     x, y = emb.gens
-    cx = qt.conj.class_of_elem(G.elems[x])
-    cy = qt.conj.class_of_elem(G.elems[y])
+    cx = conj.class_of_elem(G.elems[x])
+    cy = conj.class_of_elem(G.elems[y])
     chi1 = chi2 = chi3 = triv = rho = None
     for i, chi in enumerate(qt.chars):
         if qt.degrees[i] == 2:
@@ -144,20 +168,17 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
             chi2 = i
         else:
             chi3 = i
-    m0 = res.inner_int(qt.chars[triv])
-    m1 = res.inner_int(qt.chars[chi1])
-    m2 = res.inner_int(qt.chars[chi2])
-    m3 = res.inner_int(qt.chars[chi3])
-    k = res.inner_int(qt.chars[rho])
+    m0, m1, m2, m3, k = (multiplicity(qt.chars[i]) for i in (triv, chi1, chi2, chi3, rho))
     if k % 2:
         raise BadEmbedding(f"2-dimensional constituent multiplicity {k} is odd "
                            "(input not orthogonal)")
     m4 = k // 2
-    deg = pi.degree()
-    z_class = pi.table.conj.class_of[G.mult(x, x)]
-    chi_z = pi.int_at(z_class)
-    assert m0 + m1 + m2 + m3 + 4 * m4 == deg, "degree balance failed"
-    assert m0 + m1 + m2 + m3 - 4 * m4 == chi_z, "central balance failed"
+    # x^2 = -1 is Q8's only element of order 2
+    chi_z = res[conj.orders.index(2)]
+    if m0 + m1 + m2 + m3 + 4 * m4 != pi.degree():
+        raise AssertionError("degree balance failed")
+    if m0 + m1 + m2 + m3 - 4 * m4 != chi_z:
+        raise AssertionError("central balance failed")
     return RestrictionProfile("Q8", (m0, m1, m2, m3, m4))
 
 
@@ -291,12 +312,24 @@ def restricted_total_class(pi: VirtualRep, D: int) -> GradedClass:
 
 def wu_formula_holds(pi: VirtualRep, i: int, j: int) -> bool:
     """Sq^i(w_j) = sum_t C(j+t-i-1, t) w_{i-t} w_{j+t} on the restriction."""
-    assert 0 <= i <= j
-    D = i + j
-    w = restricted_total_class(pi, D)
+    return wu_identity_holds(restricted_total_class(pi, i + j), i, j)
+
+
+def wu_identity_holds(w: GradedClass, i: int, j: int) -> bool:
+    """The Wu formula for (i, j) on a total class w known through degree
+    i + j; it reads w in degrees <= i + j only.
+
+    So one restricted class computed at any D >= i + j decides every (i, j)
+    as the class computed at D = i + j would.  That class is a product of
+    factors 1 + ... (over the center, a Lucas binomial series) in a ring
+    truncated at T(D) = min(D, deg pi), or max(min(D, deg pi), 2^r - 1) over
+    the unitriangular group, so its components of degree <= i + j do not
+    depend on D.  Both sides of the identity lie in degree i + j, which
+    T(i + j) reaches if and only if T(D) does."""
+    if not 0 <= i <= j:
+        raise ValueError(f"the Wu formula needs 0 <= i <= j, not i={i}, j={j}")
     ring = w.ring
-    wj = w.truncate(j, j)
-    lhs = steenrod_sq(i, wj)
+    lhs = steenrod_sq(i, w.truncate(j, j))
     rhs = ring.zero()
     for t in range(i + 1):
         if not binom_mod2(j + t - i - 1, t):
@@ -358,7 +391,7 @@ def suite_gow(q: int) -> SuiteReport:
         for i in range(table.nchars()):
             ok = table.fs[i] == 1
             rep.record(ok, None if ok else
-                       {"rep": f"X{i+1}", "lhs": table.fs[i], "rhs": 1})
+                       {"rep": f"X{i+1}", "expr": f"X{i+1}", "lhs": table.fs[i], "rhs": 1})
         return rep
     zc = minus_one_class(table)
     for i, chi in enumerate(table.chars):
@@ -367,7 +400,8 @@ def suite_gow(q: int) -> SuiteReport:
         omega = chi.int_at(zc) // table.degrees[i]
         ok = table.fs[i] == omega
         rep.record(ok, None if ok else
-                   {"rep": f"X{i+1}", "lhs": table.fs[i], "rhs": omega})
+                   {"rep": f"X{i+1}", "expr": f"X{i+1}", "lhs": table.fs[i],
+                    "rhs": omega})
     return rep
 
 
@@ -379,38 +413,67 @@ def suite_theorem(q: int, trials: int = 200, seed: int = DEFAULT_SEED,
     table = char_table(build_sl2(q))
     for lab, _ in oir_labels(table):
         pi = rep_from_oir_blocks(table, {lab: 1})
-        _run_theorem_case(rep, pi, q, _theorem_truncation(q, True),
-                          {"rep": f"oir:{lab}"})
+        _record_case(rep, {"rep": f"oir:{lab}"}, pi,
+                     verify_swc_formula, pi, _theorem_truncation(q, True))
     rng = random.Random(seed)
     for n in range(trials):
         pi = random_orthogonal_rep(table, rng, max_degree=max_degree)
-        _run_theorem_case(rep, pi, q, _theorem_truncation(q, False),
-                          {"rep": f"random:{n}"})
+        _record_case(rep, {"rep": f"random:{n}"}, pi,
+                     verify_swc_formula, pi, _theorem_truncation(q, False))
     return rep
 
 
-def _run_theorem_case(rep: SuiteReport, pi, q, D, detail):
+def _rep_expr(pi: VirtualRep) -> str:
+    """pi's multiplicities as an `swc --rep` expression, e.g. "2*X3 + X5"."""
+    from .cli import print_rep_terms  # not at the top: the cli module imports this one
+
+    terms = [(n, ("X", i + 1)) for i, n in enumerate(pi.mults) if n]
+    return print_rep_terms(terms or [(0, ("triv",))])
+
+
+def _record_case(rep: SuiteReport, case: dict, pi: VirtualRep, check, *args):
+    """Run check(*args) as one case of pi.  It passes unless it returns False
+    or raises.  A failure's detail is `case` plus pi's `expr`, and a Mismatch's
+    diff or any other exception's type and message.  MemoryError propagates."""
+    detail = {}
     try:
-        verify_swc_formula(pi, D)
-        rep.record(True)
+        ok = check(*args) is not False
+    except MemoryError:
+        raise
     except Mismatch as e:
-        detail.update({"degree": e.degree, "lhs": e.lhs, "rhs": e.rhs,
-                       "context": e.context})
-        rep.record(False, detail)
+        ok = False
+        detail = {"degree": e.degree, "lhs": e.lhs, "rhs": e.rhs, "context": e.context}
+    except Exception as e:
+        ok = False
+        detail = {"error": type(e).__name__, "message": str(e)}
+    rep.record(ok, None if ok else {**case, "expr": _rep_expr(pi), **detail})
 
 
 def suite_wu(q: int, trials: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Wu formula for i <= j, i + j <= 6 on restrictions of random reps."""
+    """Wu formula for i <= j, i + j <= 6 on restrictions of random reps, each
+    representation's restricted class built once (see wu_identity_holds)."""
     rep = SuiteReport("wu", q, seed=seed)
     table = char_table(build_sl2(q))
     rng = random.Random(seed)
     for n in range(trials):
         pi = random_genuine_rep(table, rng, max_degree=60)
+        try:
+            w = restricted_total_class(pi, 6)
+        except MemoryError:
+            raise
+        except Exception as e:  # then each (i, j) case fails with it
+            w = e
         for i in range(0, 4):
             for j in range(i, 7 - i):
-                ok = wu_formula_holds(pi, i, j)
-                rep.record(ok, None if ok else {"rep": f"random:{n}", "i": i, "j": j})
+                _record_case(rep, {"rep": f"random:{n}", "i": i, "j": j}, pi,
+                             _wu_case, w, i, j)
     return rep
+
+
+def _wu_case(w, i: int, j: int) -> bool:
+    if isinstance(w, Exception):
+        raise w
+    return wu_identity_holds(w.truncate(i + j), i, j)
 
 
 def suite_obstruction(q: int, n_max: int = 1024) -> SuiteReport:

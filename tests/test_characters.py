@@ -17,6 +17,7 @@ from sl2swc.characters import (
     is_orthogonal_virtual,
     principal_series,
     principal_series_sl,
+    random_genuine_rep,
     regular_rep,
     rep_from_class_function,
     restrict,
@@ -317,3 +318,21 @@ def test_rep_from_class_function_roundtrip():
     pi = VirtualRep(t, mults)
     back = rep_from_class_function(t, pi.character())
     assert back.mults == pi.mults
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+def test_value_at_is_the_summed_character(q):
+    # reference: sum_i n_i chi_i(c) over the whole table, in Z[zeta_m]
+    t = char_table(build_sl2(q))
+    rng = random.Random(q)
+    reps = [regular_rep(t), regular_rep(t) - trivial_rep(t).scaled(3)]
+    reps += [random_genuine_rep(t, rng, max_degree=100) for _ in range(4)]
+    for pi in reps:
+        whole = pi.character()
+        fresh = VirtualRep(t, pi.mults)  # asked class by class, never whole
+        for c in range(t.conj.nclasses()):
+            want = Cyclo.integer(t.m, 0)
+            for chi, n in zip(t.chars, pi.mults):
+                want = want + chi.values[c] * n
+            assert fresh.value_at(c) == want == whole.values[c]
+            assert pi.value_at(c) == want

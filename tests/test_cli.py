@@ -1,9 +1,17 @@
 import json
+import random
 
 import pytest
 
 from sl2swc import cli
-from sl2swc.characters import char_table, oir_labels, regular_rep, symmetrize, trivial_rep
+from sl2swc.characters import (
+    char_table,
+    oir_labels,
+    random_genuine_rep,
+    regular_rep,
+    symmetrize,
+    trivial_rep,
+)
 from sl2swc.cli import (
     RepSyntaxError,
     UnknownIrreducible,
@@ -163,6 +171,43 @@ def test_zero_trials_runs_no_random_cases(capsys):
         cases[trials] = json.loads(out)["suites"][0]["cases"]
     assert cases["0"] == len(oir_labels(char_table(build_sl2(3))))
     assert cases["1"] == cases["0"] + 1
+
+
+@pytest.mark.parametrize("suite,target", [("theorem", "verify_swc_formula"),
+                                          ("wu", "wu_identity_holds")])
+def test_a_raising_case_is_recorded_and_replayable(capsys, monkeypatch, suite, target):
+    from sl2swc import oracle
+
+    real = getattr(oracle, target)
+    calls = []
+
+    def third_raises(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(oracle, target, third_raises)
+    code, out, _ = _run(capsys, "verify", "--q", "3", "--suite", suite, "--trials", "4")
+    assert code == 1
+    report = json.loads(out)["suites"][0]
+    assert report["cases"] == len(calls) and report["passes"] == len(calls) - 1
+    [failure] = report["failures"]
+    assert failure["error"] == "ValueError" and failure["message"] == "boom"
+    if suite == "theorem":
+        pi = calls[2][0]
+    else:   # the third (i, j) case of the first representation
+        pi = random_genuine_rep(char_table(build_sl2(3)), random.Random(42), max_degree=60)
+        assert (failure["rep"], failure["i"], failure["j"]) == ("random:0", 0, 2)
+    assert parse_rep(failure["expr"], pi.table).mults == pi.mults
+
+
+def test_default_cache_is_the_tests_own(capsys, monkeypatch, tmp_path, default_cache_dir):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    code, _, _ = _run(capsys, "swc", "--q", "3", "--rep", "X99")
+    assert code == 2
+    assert [p.name for p in default_cache_dir.iterdir()] == ["table-sl2-3-v1.json"]
+    assert not (tmp_path / "home").exists()
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch):

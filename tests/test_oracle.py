@@ -2,16 +2,20 @@ import random
 
 import pytest
 
+from sl2swc.algebra import binom_mod2
 from sl2swc.characters import (
     VirtualRep,
     char_table,
+    oir_labels,
+    random_genuine_rep,
     random_orthogonal_rep,
+    rep_from_oir_blocks,
     regular_rep,
     restrict,
     symmetrize,
     trivial_rep,
 )
-from sl2swc.cohomology import restrict_genq_to_q8, restrict_q8_to_center
+from sl2swc.cohomology import restrict_genq_to_q8, restrict_q8_to_center, steenrod_sq
 from sl2swc.groups import (
     build_sl2,
     find_quaternion,
@@ -24,6 +28,7 @@ from sl2swc.oracle import (
     Mismatch,
     central_involution,
     quaternion_profile,
+    restricted_total_class,
     suite_gow,
     suite_obstruction,
     suite_theorem,
@@ -34,6 +39,7 @@ from sl2swc.oracle import (
     unipotent_character_multiplicities,
     verify_swc_formula,
     wu_formula_holds,
+    wu_identity_holds,
 )
 
 
@@ -161,6 +167,49 @@ def test_embedding_independence():
             pi = _single(t, i) if t.fs[i] == 1 else symmetrize(_single(t, i))
             classes = [swc_from_quaternion(pi, e, 32).cls for e in embs]
             assert all(c == classes[0] for c in classes[1:])
+
+
+def _profile_by_restriction(pi, emb):
+    """The five multiplicities (m0, m1, m2, m3, k), k that of the 2-dim
+    character, from the whole character restricted at m = exp G and
+    cyclotomic inner products."""
+    res = restrict(pi.character(), emb.group)
+    qt = char_table(emb.group)
+    x, y = emb.gens
+    cx = qt.conj.class_of_elem(pi.table.group.elems[x])
+    cy = qt.conj.class_of_elem(pi.table.group.elems[y])
+    by_key = {}
+    for i, chi in enumerate(qt.chars):
+        key = "rho" if qt.degrees[i] == 2 else (chi.int_at(cx), chi.int_at(cy))
+        by_key[key] = res.inner_int(chi)
+    return tuple(by_key[k] for k in ((1, 1), (1, -1), (-1, 1), (-1, -1), "rho"))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_profile_matches_restricted_character(q):
+    t = char_table(build_sl2(q))
+    rng = random.Random(q)
+    reps = [rep_from_oir_blocks(t, {lab: 1}) for lab, _ in oir_labels(t)]
+    reps += [random_orthogonal_rep(t, rng, max_degree=300) for _ in range(15)]
+    # genuine but not always orthogonal: an odd 2-dim multiplicity must raise
+    reps += [random_genuine_rep(t, rng, max_degree=300) for _ in range(15)]
+    odd_seen = False
+    for emb in quaternion_embeddings(t.group, 3):
+        for pi in reps:
+            m0, m1, m2, m3, k = _profile_by_restriction(pi, emb)
+            if k % 2:
+                odd_seen = True
+                with pytest.raises(BadEmbedding):
+                    quaternion_profile(pi, emb)
+            else:
+                assert quaternion_profile(pi, emb).mults == (m0, m1, m2, m3, k // 2)
+    assert odd_seen or q == 3
+
+
+def test_profile_rejects_an_embedding_in_another_group():
+    emb = find_quaternion(build_sl2(5))
+    with pytest.raises(ValueError, match="is not contained in"):
+        quaternion_profile(trivial_rep(char_table(build_sl2(3))), emb)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +357,83 @@ def test_wu_displayed_identity():
             w2 = GradedClass(ring, {2: w.component(2)})
             w3 = GradedClass(ring, {3: w.component(3)})
             assert w3 == w1 * w2 + steenrod_sq(1, w2)
+
+
+def _wu_at_own_truncation(pi, i, j):
+    """The Wu check on the restricted class computed at D = i + j."""
+    w = restricted_total_class(pi, i + j)
+    lhs = steenrod_sq(i, w.truncate(j, j))
+    rhs = w.ring.zero()
+    for t in range(i + 1):
+        if binom_mod2(j + t - i - 1, t):
+            rhs = rhs + w.truncate(i - t, i - t) * w.truncate(j + t, j + t)
+    return lhs == rhs
+
+
+def _flip(w, d):
+    """w plus the monomial v1^d of its ring (nothing when d is above its top)."""
+    return w + w.ring.monomial((d,) + (0,) * (len(w.ring.names) - 1))
+
+
+WU_PAIRS = [(i, j) for i in range(4) for j in range(i, 7 - i)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_shared_wu_class_agrees_with_per_case_class(q):
+    t = char_table(build_sl2(q))
+    rng = random.Random(q)
+    for _ in range(6):
+        pi = random_genuine_rep(t, rng, max_degree=60)
+        w6 = restricted_total_class(pi, 6)
+        for i, j in WU_PAIRS:
+            w = restricted_total_class(pi, i + j)
+            for d in range(i + j + 1):
+                assert w6.monomials(d) == w.monomials(d)
+            shared = wu_identity_holds(w6.truncate(i + j), i, j)
+            assert shared == _wu_at_own_truncation(pi, i, j)
+            assert wu_formula_holds(pi, i, j)
+            # a corrupted class gives the same verdict at either truncation
+            for d in range(1, i + j + 1):
+                assert (wu_identity_holds(_flip(w6, d).truncate(i + j), i, j)
+                        == wu_identity_holds(_flip(w, d), i, j))
+
+
+def test_wu_suite_records_a_corrupted_class(monkeypatch):
+    from sl2swc import oracle
+
+    real = oracle.restricted_total_class
+    monkeypatch.setattr(oracle, "restricted_total_class",
+                        lambda pi, D: _flip(real(pi, D), 3))
+    rep = suite_wu(3, trials=2)
+    assert rep.cases == 2 * len(WU_PAIRS) and not rep.ok()
+    assert all({"rep", "expr", "i", "j"} <= f.keys() for f in rep.failures)
+    assert {(f["i"], f["j"]) for f in rep.failures} >= {(1, 2)}
+
+
+def test_wu_class_failure_fails_each_case_of_the_rep(monkeypatch):
+    from sl2swc import oracle
+
+    def broken(pi, D):
+        raise ValueError("no class")
+
+    monkeypatch.setattr(oracle, "restricted_total_class", broken)
+    rep = suite_wu(3, trials=1)
+    assert rep.cases == len(WU_PAIRS) and rep.passes == 0
+    assert {(f["error"], f["message"]) for f in rep.failures} == {("ValueError", "no class")}
+
+
+def test_memory_error_is_not_recorded_as_a_case(monkeypatch):
+    from sl2swc import oracle
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "verify_swc_formula", out_of_memory)
+    monkeypatch.setattr(oracle, "restricted_total_class", out_of_memory)
+    with pytest.raises(MemoryError):
+        suite_theorem(3, trials=1)
+    with pytest.raises(MemoryError):
+        suite_wu(3, trials=1)
 
 
 def test_wu_cases():
