@@ -4,12 +4,10 @@ A field is a set of dense tables over the ranks 0..q-1 of its elements,
 built once from integer polynomial arithmetic modulo a fixed irreducible.
 Cyclotomic integers are stored as the unique normal form modulo the m-th
 cyclotomic polynomial, which makes equality and integrality tests exact.
-Floating point appears only in the diagnostic `evalf`.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd
 
@@ -371,11 +369,6 @@ class Cyclo:
         if any(c % n for c in self.coeffs):
             raise NotRationalInteger(f"coefficients {self.coeffs} not divisible by {n}")
         return Cyclo(self.m, tuple(c // n for c in self.coeffs))
-
-    def evalf(self) -> complex:
-        """Diagnostic numeric value at zeta = exp(2 pi i / m)."""
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return sum(c * z**i for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         if self.is_zero():

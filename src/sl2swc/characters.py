@@ -23,7 +23,8 @@ from .algebra import (
     lcm,
     smallest_prime_in_progression,
 )
-from .groups import ConjugacyData, Group, Subgroup, build_gl2, build_sl2, conjugacy, standard_subgroup
+from .groups import (ConjugacyData, Group, Subgroup, build_gl2, build_sl2, conjugacy, minus_one,
+                     standard_subgroup)
 
 
 class LiftFailure(Exception):
@@ -59,9 +60,6 @@ class ClassFunction:
 
     def at(self, c: int) -> Cyclo:
         return self.values[c]
-
-    def at_elem(self, elem) -> Cyclo:
-        return self.values[self.conj.class_of_elem(elem)]
 
     def int_at(self, c: int) -> int:
         return cyclo_to_integer(self.values[c])
@@ -374,8 +372,7 @@ def char_table(G: Group) -> CharacterTable:
 
     omega = None
     if G.kind == "sl2" and G.field.p != 2:
-        neg1 = G.field.neg[1]
-        zc = conj.class_of_elem((neg1, 0, 0, neg1))
+        zc = conj.class_of[minus_one(G)]
         omega = tuple(chi.int_at(zc) // degrees[i] for i, chi in enumerate(chars))
         assert all(o in (-1, 1) for o in omega)
 
@@ -449,12 +446,15 @@ def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
 
 
 def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
-    """Restriction along the inclusion of K in chi's group, given by literal
-    element equality; ValueError if some element of K is not in that group."""
-    if any(e not in chi.group.index for e in K.elems):
-        raise ValueError(f"{K.name} is not contained in {chi.group.name}")
+    """Restriction along the inclusion of K in chi's group, given by equal
+    element codes; ValueError unless both groups share one coding and every
+    element of K is in chi's group."""
+    G = chi.group
+    at = G.locate(K.codes) if K.arith is G.arith else None
+    if at is None or np.count_nonzero(at < 0):
+        raise ValueError(f"{K.name} is not contained in {G.name}")
     conj_k = conjugacy(K)
-    vals = [chi.at_elem(K.elems[r]) for r in conj_k.reps]
+    vals = [chi.values[chi.conj.class_of[i]] for i in at[conj_k.reps].tolist()]
     return ClassFunction(K, conj_k, chi.m, vals)
 
 
@@ -689,7 +689,7 @@ def principal_series(q: int, k: int) -> ClassFunction:
     assert m % (q - 1) == 0
     step = m // (q - 1)
     conj_b = conjugacy(B.group)
-    vals = [Cyclo.root(m, step * k * dlog[B.group.elems[r][0]]) for r in conj_b.reps]
+    vals = [Cyclo.root(m, step * k * dlog[B.group.elem(r)[0]]) for r in conj_b.reps]
     chi = ClassFunction(B.group, conj_b, m, vals)
     out = induce(B, chi, Gt)
     assert out.degree() == q + 1
@@ -721,23 +721,23 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     step = m // (q * q - 1)
 
     gen_i = next(i for i in range(len(Te.group)) if Te.group.elem_order(i) == q * q - 1)
-    dlog_te = {}
+    dlog_te = [0] * len(Te.group)  # by Te index
     cur = Te.group.identity
     for j in range(q * q - 1):
-        dlog_te[Te.group.elems[cur]] = j
+        dlog_te[cur] = j
         cur = Te.group.mult(cur, gen_i)
 
     conj_te = conjugacy(Te.group)
-    vals_te = [Cyclo.root(m, step * k * dlog_te[Te.group.elems[r]]) for r in conj_te.reps]
+    vals_te = [Cyclo.root(m, step * k * dlog_te[r]) for r in conj_te.reps]
     chi_te = ClassFunction(Te.group, conj_te, m, vals_te)
 
     conj_zn = conjugacy(ZN.group)
     vals_zn = []
     for r in conj_zn.reps:
-        s_, x, _, _ = ZN.group.elems[r]
+        s_, x, _, _ = ZN.group.elem(r)
         u = F.mul[x][F.inv[s_]]
         tr = F.trace[u]
-        e = step * k * dlog_te[(s_, 0, 0, s_)] + (m // p) * tr
+        e = step * k * dlog_te[Te.group.find((s_, 0, 0, s_))] + (m // p) * tr
         vals_zn.append(Cyclo.root(m, e))
     chi_zn = ClassFunction(ZN.group, conj_zn, m, vals_zn)
 

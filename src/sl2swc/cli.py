@@ -245,7 +245,7 @@ def serialize_table(table: CharacterTable) -> dict:
 def _class_reps(G, conj) -> list:
     """Each class representative as its four entries' coefficient lists."""
     digits = G.field.digits
-    return [[list(digits[entry]) for entry in G.elems[r]] for r in conj.reps]
+    return [[list(digits[entry]) for entry in G.elem(r)] for r in conj.reps]
 
 
 def _digest(payload: dict) -> str:

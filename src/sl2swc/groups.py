@@ -1,19 +1,18 @@
 """Concrete finite groups: SL(2,q), GL(2,q), their standard subgroups, and
 generalized quaternion groups, with conjugacy classes and power maps.
 
-Matrix elements are 4-tuples (a, b, c, d) of field element ranks, ordered
-lexicographically; quaternion words are pairs (k, l) meaning a^k b^l.  All
+An element is its index and the integer code at that index, and codes
+increase strictly with the index: a*q^3 + b*q^2 + c*q + d for the matrix
+(a, b, c, d) of field element ranks, its rank among all q^4 matrices in
+lexicographic order, and 2k + l for the quaternion word a^k b^l.  Tuples
+appear only through `Group.find` and `Group.elem`.  Products are taken on
+numpy arrays of indices (`Group.mul_many`): entrywise on codes (matrix
+entries through numpy copies of the field's add and mul tables), then mapped
+back to indices by binary search in the sorted codes.  A subgroup is a set of
+parent indices and shares its parent's codes and coding object; there is one
+coding per q, and codes are compared only between groups that share it.  All
 data is immutable once built; conjugacy and power tables are cached on the
 group object.
-
-Products are computed on numpy arrays of element indices (`Group.mul_many`).
-Every element has an integer code that increases strictly with its index:
-a*q^3 + b*q^2 + c*q + d for the matrix (a, b, c, d), which is its rank among
-all q^4 matrices in lexicographic order, and 2k + l for the word a^k b^l.
-A product is taken entrywise on codes (matrix entries through numpy copies of
-the field's add and mul tables) and the resulting codes are mapped back to
-indices by binary search in the sorted code array.  A subgroup keeps its
-parent's codes and arithmetic.
 
 `conjugacy` checks that the power map is well defined on classes: every
 element x has the order d of its class representative r, and class(x^k) =
@@ -53,11 +52,11 @@ class NotFound(Exception):
 
 
 class Group:
-    """Finite group as an ordered element list with an index-based product.
+    """Finite group on element indices with an index-based product.
 
     `codes` holds the element codes in increasing order, so that `locate`
-    finds them by binary search; `arith` multiplies and inverts code arrays
-    and decodes them into element tuples.
+    finds them by binary search; `arith` multiplies and inverts code arrays,
+    and codes and decodes single elements.
     """
 
     def __init__(self, name, kind, codes, arith, identity_elem, q=None, field=None):
@@ -65,15 +64,14 @@ class Group:
         self.kind = kind  # "sl2" | "gl2" | "genq" | "sub"
         self.codes = codes
         self.arith = arith
-        self.elems = arith.decode(codes)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        if len(self.index) != len(self.elems):
-            raise AssertionError(f"{name}: duplicate elements")
-        self.identity = self.index[identity_elem]
+        # binary search needs increasing codes; strictly so means no duplicates
+        if np.count_nonzero(codes[1:] <= codes[:-1]):
+            raise AssertionError(f"{name}: element codes do not strictly increase")
         # a sentinel above every code keeps every search position a valid index
         self._search = np.empty(len(codes) + 1, dtype=codes.dtype)
         self._search[:-1] = codes
         self._search[-1] = np.iinfo(codes.dtype).max
+        self.identity = self.find(identity_elem)
         self.inverses = self.locate(arith.inv(codes))
         if np.count_nonzero(self.inverses < 0):
             raise AssertionError(f"{name}: elements not closed under inverses")
@@ -84,7 +82,7 @@ class Group:
         self._q8 = None
 
     def __len__(self):
-        return len(self.elems)
+        return len(self.codes)
 
     def locate(self, codes) -> np.ndarray:
         """Index of each code, or -1 where the code is not an element."""
@@ -92,8 +90,20 @@ class Group:
         pos[self._search[pos] != codes] = -1
         return pos
 
+    def elem(self, i: int) -> tuple:
+        """Element i as a tuple: matrix entries (a, b, c, d) or word (k, l)."""
+        return self.arith.entries(int(self.codes[i]))
+
+    def find(self, elem) -> int:
+        """Index of an element tuple; KeyError if it is not an element."""
+        i = int(self.locate([self.arith.code(*elem)])[0])
+        # entries out of range can alias another element's code
+        if i < 0 or self.elem(i) != tuple(elem):
+            raise KeyError(elem)
+        return i
+
     def mul_many(self, I, J) -> np.ndarray:
-        """Indices of the products elems[I] * elems[J], entrywise (broadcast)."""
+        """Indices of the products of elements I and J, entrywise (broadcast)."""
         K = self.locate(self.arith.mul(self.codes[I], self.codes[J]))
         if np.count_nonzero(K < 0):
             raise AssertionError(f"{self.name}: a product left the element list")
@@ -109,11 +119,6 @@ class Group:
         """Order of element i, read from the conjugacy data."""
         conj = conjugacy(self)
         return conj.orders[conj.class_of[i]]
-
-    def subset_group(self, indices, name) -> "Group":
-        """The elements at the given sorted indices, as a group of their own."""
-        return Group(name, "sub", self.codes[np.asarray(indices)], self.arith,
-                     self.elems[self.identity], q=self.q, field=self.field)
 
     def __repr__(self):
         return f"Group({self.name}, order {len(self)})"
@@ -153,9 +158,6 @@ class _MatrixCodes:
         di = self.finv[self.det(a, b, c, d)]
         return self.code(mul[d, di], mul[neg[b], di], mul[neg[c], di], mul[a, di])
 
-    def decode(self, codes):
-        return list(zip(*(e.tolist() for e in self.entries(codes))))
-
 
 @lru_cache(maxsize=None)
 def _field_table(q: int) -> FieldTable:
@@ -163,11 +165,16 @@ def _field_table(q: int) -> FieldTable:
     return field_make(p, r)
 
 
+@lru_cache(maxsize=None)
+def _matrix_codes(q: int) -> _MatrixCodes:
+    """The one matrix coding over F_q, shared by SL(2,q), GL(2,q) and subgroups."""
+    return _MatrixCodes(_field_table(q))
+
+
 def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
     if q > cap:
         raise TooLarge(f"q={q} exceeds cap {cap}")
-    F = _field_table(q)
-    arith = _MatrixCodes(F)
+    arith = _matrix_codes(q)
     # member[a, n] says whether the matrix of code a*q^3 + n is in the group
     _, b, c, d = arith.entries(np.arange(q ** 3))
     member = np.empty((q, q ** 3), dtype=bool)
@@ -176,7 +183,7 @@ def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
         member[a] = (det == 1) if want_sl else (det != 0)
     name = f"{'SL' if want_sl else 'GL'}(2,{q})"
     G = Group(name, "sl2" if want_sl else "gl2", np.flatnonzero(member), arith,
-              (1, 0, 0, 1), q=q, field=F)
+              (1, 0, 0, 1), q=q, field=_field_table(q))
     expect = q * (q * q - 1) if want_sl else (q * q - 1) * (q * q - q)
     if len(G) != expect:
         raise AssertionError(f"{name}: got {len(G)} elements, expected {expect}")
@@ -200,6 +207,12 @@ class _WordCodes:
     def __init__(self, M: int):
         self.M = M
 
+    def entries(self, x):
+        return x >> 1, x & 1
+
+    def code(self, k, l):
+        return 2 * k + l
+
     def mul(self, x, y):
         k, l, k2, l2 = x >> 1, x & 1, y >> 1, y & 1
         # a^k b^l a^k2 b^l2 = a^(k +- k2) b^(l + l2), and b^2 = a^(M/2)
@@ -209,9 +222,6 @@ class _WordCodes:
     def inv(self, x):
         k, l, M = x >> 1, x & 1, self.M
         return np.where(l == 0, -k % M * 2, (k + M // 2) % M * 2 + 1)
-
-    def decode(self, codes):
-        return list(zip((codes >> 1).tolist(), (codes & 1).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +241,6 @@ def gen_quaternion(n: int) -> Group:
 @dataclass
 class ConjugacyData:
     group: Group
-    classes: list[tuple[int, ...]]
     class_of: list[int]
     reps: list[int]
     sizes: list[int]
@@ -240,7 +249,7 @@ class ConjugacyData:
     power: list[list[int]]     # power[c][k] = class of rep_c^k, k mod exponent
 
     def nclasses(self) -> int:
-        return len(self.classes)
+        return len(self.reps)
 
     def power_class(self, c: int, k: int) -> int:
         return self.power[c][k % self.exponent]
@@ -249,7 +258,7 @@ class ConjugacyData:
         return self.power[c][(-1) % self.exponent]
 
     def class_of_elem(self, elem) -> int:
-        return self.class_of[self.group.index[elem]]
+        return self.class_of[self.group.find(elem)]
 
 
 def conjugacy(G: Group) -> ConjugacyData:
@@ -260,7 +269,7 @@ def conjugacy(G: Group) -> ConjugacyData:
     n = len(G)
     X = np.arange(n)
     cls = np.full(n, -1)
-    classes, reps = [], []
+    sizes, reps = [], []
     g = 0
     while g < n:  # g is the first element in no class yet
         in_orbit = np.zeros(n, dtype=bool)
@@ -268,12 +277,11 @@ def conjugacy(G: Group) -> ConjugacyData:
         orbit = np.flatnonzero(in_orbit)
         if np.count_nonzero(cls[orbit] >= 0):
             raise AssertionError(f"the conjugacy orbit of element {g} meets an earlier class")
-        cls[orbit] = len(classes)
-        classes.append(tuple(orbit.tolist()))
+        cls[orbit] = len(reps)
+        sizes.append(len(orbit))
         reps.append(g)
         rest = np.flatnonzero(cls[g:] < 0)
         g = g + int(rest[0]) if rest.size else n
-    sizes = [len(c) for c in classes]
     if sum(sizes) != n:
         raise AssertionError("class equation failed")
 
@@ -306,7 +314,7 @@ def conjugacy(G: Group) -> ConjugacyData:
     power = [[int(rows[k][c]) for k in range(d)] * (exponent // d)
              for c, d in enumerate(orders)]
 
-    data = ConjugacyData(G, classes, cls.tolist(), reps, sizes, orders, exponent, power)
+    data = ConjugacyData(G, cls.tolist(), reps, sizes, orders, exponent, power)
     G._conj = data
     return data
 
@@ -327,15 +335,12 @@ class Subgroup:
         return len(self.indices)
 
 
-def _make_subgroup(G: Group, elems, tag, gens=None) -> Subgroup:
-    idxs = tuple(sorted(G.index[e] for e in set(elems)))
-    sub = G.subset_group(idxs, f"{G.name}:{tag}")  # raises unless inverse-closed
-    return Subgroup(G, idxs, tag, sub, gens)
-
-
-def subgroup_from_indices(G: Group, indices, tag: str) -> Subgroup:
-    """Subgroup on an explicit closed subset of element indices."""
-    return _make_subgroup(G, [G.elems[i] for i in indices], tag)
+def subgroup_from_indices(G: Group, indices, tag: str, gens=None) -> Subgroup:
+    """Subgroup on a closed set of parent indices, given in any order."""
+    idxs = sorted(set(np.asarray(indices, dtype=np.int64).tolist()))
+    sub = Group(f"{G.name}:{tag}", "sub", G.codes[idxs], G.arith, G.elem(G.identity),
+                q=G.q, field=G.field)  # raises unless inverse-closed
+    return Subgroup(G, tuple(idxs), tag, sub, gens)
 
 
 def standard_subgroup(G: Group, tag: str) -> Subgroup:
@@ -386,7 +391,10 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
             raise AssertionError(f"elliptic torus of {G.name} has {len(set(elems))} elements")
     else:
         raise UnsupportedTag(f"unknown subgroup tag {tag!r}")
-    return _make_subgroup(G, elems, tag)
+    idxs = G.locate([G.arith.code(*e) for e in elems])
+    if np.count_nonzero(idxs < 0):
+        raise AssertionError(f"{tag} of {G.name} has a matrix outside the group")
+    return subgroup_from_indices(G, idxs, tag)
 
 
 def _canonical_irreducible_quadratic(F: FieldTable) -> tuple[int, int]:
@@ -399,10 +407,11 @@ def _canonical_irreducible_quadratic(F: FieldTable) -> tuple[int, int]:
     raise AssertionError("no irreducible quadratic found")
 
 
-def _minus_one_index(G: Group) -> int:
-    F = G.field
-    m1 = F.neg[1]
-    return G.index[(m1, 0, 0, m1)]
+def minus_one(G: Group) -> int:
+    """Index of the scalar matrix -1 in SL(2,q) or GL(2,q); the identity when
+    q is even."""
+    m1 = G.field.neg[1]
+    return G.find((m1, 0, 0, m1))
 
 
 def _quaternion_pairs(G: Group):
@@ -411,7 +420,7 @@ def _quaternion_pairs(G: Group):
         raise UnsupportedTag("quaternion search implemented for SL(2,q)")
     if G.field.p == 2:
         raise EvenQ("SL(2,q) with q even has no quaternion subgroups")
-    m1 = _minus_one_index(G)
+    m1 = minus_one(G)
     X = np.arange(len(G))
     roots = np.flatnonzero(G.mul_many(X, X) == m1)
     roots_inv = G.inverses[roots]
@@ -426,13 +435,12 @@ def _quaternion_pairs(G: Group):
 
 def _quaternion_subgroup(G: Group, x: int, y: int) -> Subgroup:
     mult = G.mult
-    m1 = _minus_one_index(G)
+    m1 = minus_one(G)
     xy = mult(x, y)
     idxs = {G.identity, m1, x, mult(m1, x), y, mult(m1, y), xy, mult(m1, xy)}
     if len(idxs) != 8:
         raise AssertionError(f"quaternion generators {x}, {y} span {len(idxs)} elements")
-    elems = [G.elems[i] for i in idxs]
-    return _make_subgroup(G, elems, "Q8", gens=(x, y))
+    return subgroup_from_indices(G, list(idxs), "Q8", gens=(x, y))
 
 
 def find_quaternion(G: Group) -> Subgroup:

@@ -37,7 +37,7 @@ from .cohomology import (
     steenrod_sq,
     unipotent_ring,
 )
-from .groups import Group, Subgroup, build_sl2, find_quaternion
+from .groups import Group, Subgroup, build_sl2, find_quaternion, minus_one
 from .swc import (
     TotalSWC,
     WrongParity,
@@ -77,8 +77,7 @@ def central_involution(G: Group) -> int:
     if G.kind == "sl2":
         if G.field.p == 2:
             raise WrongParity("SL(2,q) with even q has no central involution")
-        m1 = G.field.neg[1]
-        return G.index[(m1, 0, 0, m1)]
+        return minus_one(G)
     found = []
     for z in range(len(G)):
         if z != G.identity and G.mult(z, z) == G.identity:
@@ -138,11 +137,12 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     _check_embedding(emb)
     G = pi.table.group
     K = emb.group
-    if emb.parent is not G or any(e not in G.index for e in K.elems):
+    at = G.locate(K.codes).tolist() if emb.parent is G and K.arith is G.arith else [-1]
+    if -1 in at:  # at[i] is the index in G of element i of K
         raise ValueError(f"{K.name} is not contained in {G.name}")
     qt = char_table(K)
     conj = qt.conj
-    res = [pi.int_at(pi.table.conj.class_of_elem(K.elems[r])) for r in conj.reps]
+    res = [pi.int_at(pi.table.conj.class_of[at[r]]) for r in conj.reps]
 
     def multiplicity(psi) -> int:
         tot = sum(size * v * psi.int_at(conj.inverse_class(c))
@@ -151,9 +151,7 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
             raise AssertionError(f"inner product sum {tot} is not divisible by 8")
         return tot // 8
 
-    x, y = emb.gens
-    cx = conj.class_of_elem(G.elems[x])
-    cy = conj.class_of_elem(G.elems[y])
+    cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
     chi1 = chi2 = chi3 = triv = rho = None
     for i, chi in enumerate(qt.chars):
         if qt.degrees[i] == 2:
@@ -208,7 +206,8 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     F = G.field
     q = G.q
     conj = pi.table.conj
-    chi_at = [pi.int_at(conj.class_of_elem((1, xx, 0, 1))) for xx in range(q)]
+    unip = G.locate([G.arith.code(1, x, 0, 1) for x in range(q)])  # (1, x, 0, 1)
+    chi_at = [pi.int_at(conj.class_of[i]) for i in unip.tolist()]
     out = []
     for a in range(q):
         tot = sum(chi_at[xx] * (-1) ** F.trace[F.mul[a][xx]] for xx in range(q))

@@ -25,6 +25,7 @@ from .cohomology import (
     sl2_odd_ring,
     unipotent_ring,
 )
+from .groups import minus_one
 
 TRUNCATION_CAP = 256
 
@@ -73,9 +74,7 @@ def _require_orthogonal(pi: VirtualRep):
 
 
 def minus_one_class(table) -> int:
-    G = table.group
-    m1 = G.field.neg[1]
-    return table.conj.class_of_elem((m1, 0, 0, m1))
+    return table.conj.class_of[minus_one(table.group)]
 
 
 def n0_class(table) -> int:

@@ -1,3 +1,4 @@
+import cmath
 import random
 
 import pytest
@@ -137,14 +138,20 @@ def test_cyclo_to_integer():
     assert cyclo_to_integer(cyclo_make(3, [0, -1, -1])) == 1
 
 
+def evalf(c: Cyclo) -> complex:
+    """Numeric value of c at zeta = exp(2 pi i / m)."""
+    z = cmath.exp(2j * cmath.pi / c.m)
+    return sum(a * z**i for i, a in enumerate(c.coeffs))
+
+
 def test_cyclo_random_numeric_agreement():
     rng = random.Random(42)
     for _ in range(1000):
         m = rng.randrange(1, 25)
         a = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
         b = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
-        assert abs((a * b).evalf() - a.evalf() * b.evalf()) < 1e-6
-        assert abs((a + b).evalf() - (a.evalf() + b.evalf())) < 1e-6
+        assert abs(evalf(a * b) - evalf(a) * evalf(b)) < 1e-6
+        assert abs(evalf(a + b) - (evalf(a) + evalf(b))) < 1e-6
 
 
 def test_conjugation_involution_and_norm():
@@ -156,7 +163,7 @@ def test_conjugation_involution_and_norm():
         # multiplicative: conj is a ring map
         d = cyclo_make(m, [rng.randrange(-5, 6) for _ in range(m)])
         assert (c * d).conj() == c.conj() * d.conj()
-        val = (c * c.conj()).evalf()
+        val = evalf(c * c.conj())
         assert abs(val.imag) < 1e-6 and val.real > -1e-6
 
 
@@ -166,8 +173,8 @@ def test_roundtrip_evaluation():
         m = rng.randrange(2, 20)
         vec = [rng.randrange(-4, 5) for _ in range(m)]
         c = cyclo_make(m, vec)
-        direct = sum(v * (Cyclo.root(m, 1).evalf() ** k) for k, v in enumerate(vec))
-        assert abs(c.evalf() - direct) < 1e-9
+        direct = sum(v * (evalf(Cyclo.root(m, 1)) ** k) for k, v in enumerate(vec))
+        assert abs(evalf(c) - direct) < 1e-9
 
 
 def test_upcast():

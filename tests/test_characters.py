@@ -173,7 +173,7 @@ def test_restrict_rho_to_center_is_twice_sign():
     Z = subgroup_from_indices(Q, [Q.identity, z], "Z")
     rho = t.chars[next(i for i in range(t.nchars()) if t.degrees[i] == 2)]
     res = restrict(rho, Z.group)
-    zc = res.conj.class_of_elem(Q.elems[z])
+    zc = res.conj.class_of_elem(Q.elem(z))
     assert res.degree() == 2 and res.int_at(zc) == -2  # sgn + sgn
 
 
@@ -183,6 +183,12 @@ def test_restrict_rejects_a_group_outside_the_parent():
         restrict(t.chars[0], gen_quaternion(3))
     with pytest.raises(ValueError):
         restrict(t.chars[0], build_sl2(5))
+    # a group over another field: its codes read as F_3 matrices would be
+    # elements of SL(2,3), e.g. the F_2 matrix (1,1,0,1)
+    with pytest.raises(ValueError, match="not contained"):
+        restrict(t.chars[3], standard_subgroup(build_sl2(2), "N").group)
+    with pytest.raises(ValueError, match="not contained"):
+        restrict(t.chars[3], standard_subgroup(build_sl2(4), "Z").group)
 
 
 # ---------------------------------------------------------------------------

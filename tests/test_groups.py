@@ -91,7 +91,7 @@ def _tuple_product(G):
 
 def _reference_conjugacy(G):
     prod, one = _tuple_product(G)
-    elems = G.elems
+    elems = [G.elem(i) for i in range(len(G))]
     index = {e: i for i, e in enumerate(elems)}
     powers = []  # powers[i][k] = elems[i]^k for k < ord(elems[i])
     for x in elems:
@@ -124,9 +124,13 @@ def test_conjugacy_matches_brute_force(kind, param):
     G = _group(kind, param)
     conj = conjugacy(G)
     ref = _reference_conjugacy(G)
-    for name in ("classes", "class_of", "reps", "sizes", "orders", "exponent", "power"):
+    for name in ("class_of", "reps", "sizes", "orders", "exponent", "power"):
         assert getattr(conj, name) == ref[name], name
-    assert [G.elems[G.inv(i)] for i in range(len(G))] == ref["inverse"]
+    classes = [[] for _ in conj.reps]
+    for x, c in enumerate(conj.class_of):
+        classes[c].append(x)
+    assert [tuple(c) for c in classes] == ref["classes"]
+    assert [G.elem(G.inv(i)) for i in range(len(G))] == ref["inverse"]
     assert [G.elem_order(i) for i in range(len(G))] == \
         [ref["orders"][c] for c in ref["class_of"]]
 
@@ -138,10 +142,12 @@ def test_power_class_consistency_recomputed():
         G = _group(kind, param)
         prod, one = _tuple_product(G)
         conj = conjugacy(G)
-        for x, e in enumerate(G.elems):
+        elems = [G.elem(i) for i in range(len(G))]
+        index = {e: i for i, e in enumerate(elems)}
+        for x, e in enumerate(elems):
             cur = one
             for k in range(conj.exponent + 1):
-                got = conj.class_of_elem(cur)
+                got = conj.class_of[index[cur]]
                 assert got == conj.power_class(conj.class_of[x], k), (G.name, x, k)
                 cur = prod(cur, e)
 
@@ -153,28 +159,34 @@ def test_structure_constants_match_brute_force():
     cls, s = ref["class_of"], len(ref["reps"])
     want = [[[0] * s for _ in range(s)] for _ in range(s)]
     for k, r in enumerate(ref["reps"]):
-        z = G.elems[r]
+        z = G.elem(r)
         for x in range(len(G)):
             y = prod(ref["inverse"][x], z)
-            want[cls[x]][cls[G.index[y]]][k] += 1
+            want[cls[x]][cls[G.find(y)]][k] += 1
     assert structure_constants(G, conjugacy(G)) == want
 
 
 def test_checks_survive_python_O():
-    # {1, a} in Q8 is not closed under inverses (a has order 4); the check
-    # must raise with assert statements stripped
-    code = ("import sys\n"
-            "from sl2swc.groups import gen_quaternion, subgroup_from_indices\n"
-            "if not sys.flags.optimize: sys.exit(5)\n"
-            "G = gen_quaternion(3)\n"
-            "subgroup_from_indices(G, [G.identity, G.index[(1, 0)]], 'bad')\n")
+    # each check must raise with assert statements stripped: {1, a} in Q8 is
+    # not closed under inverses (a has order 4), and codes in decreasing
+    # order would break the binary search in locate
+    cases = [("subgroup_from_indices(G, [G.identity, G.find((1, 0))], 'bad')",
+              "not closed under inverses"),
+             ("Group('bad', 'sub', G.codes[::-1].copy(), G.arith, (0, 0))",
+              "do not strictly increase")]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert "AssertionError" in proc.stderr
-    assert "not closed under inverses" in proc.stderr
+    for make, message in cases:
+        code = ("import sys\n"
+                "from sl2swc.groups import Group, gen_quaternion, subgroup_from_indices\n"
+                "if not sys.flags.optimize: sys.exit(5)\n"
+                "G = gen_quaternion(3)\n"
+                f"{make}\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "AssertionError" in proc.stderr
+        assert message in proc.stderr
 
 
 def test_center_sl25():
@@ -182,7 +194,7 @@ def test_center_sl25():
     assert len(Z) == 2
     G = Z.parent
     m1 = G.field.neg[1]
-    assert set(Z.group.elems) == {(1, 0, 0, 1), (m1, 0, 0, m1)}
+    assert {Z.group.elem(i) for i in range(len(Z.group))} == {(1, 0, 0, 1), (m1, 0, 0, m1)}
 
 
 def test_center_even_is_trivial():
@@ -243,7 +255,7 @@ def test_find_quaternion_square_is_minus_one(q):
     Q = find_quaternion(G)
     x, y = Q.gens
     m1 = G.field.neg[1]
-    minus_one = G.index[(m1, 0, 0, m1)]
+    minus_one = G.find((m1, 0, 0, m1))
     assert G.mult(x, x) == minus_one
     assert G.mult(y, y) == minus_one
     assert G.mult(G.mult(y, x), G.inv(y)) == G.inv(x)
@@ -274,18 +286,18 @@ def test_gen_quaternion_q8():
 def test_gen_quaternion_q16():
     Q = gen_quaternion(4)
     assert len(Q) == 16
-    a = Q.index[(1, 0)]
-    b = Q.index[(0, 1)]
+    a = Q.find((1, 0))
+    b = Q.find((0, 1))
     assert Q.elem_order(a) == 8
     # a^{2^{n-2}} = b^2 and b a b^-1 = a^-1
-    assert Q.mult(b, b) == Q.index[(4, 0)]
+    assert Q.mult(b, b) == Q.find((4, 0))
     assert Q.mult(Q.mult(b, a), Q.inv(b)) == Q.inv(a)
 
 
 def test_q16_contains_q8():
     Q = gen_quaternion(4)
-    a2 = Q.index[(2, 0)]
-    b = Q.index[(0, 1)]
+    a2 = Q.find((2, 0))
+    b = Q.find((0, 1))
     # closure of <a^2, b> has the quaternion presentation of order 8
     idxs = {Q.identity}
     frontier = [a2, b]
@@ -329,3 +341,31 @@ def test_subgroup_from_indices():
     z = next(i for i in range(8) if i != G.identity and G.mult(i, i) == G.identity)
     Z = subgroup_from_indices(G, [G.identity, z], "Z")
     assert len(Z) == 2
+
+
+# ---------------------------------------------------------------------------
+# Element API: tuples only through find and elem
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, param", REFERENCE_GROUPS,
+                         ids=[f"{k}-{p}" for k, p in REFERENCE_GROUPS])
+def test_find_inverts_elem(kind, param):
+    G = _group(kind, param)
+    assert all(G.find(G.elem(i)) == i for i in range(len(G)))
+
+
+def test_find_inverts_elem_in_a_subgroup():
+    H = standard_subgroup(build_gl2(4), "B").group
+    assert [H.find(H.elem(i)) for i in range(len(H))] == list(range(len(H)))
+
+
+def test_find_rejects_non_members():
+    G = build_sl2(3)
+    with pytest.raises(KeyError):
+        G.find((0, 0, 0, 0))
+    with pytest.raises(KeyError):
+        G.find((2, 0, 0, 1))  # determinant 2
+    with pytest.raises(KeyError):
+        gen_quaternion(4).find((8, 0))  # a has order 8: no word a^8
+    with pytest.raises(KeyError):
+        G.find((0, 3, 0, 1))  # entry 3 is out of range; codes as the identity

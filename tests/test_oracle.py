@@ -176,8 +176,8 @@ def _profile_by_restriction(pi, emb):
     res = restrict(pi.character(), emb.group)
     qt = char_table(emb.group)
     x, y = emb.gens
-    cx = qt.conj.class_of_elem(pi.table.group.elems[x])
-    cy = qt.conj.class_of_elem(pi.table.group.elems[y])
+    cx = qt.conj.class_of_elem(pi.table.group.elem(x))
+    cy = qt.conj.class_of_elem(pi.table.group.elem(y))
     by_key = {}
     for i, chi in enumerate(qt.chars):
         key = "rho" if qt.degrees[i] == 2 else (chi.int_at(cx), chi.int_at(cy))
@@ -295,9 +295,9 @@ def test_genq_restriction_to_q8_is_rho():
     Q16 = gen_quaternion(4)
     t16 = char_table(Q16)
     # the subgroup <a^2, b> is a quaternion group of order 8
-    a2, b = Q16.index[(2, 0)], Q16.index[(0, 1)]
-    idxs = sorted({Q16.identity, Q16.index[(4, 0)], a2, Q16.index[(6, 0)],
-                   b, Q16.index[(2, 1)], Q16.index[(4, 1)], Q16.index[(6, 1)]})
+    a2, b = Q16.find((2, 0)), Q16.find((0, 1))
+    idxs = sorted({Q16.identity, Q16.find((4, 0)), a2, Q16.find((6, 0)),
+                   b, Q16.find((2, 1)), Q16.find((4, 1)), Q16.find((6, 1))})
     sub = subgroup_from_indices(Q16, idxs, "Q8")
     t8 = char_table(sub.group)
     rho_vals = t8.chars[next(i for i in range(5) if t8.degrees[i] == 2)].values
@@ -329,10 +329,10 @@ def test_genq_symmetrized_class_via_center():
 
 
 def test_central_involution_detection():
-    assert central_involution(gen_quaternion(3)) == gen_quaternion(3).index[(2, 0)]
+    assert central_involution(gen_quaternion(3)) == gen_quaternion(3).find((2, 0))
     G = build_sl2(5)
     m1 = G.field.neg[1]
-    assert central_involution(G) == G.index[(m1, 0, 0, m1)]
+    assert central_involution(G) == G.find((m1, 0, 0, m1))
 
 
 # ---------------------------------------------------------------------------
