@@ -262,11 +262,7 @@ class Cyclo:
 
     @staticmethod
     def integer(m: int, n: int) -> "Cyclo":
-        phi = euler_phi(m)
-        if m == 1:
-            # Phi_1 = t - 1, so the class of the integer n has coefficient n
-            return Cyclo(1, (n,))
-        return Cyclo(m, (n,) + (0,) * (phi - 1))
+        return Cyclo(m, (n,) + (0,) * (euler_phi(m) - 1))
 
     @staticmethod
     def root(m: int, k: int = 1) -> "Cyclo":
@@ -404,15 +400,11 @@ def cyclo_make(m: int, coeffs) -> Cyclo:
     for k, c in enumerate(coeffs):
         if c:
             vec[k % m] += c
-    if m == 1:
-        return Cyclo(1, (vec[0],))
     return Cyclo(m, _reduce_vec(m, vec))
 
 
 def cyclo_to_integer(c: Cyclo) -> int:
     """The integer n with normal form c, else NotRationalInteger."""
-    if c.m == 1:
-        return c.coeffs[0]
     if any(c.coeffs[1:]):
         raise NotRationalInteger(f"{c!r} is not a rational integer")
     return c.coeffs[0]

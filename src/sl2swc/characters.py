@@ -627,19 +627,17 @@ def rep_from_class_function(table: CharacterTable, cf: ClassFunction) -> Virtual
     return rep
 
 
-def random_orthogonal_rep(table, rng, max_degree=2000, max_blocks=None) -> VirtualRep:
+def random_orthogonal_rep(table, rng, max_degree=2000) -> VirtualRep:
     """Seeded random genuine orthogonal combination of OIR blocks."""
     labels = oir_labels(table)
     blocks: dict[tuple, int] = {}
     deg = 0
-    nblocks = 0
-    while max_blocks is None or nblocks < max_blocks:
+    while True:
         lab, d = labels[rng.randrange(len(labels))]
         if deg + d > max_degree:
             break
         blocks[lab] = blocks.get(lab, 0) + 1
         deg += d
-        nblocks += 1
     return rep_from_oir_blocks(table, blocks)
 
 

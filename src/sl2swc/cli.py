@@ -34,7 +34,7 @@ from .characters import (
 from .cohomology import genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring, dickson
 from .groups import SIZE_CAP, build_gl2, build_sl2, conjugacy
 from .oracle import run_suite
-from .swc import swc_report
+from .swc import TRUNCATION_CAP, swc_report
 
 SCHEMA = "sl2swc/1"
 CACHE_ENV = "SL2SWC_CACHE"
@@ -414,10 +414,7 @@ def cmd_dickson(args) -> int:
     return 0
 
 
-_RING_BUILDERS = {
-    "Q8": lambda D: quaternion8_ring(D),
-    "sl2odd": lambda D: sl2_odd_ring(D),
-}
+_RING_BUILDERS = {"Q8": quaternion8_ring, "sl2odd": sl2_odd_ring}
 
 
 def _resolve_ring(spec: str, D: int):
@@ -486,6 +483,14 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
+def degree(text: str) -> int:
+    """A truncation or maximal degree: between 0 and TRUNCATION_CAP."""
+    n = nonnegative_int(text)
+    if n > TRUNCATION_CAP:
+        raise argparse.ArgumentTypeError(f"{n} exceeds cap {TRUNCATION_CAP}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sl2swc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -499,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("swc", help="total characteristic class of a representation")
     s.add_argument("--q", type=prime_power, required=True)
     s.add_argument("--rep", required=True)
-    s.add_argument("--truncate", type=nonnegative_int, default=None)
+    s.add_argument("--truncate", type=degree, default=None)
     s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=cmd_swc)
 
@@ -517,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cohomology", help="graded dimensions and relations")
     c.add_argument("--group", required=True)
-    c.add_argument("--max-degree", type=nonnegative_int, required=True)
+    c.add_argument("--max-degree", type=degree, required=True)
     c.set_defaults(fn=cmd_cohomology)
     return p
 

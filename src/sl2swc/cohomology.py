@@ -8,9 +8,10 @@ exponent order.  Generators have positive degree, so no exponent exceeds D
 and digits never carry: a product of monomials adds codes, a square doubles
 them, and over F2 sums and products of components are symmetric differences
 (a code that occurs twice cancels).  A free ring enumerates a degree's
-monomials only for basis()/dim().  A presented ring row-reduces each degree's
-relation multiples once (pivot: the largest monomial of a row); the
-non-pivots are the basis, and products rewrite only the other codes.
+monomials only for basis() and counts them for dim().  A presented ring
+row-reduces each degree's relation multiples once (pivot: the largest
+monomial of a row); the non-pivots are the basis, and products rewrite only
+the other codes.
 """
 
 from __future__ import annotations
@@ -178,7 +179,15 @@ class Ring:
         return self._degree_data(d)[0]
 
     def dim(self, d):
-        return len(self.basis(d))
+        if d > self.D or self.relations:
+            return len(self.basis(d))
+        # a free ring counts the exponent vectors of degree d without listing
+        # them: ways[k] is the number of degree-k monomials in the generators so far
+        ways = [1] + [0] * d
+        for g in self.degs:
+            for k in range(g, d + 1):
+                ways[k] += ways[k - g]
+        return ways[d]
 
     # -- element constructors -------------------------------------------------
 
@@ -426,7 +435,8 @@ class RestrictionMap:
         self.dst = dst
         self.images = dict(images)
         self.name = name
-        self._mono_cache: dict[tuple, GradedClass] = {}
+        # images of the generators' powers, (generator index, exponent) -> class
+        self._powers: dict[tuple[int, int], GradedClass] = {}
         for g, img in images.items():
             gd = src.degs[src.names.index(g)]
             if not all(d == gd for d in img.comps):
@@ -447,20 +457,18 @@ class RestrictionMap:
                 )
 
     def _image_of_monomial(self, expvec) -> GradedClass:
-        key = tuple(expvec)
-        hit = self._mono_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self.dst.one()
+        out = None
         for i, e in enumerate(expvec):
             if e == 0:
                 continue
-            g = self.src.names[i]
-            if g not in self.images:
-                raise OutsideDomain(f"generator {g} has no image under {self.name or 'map'}")
-            out = out * self.images[g].pow_int(e)
-        self._mono_cache[key] = out
-        return out
+            power = self._powers.get((i, e))
+            if power is None:
+                g = self.src.names[i]
+                if g not in self.images:
+                    raise OutsideDomain(f"generator {g} has no image under {self.name or 'map'}")
+                power = self._powers[i, e] = self.images[g].pow_int(e)
+            out = power if out is None else out * power
+        return self.dst.one() if out is None else out
 
     def __call__(self, a: GradedClass) -> GradedClass:
         if a.ring is not self.src:
@@ -585,9 +593,3 @@ def dickson(r: int, D: int) -> tuple[GradedClass, ...]:
         out.append(prod.truncate(d, d))
     return tuple(out)
 
-
-def dickson_sum(r: int, D: int) -> GradedClass:
-    out = unipotent_ring(r, D).zero()
-    for d in dickson(r, D):
-        out = out + d
-    return out

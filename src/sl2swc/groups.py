@@ -171,9 +171,9 @@ def _matrix_codes(q: int) -> _MatrixCodes:
     return _MatrixCodes(_field_table(q))
 
 
-def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
-    if q > cap:
-        raise TooLarge(f"q={q} exceeds cap {cap}")
+def _build_matrix_group(q: int, want_sl: bool) -> Group:
+    if q > SIZE_CAP:
+        raise TooLarge(f"q={q} exceeds cap {SIZE_CAP}")
     arith = _matrix_codes(q)
     # member[a, n] says whether the matrix of code a*q^3 + n is in the group
     _, b, c, d = arith.entries(np.arange(q ** 3))
@@ -191,13 +191,13 @@ def _build_matrix_group(q: int, want_sl: bool, cap: int) -> Group:
 
 
 @lru_cache(maxsize=None)
-def build_sl2(q: int, cap: int = SIZE_CAP) -> Group:
-    return _build_matrix_group(q, True, cap)
+def build_sl2(q: int) -> Group:
+    return _build_matrix_group(q, True)
 
 
 @lru_cache(maxsize=None)
-def build_gl2(q: int, cap: int = SIZE_CAP) -> Group:
-    return _build_matrix_group(q, False, cap)
+def build_gl2(q: int) -> Group:
+    return _build_matrix_group(q, False)
 
 
 class _WordCodes:
@@ -340,7 +340,39 @@ def subgroup_from_indices(G: Group, indices, tag: str, gens=None) -> Subgroup:
     idxs = sorted(set(np.asarray(indices, dtype=np.int64).tolist()))
     sub = Group(f"{G.name}:{tag}", "sub", G.codes[idxs], G.arith, G.elem(G.identity),
                 q=G.q, field=G.field)  # raises unless inverse-closed
+    _require_closed(sub)
     return Subgroup(G, tuple(idxs), tag, sub, gens)
+
+
+def _require_closed(H: Group) -> None:
+    """Raise AssertionError unless H·H lies in H.
+
+    <T> grows inside H one generator t at a time, each the first element of
+    H not reached yet.  Every x·t (x in H) must lie in H; these products give
+    the permutation x -> x·t of H, and <T> is the orbit of the identity under
+    them.  A new generator at least doubles <T>, so this costs at most
+    |H|·log2 |H| products, and it raises exactly when H is not closed: an
+    orbit that covers H makes H = <T> a group.
+    """
+    n = len(H)
+    reached = np.zeros(n, dtype=bool)
+    reached[H.identity] = True
+    last = np.empty(n, dtype=np.int64)
+    perms = []
+    while not reached.all():
+        t = int(np.argmin(reached))
+        image = H.locate(H.arith.mul(H.codes, H.codes[t]))
+        if np.count_nonzero(image < 0):
+            raise AssertionError(f"{H.name}: elements not closed under products")
+        perms.append(image)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.concatenate([p[frontier] for p in perms])
+            fresh = step[~reached[step]]
+            # keep each element once: last[x] ends up at one of x's positions
+            last[fresh] = np.arange(fresh.size)
+            frontier = fresh[last[fresh] == np.arange(fresh.size)]
+            reached[frontier] = True
 
 
 def standard_subgroup(G: Group, tag: str) -> Subgroup:

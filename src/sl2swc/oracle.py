@@ -92,15 +92,21 @@ def central_involution(G: Group) -> int:
 # The three restriction oracles
 # ---------------------------------------------------------------------------
 
+def _require_genuine(pi: VirtualRep) -> None:
+    if not pi.is_genuine():
+        raise ValueError("the restriction oracles apply to genuine representations")
+
+
 def swc_from_center(pi: VirtualRep, D: int) -> TotalSWC:
     """(1+v)^b with b = (deg - chi(z))/2 over the central order-2 subgroup."""
-    assert pi.is_genuine()
+    _require_genuine(pi)
     G = pi.table.group
     z = central_involution(G)
     deg = pi.degree()
     chi_z = pi.int_at(pi.table.conj.class_of[z])
     b = (deg - chi_z) // 2
-    assert (deg - chi_z) % 2 == 0 and b >= 0
+    if (deg - chi_z) % 2 or b < 0:
+        raise AssertionError(f"deg - chi(z) = {deg - chi_z} is not a nonnegative even number")
     d_max = min(D, deg)
     ring = center_ring(d_max)
     cls = ring.from_monomials([(d,) for d in range(d_max + 1) if binom_mod2(b, d)])
@@ -182,7 +188,7 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
 
 def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
     """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 from the restriction profile."""
-    assert pi.is_genuine()
+    _require_genuine(pi)
     prof = quaternion_profile(pi, emb)
     _, m1, m2, m3, m4 = prof.mults
     d_max = min(D, pi.degree())
@@ -202,7 +208,8 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     """Multiplicity of each additive character (indexed by a in F_q) in the
     restriction to the unitriangular subgroup; exact integer arithmetic."""
     G = pi.table.group
-    assert G.kind == "sl2" and G.field.p == 2
+    if G.kind != "sl2" or G.field.p != 2:
+        raise WrongParity(f"the unitriangular oracle needs SL(2,q) with q even, not {G.name}")
     F = G.field
     q = G.q
     conj = pi.table.conj
@@ -211,21 +218,24 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     out = []
     for a in range(q):
         tot = sum(chi_at[xx] * (-1) ** F.trace[F.mul[a][xx]] for xx in range(q))
-        assert tot % q == 0
+        if tot % q:
+            raise AssertionError(f"character sum {tot} is not divisible by q={q}")
         out.append(tot // q)
-    assert sum(out) == pi.degree(), "multiplicities do not add up to the degree"
+    if sum(out) != pi.degree():
+        raise AssertionError("multiplicities do not add up to the degree")
     return out
 
 
 def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     """Product over the additive characters of (1 + w1)^multiplicity, with w1
     read off through the trace pairing against the polynomial basis."""
-    assert pi.is_genuine()
+    _require_genuine(pi)
     G = pi.table.group
     F = G.field
     q, r = G.q, G.field.r
     mults = unipotent_character_multiplicities(pi)
-    assert all(m >= 0 for m in mults)
+    if min(mults) < 0:
+        raise AssertionError(f"negative additive character multiplicity in {mults}")
     d_max = min(D, pi.degree())
     ring = unipotent_ring(r, max(d_max, 2**r - 1))
     out = ring.one()
@@ -361,15 +371,7 @@ class SuiteReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "sl2swc/1",
-            "suite": self.suite,
-            "q": self.q,
-            "cases": self.cases,
-            "passes": self.passes,
-            "failures": self.failures,
-            "seed": self.seed,
-        }
+        return {"schema": "sl2swc/1", **vars(self)}
 
 
 def _theorem_truncation(q: int, single_block: bool) -> int:

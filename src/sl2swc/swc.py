@@ -1,30 +1,27 @@
 """Total Stiefel-Whitney classes of (virtual) orthogonal representations of
 SL(2,q), obstruction degrees, top-class criteria, and image certificates.
 
-For odd q the total class is (1 + e)^r with e the degree-4 generator and
-r = (chi(1) - chi(-1))/8; for even q it is (1 + D)^m in the Dickson
-subalgebra with m = (chi(1) - chi(n0))/q.  Virtual inputs use the series
-inverse in the completed (truncated) ring.
+The theorem has one form for both parities: w(pi) = (1+g)^n.  For odd q,
+g = e, the degree-4 generator of F2[e] (x) F2[b]/(b^2), and
+n = (chi(1) - chi(-1))/8; for even q, g = d1 + ... + dr in the free ring on
+the Dickson invariants, and n = (chi(1) - chi(n0))/q.  `_theorem` reads pi
+once and makes the only parity decision; the total is (1+g)^n, the
+obstruction is x1^(2^ord2 n) for the first generator x1 (e, resp. d1), the
+top class is the degree-(deg pi) component of (1+g)^n, and the even-q class
+in the v-variables of H*(N) is the image of the printed total under the
+Dickson expansion.  Virtual inputs use the series inverse in the completed
+(truncated) ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from .algebra import binom_mod2, ord2
-from .characters import (
-    NotOrthogonal,
-    VirtualRep,
-    decompose_orthogonal,
-    is_orthogonal_virtual,
-)
-from .cohomology import (
-    GradedClass,
-    dickson_ring,
-    dickson_sum,
-    sl2_odd_ring,
-    unipotent_ring,
-)
+from .algebra import ord2
+from .characters import NotOrthogonal, VirtualRep, decompose_orthogonal, is_orthogonal_virtual
+from .cohomology import GradedClass, Ring, dickson_expansion, dickson_ring, sl2_odd_ring
 from .groups import minus_one
 
 TRUNCATION_CAP = 256
@@ -46,7 +43,8 @@ class TotalSWC:
     tag: str   # "sl2-odd" | "dickson" | "unipotent" | "center" | "quaternion8"
 
     def __post_init__(self):
-        assert self.cls.has_constant_term() or self.cls.is_zero()
+        if not self.cls.has_constant_term():
+            raise AssertionError("a total class must be a unit (constant term 1)")
 
     @property
     def ring(self):
@@ -107,94 +105,104 @@ def unipotent_multiplicities(pi: VirtualRep) -> tuple[int, int]:
     return chi1 - m * (q - 1), m
 
 
-def default_truncation(pi: VirtualRep) -> int:
+@dataclass(frozen=True)
+class _Theorem:
+    """The data of w(pi) = (1+g)^n that depend on the parity, read once."""
+
+    parity: str                   # "odd" | "even"
+    tag: str                      # TotalSWC tag of the ring: "sl2-odd" | "dickson"
+    ring: Callable[[int], Ring]   # the ring of the total, by truncation degree
+    top: int                      # deg g: 4, resp. q - 1
+    n: int                        # r, resp. m
+    ell: int | None               # trivial summands of res_N pi (even q)
+    expands: bool                 # whether the Dickson expansion maps the ring
+    top_nonzero: bool             # the top-class criterion (genuine pi)
+    criterion: str
+
+    @property
+    def truncation(self) -> int:
+        """The default truncation: deg (1+g)^n, at least deg g, at most the cap."""
+        return max(16, min(self.top * max(abs(self.n), 1), TRUNCATION_CAP))
+
+
+def _theorem(pi: VirtualRep) -> _Theorem:
     _, q, p, r = _sl2_data(pi)
     if p != 2:
-        rp = quaternionic_multiplicity(pi)
-        want = 4 * abs(rp)
-    else:
-        _, m = unipotent_multiplicities(pi)
-        want = max(abs(m) * (q - 1), 2**r - 1)
-    return max(16, min(want, TRUNCATION_CAP))
+        return _Theorem("odd", "sl2-odd", sl2_odd_ring, 4, quaternionic_multiplicity(pi),
+                        None, False, pi.int_at(minus_one_class(pi.table)) == -pi.degree(),
+                        "central element acts by -1")
+    ell, m = unipotent_multiplicities(pi)
+    return _Theorem("even", "dickson", partial(dickson_ring, r), q - 1, m, ell, True,
+                    ell == 0, "no nonzero vectors fixed by the unitriangular subgroup")
+
+
+# g is the sum of the leading generators of the total's ring: e, resp. d1..dr
+_G_GENERATORS = {"sl2-odd": 1, "dickson": None}
+
+
+def _one_plus_g(ring: Ring, tag: str) -> GradedClass:
+    n = len(ring.names)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return ring.from_monomials([(0,) * n] + units[:_G_GENERATORS[tag]])
+
+
+def default_truncation(pi: VirtualRep) -> int:
+    return _theorem(pi).truncation
 
 
 def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
-    """Total class: (1+e)^r for odd q (in F2[e,b]/(b^2)), (1+D)^m for even q
-    (in the abstract Dickson ring).  Genuine inputs truncate at deg pi."""
-    _, q, p, r = _sl2_data(pi)
+    """Total class (1+g)^n: (1+e)^r in F2[e,b]/(b^2) for odd q, (1+D)^m in the
+    abstract Dickson ring for even q.  Genuine inputs truncate at deg pi."""
+    th = _theorem(pi)
     if D is None:
-        D = default_truncation(pi)
+        D = th.truncation
     if pi.is_genuine():
-        D = min(D, pi.degree()) if pi.degree() > 0 else 0
-    if p != 2:
-        rp = quaternionic_multiplicity(pi)
-        if pi.is_genuine():
-            assert 4 * rp <= pi.degree(), "classes above deg pi must vanish"
-        ring = sl2_odd_ring(D)
-        cls = ring.from_monomials([(i, 0) for i in range(D // 4 + 1) if binom_mod2(rp, i)])
-        return TotalSWC(cls, "sl2-odd")
-    _, m = unipotent_multiplicities(pi)
-    if pi.is_genuine():
-        assert m * (q - 1) <= pi.degree(), "classes above deg pi must vanish"
-    return TotalSWC(_one_plus_gens(dickson_ring(r, D)).pow_int(m), "dickson")
-
-
-def _one_plus_gens(ring):
-    """1 plus the sum of the generators: 1 + D in the Dickson ring."""
-    n = len(ring.names)
-    return ring.from_monomials([(0,) * n] + [tuple(int(i == j) for j in range(n))
-                                             for i in range(n)])
+        D = min(D, pi.degree())
+        if th.n * th.top > pi.degree():
+            raise AssertionError("classes above deg pi must vanish")
+    return TotalSWC(_one_plus_g(th.ring(D), th.tag).pow_int(th.n), th.tag)
 
 
 def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
-    """Even-q total class expanded in the v-variables of H*(N).
+    """Even-q total class expanded in the v-variables of H*(N): the image of
+    (1+D)^m under the Dickson expansion d_i -> d_i(v1..vr).
 
-    The ring is truncated at max(D_eff, 2^r - 1) so the Dickson invariants
+    Both rings are truncated at max(D_eff, 2^r - 1) so the Dickson invariants
     exist; the class itself is truncated at D_eff = min(D, deg pi).
     """
     _, q, p, r = _sl2_data(pi)
     if p != 2:
         raise WrongParity("expansion in v-variables applies to even q")
+    th = _theorem(pi)
     if D is None:
-        D = default_truncation(pi)
+        D = th.truncation
     if pi.is_genuine():
         D = min(D, pi.degree())
     d_ring = max(D, 2**r - 1)
-    _, m = unipotent_multiplicities(pi)
-    ring = unipotent_ring(r, d_ring)
-    base = ring.one() + dickson_sum(r, d_ring)
-    return TotalSWC(base.pow_int(m).truncate(D), "unipotent")
+    total = _one_plus_g(th.ring(d_ring), th.tag).pow_int(th.n).truncate(D)
+    return TotalSWC(dickson_expansion(r, d_ring)(total), "unipotent")
 
 
 def obstruction(pi: VirtualRep, D: int | None = None):
     """(degree, class) of the first nonzero positive-degree component, or
-    (None, None) when the total class is 1.  Verified against the expansion.
+    (None, None) when the total class is 1: x1^(2^ord2 n) with x1 the first
+    generator (e, resp. d1).  Verified against the expansion.
 
     Genuine representations only; for virtual classes the report inspects
     the truncated series instead (the closed form may sit past any finite
     truncation).
     """
-    assert pi.is_genuine(), "obstruction degree is defined for genuine representations"
-    _, q, p, r = _sl2_data(pi)
-    if p != 2:
-        rp = quaternionic_multiplicity(pi)
-        if rp == 0:
-            return None, None
-        t = ord2(rp)
-        deg_o = 2 ** (t + 2)
-        # the verification window must reach the closed-form degree
-        D = max(D if D is not None else default_truncation(pi), deg_o)
-        total = total_swc(pi, D)
-        cls = total.ring.monomial((2**t, 0))
-    else:
-        _, m = unipotent_multiplicities(pi)
-        if m == 0:
-            return None, None
-        s = ord2(m)
-        deg_o = 2 ** (r + s - 1)
-        D = max(D if D is not None else default_truncation(pi), deg_o)
-        total = total_swc(pi, D)
-        cls = total.ring.monomial((2**s,) + (0,) * (r - 1))
+    if not pi.is_genuine():
+        raise ValueError("obstruction degree is defined for genuine representations")
+    th = _theorem(pi)
+    if th.n == 0:
+        return None, None
+    degs = th.ring(0).degs
+    power = 2 ** ord2(th.n)
+    deg_o = degs[0] * power
+    # the verification window must reach the closed-form degree
+    total = total_swc(pi, max(D if D is not None else th.truncation, deg_o))
+    cls = total.ring.monomial((power,) + (0,) * (len(degs) - 1))
     low = total.cls.lowest_positive_degree()
     if low != deg_o:
         raise AssertionError(f"closed form {deg_o} != expansion minimum {low}")
@@ -206,38 +214,29 @@ def obstruction(pi: VirtualRep, D: int | None = None):
 def top_class_nonzero(pi: VirtualRep) -> tuple[bool, str]:
     """Whether the degree-(deg pi) component is nonzero, with the criterion
     that decided it; verified against the expansion's top coefficient."""
-    _, q, p, r = _sl2_data(pi)
-    assert pi.is_genuine(), "top class is defined for genuine representations"
-    deg = pi.degree()
-    if p != 2:
-        flag = pi.int_at(minus_one_class(pi.table)) == -deg
-        criterion = "central element acts by -1"
-        rp = quaternionic_multiplicity(pi)
-        top_coeff = binom_mod2(rp, deg // 4) if deg % 4 == 0 else 0
-    else:
-        ell, m = unipotent_multiplicities(pi)
-        flag = ell == 0
-        criterion = "no nonzero vectors fixed by the unitriangular subgroup"
-        top_coeff = _dickson_power_component(r, m, deg)
-    if bool(top_coeff) != flag:
+    if not pi.is_genuine():
+        raise ValueError("top class is defined for genuine representations")
+    th = _theorem(pi)
+    if bool(_power_component(th, pi.degree())) != th.top_nonzero:
         raise AssertionError("top coefficient disagrees with the criterion")
-    return flag, criterion
+    return th.top_nonzero, th.criterion
 
 
-def _dickson_power_component(r: int, m: int, deg: int):
-    """The degree-deg component of (1+D)^m, m >= 0, in the Dickson ring.
+def _power_component(th: _Theorem, deg: int) -> frozenset:
+    """The degree-deg component of (1+g)^n, n >= 0.
 
-    (1+D)^m is the product of the factors (1+D)^(2^j) = 1 + D^(2^j) over the
-    set bits j of m.  After each factor, the degrees below deg minus the top
+    (1+g)^n is the product of the factors (1+g)^(2^j) = 1 + g^(2^j) over the
+    set bits j of n.  After each factor, the degrees below deg minus the top
     degrees of the factors still to come are dropped: no term of them can
     reach deg, so the component is exactly that of the full product.
     """
-    base = _one_plus_gens(dickson_ring(r, deg))
+    base = _one_plus_g(th.ring(deg), th.tag)
+    n = th.n
     factors = []
-    while m:
-        if m & 1:
+    while n:
+        if n & 1:
             factors.append(base)
-        m >>= 1
+        n >>= 1
         base = base.square()
     rest = sum(max(f.support_degrees()) for f in factors)
     prod = base.ring.one()
@@ -251,14 +250,11 @@ def image_exponent(total: TotalSWC):
     """Certificate (n, 2^k) with total = (1+g)^n up to the truncation degree,
     or None.  Binary digits of n are the coefficients of g^(2^j), read off
     the power x^(2^j) of the first generator x (e, resp. d1)."""
+    if total.tag not in _G_GENERATORS:
+        raise ValueError(f"no single-parameter image in ring tagged {total.tag!r}")
     ring = total.ring
     D = ring.D
-    if total.tag == "sl2-odd":
-        base = ring.one() + ring.gen_class("e")
-    elif total.tag == "dickson":
-        base = _one_plus_gens(ring)
-    else:
-        raise ValueError(f"no single-parameter image in ring tagged {total.tag!r}")
+    base = _one_plus_g(ring, total.tag)
     min_deg = ring.degs[0]
     if D < min_deg:
         return None
@@ -291,63 +287,27 @@ class SwcReport:
     criterion: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "sl2swc/1",
-            "q": self.q,
-            "parity": self.parity,
-            "r_or_m": self.r_or_m,
-            "ell": self.ell,
-            "degree": self.degree,
-            "truncation": self.truncation,
-            "total": self.total,
-            "total_expanded": self.total_expanded,
-            "obstruction_degree": self.obstruction_degree,
-            "obstruction_class": self.obstruction_class,
-            "top_nonzero": self.top_nonzero,
-            "criterion": self.criterion,
-        }
+        return {"schema": "sl2swc/1", **vars(self)}
 
 
 EXPANSION_CAP = 64
 
 
 def swc_report(pi: VirtualRep, D: int | None = None) -> SwcReport:
-    _, q, p, r = _sl2_data(pi)
-    parity = "even" if p == 2 else "odd"
+    th = _theorem(pi)
     if D is None:
-        D = default_truncation(pi)
+        D = th.truncation
     total = total_swc(pi, D)
-    if parity == "odd":
-        r_or_m = quaternionic_multiplicity(pi)
-        ell = None
-        expanded = None
-    else:
-        ell, r_or_m = unipotent_multiplicities(pi)
-        expanded = total_swc_expanded(pi, min(D, EXPANSION_CAP)).to_dict()
-    deg_o, cls_o = obstruction(pi, D) if (pi.is_genuine()) else (None, None)
-    if not pi.is_genuine():
-        low = total.cls.lowest_positive_degree()
-        if low is not None:
-            deg_o = low
-            cls_o = total.cls.truncate(low, low)
+    expanded = total_swc_expanded(pi, min(D, EXPANSION_CAP)).to_dict() if th.expands else None
     if pi.is_genuine():
+        deg_o, cls_o = obstruction(pi, D)
         top, criterion = top_class_nonzero(pi)
     else:
+        deg_o, cls_o = total.cls.lowest_positive_degree(), total.cls
         top, criterion = False, "top class undefined for virtual representations"
-    ob_str = None
-    if deg_o is not None:
-        ob_str = " + ".join(cls_o.monomial_strings(deg_o))
     return SwcReport(
-        q=q,
-        parity=parity,
-        r_or_m=r_or_m,
-        ell=ell,
-        degree=pi.degree(),
-        truncation=total.ring.D,
-        total=total.to_dict(),
-        total_expanded=expanded,
+        q=pi.table.group.q, parity=th.parity, r_or_m=th.n, ell=th.ell, degree=pi.degree(),
+        truncation=total.ring.D, total=total.to_dict(), total_expanded=expanded,
         obstruction_degree=deg_o,
-        obstruction_class=ob_str,
-        top_nonzero=top,
-        criterion=criterion,
-    )
+        obstruction_class=None if deg_o is None else " + ".join(cls_o.monomial_strings(deg_o)),
+        top_nonzero=top, criterion=criterion)

@@ -138,6 +138,17 @@ def test_cyclo_to_integer():
     assert cyclo_to_integer(cyclo_make(3, [0, -1, -1])) == 1
 
 
+def test_m_equal_one_is_the_integers():
+    # Z[zeta_1] = Z: phi(1) = 1 and Phi_1 = t - 1, so zeta_1 = 1
+    assert Cyclo.integer(1, -7).coeffs == (-7,)
+    assert Cyclo.integer(1, 1) == Cyclo.root(1)
+    assert cyclo_make(1, [3, -5, 4]).coeffs == (2,)
+    assert cyclo_make(1, []).coeffs == (0,)
+    for n in (-3, 0, 1, 12):
+        assert cyclo_to_integer(Cyclo(1, (n,))) == n
+        assert cyclo_to_integer(cyclo_make(1, [n, 0, n])) == 2 * n
+
+
 def evalf(c: Cyclo) -> complex:
     """Numeric value of c at zeta = exp(2 pi i / m)."""
     z = cmath.exp(2j * cmath.pi / c.m)

@@ -1,5 +1,9 @@
 import json
+import math
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,26 @@ def test_cohomology_subcommand(capsys):
     assert json.loads(out)["dims"] == [1, 3, 6, 10]
 
 
+def test_free_ring_dims_are_counted_up_to_the_cap(capsys):
+    # F2[v1..v6] has C(d+5, 5) monomials of degree d: 9.5e9 at d = 256,
+    # which the ring counts without listing them
+    code, out, _ = _run(capsys, "cohomology", "--group", "c2:6", "--max-degree", "256")
+    assert code == 0
+    assert json.loads(out)["dims"] == [math.comb(d + 5, 5) for d in range(257)]
+
+
+def test_readme_cli_examples_run(capsys):
+    # every command of the README's CLI block, optional [...] parts removed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [re.sub(r"\s*\[[^]]*\]", "", line) for line in block.splitlines()
+             if line.startswith("sl2swc ")]
+    assert len(lines) == 9
+    for line in lines:
+        code, _, err = _run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+
+
 def test_verify_subcommand_exit_codes(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "5", "--suite", "gow")
     assert code == 0
@@ -155,6 +179,10 @@ def test_usage_errors(capsys, tmp_path):
     ("verify", "--q", "5", "--suite", "theorem", "--trials", "-1"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "-5"),
     ("cohomology", "--group", "Q8", "--max-degree", "-1"),
+    # degrees above TRUNCATION_CAP = 256 are refused: larger ones exhaust memory
+    ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
+    ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
+    ("cohomology", "--group", "c2:6", "--max-degree", "257"),
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)

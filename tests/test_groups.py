@@ -1,10 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 from functools import reduce
 from math import lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sl2swc.characters import structure_constants
@@ -168,25 +170,70 @@ def test_structure_constants_match_brute_force():
 
 def test_checks_survive_python_O():
     # each check must raise with assert statements stripped: {1, a} in Q8 is
-    # not closed under inverses (a has order 4), and codes in decreasing
-    # order would break the binary search in locate
-    cases = [("subgroup_from_indices(G, [G.identity, G.find((1, 0))], 'bad')",
-              "not closed under inverses"),
-             ("Group('bad', 'sub', G.codes[::-1].copy(), G.arith, (0, 0))",
-              "do not strictly increase")]
+    # not closed under inverses (a has order 4), {1, a, a^3} is closed under
+    # inverses but not under products (a·a), and codes in decreasing order
+    # would break the binary search in locate; the closed forms and the
+    # oracles take genuine representations only, and a total class is a unit
+    q8 = ("from sl2swc.groups import Group, gen_quaternion, subgroup_from_indices\n"
+          "G = gen_quaternion(3)\n")
+    q3 = ("from sl2swc.characters import char_table, regular_rep, trivial_rep\n"
+          "from sl2swc.groups import build_sl2\n"
+          "t = char_table(build_sl2(3))\n"
+          "v = trivial_rep(t) - regular_rep(t)\n")
+    cases = [(q8 + "subgroup_from_indices(G, [G.identity, G.find((1, 0))], 'bad')",
+              "AssertionError", "not closed under inverses"),
+             (q8 + "subgroup_from_indices(G, [G.identity, G.find((1, 0)), G.find((3, 0))], 'bad')",
+              "AssertionError", "not closed under products"),
+             (q8 + "Group('bad', 'sub', G.codes[::-1].copy(), G.arith, (0, 0))",
+              "AssertionError", "do not strictly increase"),
+             (q3 + "from sl2swc.swc import obstruction\nobstruction(v)",
+              "ValueError", "genuine representations"),
+             (q3 + "from sl2swc.oracle import swc_from_center\nswc_from_center(v, 8)",
+              "ValueError", "genuine representations"),
+             ("from sl2swc.cohomology import center_ring\nfrom sl2swc.swc import TotalSWC\n"
+              "TotalSWC(center_ring(8).zero(), 'center')",
+              "AssertionError", "must be a unit")]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    for make, message in cases:
+    for make, error, message in cases:
         code = ("import sys\n"
-                "from sl2swc.groups import Group, gen_quaternion, subgroup_from_indices\n"
                 "if not sys.flags.optimize: sys.exit(5)\n"
-                "G = gen_quaternion(3)\n"
                 f"{make}\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1, proc.stderr
-        assert "AssertionError" in proc.stderr
+        assert proc.returncode == 1, (make, proc.stderr)
+        assert error in proc.stderr
         assert message in proc.stderr
+
+
+@pytest.mark.parametrize("make", [lambda: build_sl2(3), lambda: gen_quaternion(4)],
+                         ids=["SL(2,3)", "Q16"])
+def test_product_closure_check_matches_brute_force(make):
+    # inverse-closed sets with the identity, half of them closed up to a
+    # subgroup: construction must fail exactly when S·S is not inside S
+    G = make()
+    X = np.arange(len(G))
+    table = G.mul_many(X[:, None], X[None, :])
+
+    def products(S):
+        return set(table[np.ix_(list(S), list(S))].ravel().tolist())
+
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(200):
+        S = {G.identity}
+        for x in rng.sample(range(len(G)), rng.randrange(1, 4)):
+            S |= {x, G.inv(x)}
+        while rng.random() < 0.5 and not products(S) <= S:
+            S |= products(S)
+        closed = products(S) <= S
+        verdicts.add(closed)
+        if closed:
+            assert len(subgroup_from_indices(G, list(S), "s")) == len(S)
+        else:
+            with pytest.raises(AssertionError, match="not closed under products"):
+                subgroup_from_indices(G, list(S), "s")
+    assert verdicts == {True, False}
 
 
 def test_center_sl25():

@@ -3,7 +3,9 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,9 @@ from sl2swc.characters import (
     NotOrthogonal,
     VirtualRep,
     char_table,
+    oir_labels,
     regular_rep,
+    rep_from_oir_blocks,
     symmetrize,
     trivial_rep,
 )
@@ -213,20 +217,43 @@ def test_top_class_even_cuspidal_degree():
     assert total.cls.component(3) == d2.component(3)
 
 
-@pytest.mark.parametrize("q,size", [(2, 4), (4, 4), (8, 3)])
+@pytest.mark.parametrize("q,size", [(2, 4), (4, 4), (8, 3), (3, 4), (5, 3)])
 def test_top_class_matches_full_product(q, size):
-    # the pruned top component against the full product (1+D)^m at deg pi
+    # the pruned top component against the full product (1+g)^n at deg pi;
+    # for odd q the summands are the orthogonally irreducible blocks
     t = char_table(build_sl2(q))
+    blocks = [lab for lab, _ in oir_labels(t)] if q % 2 else range(t.nchars())
     cases = 0
+    flags = set()
     for n in range(1, size + 1):
-        for combo in combinations_with_replacement(range(t.nchars()), n):
-            mults = [combo.count(i) for i in range(t.nchars())]
-            pi = VirtualRep(t, mults)
+        for combo in combinations_with_replacement(range(len(blocks)), n):
+            if q % 2:
+                pi = rep_from_oir_blocks(t, Counter(blocks[i] for i in combo))
+            else:
+                pi = VirtualRep(t, [combo.count(i) for i in range(t.nchars())])
             deg = pi.degree()
             flag, _ = top_class_nonzero(pi)
             assert flag == bool(total_swc(pi, deg).cls.component(deg)), combo
+            flags.add(flag)
             cases += 1
-    assert cases == {2: 34, 4: 125, 8: 219}[q]
+    assert cases == {2: 34, 4: 125, 8: 219, 3: 125, 5: 219}[q]
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_odd_total_is_the_lucas_series(q):
+    # the reference: (1+e)^r = sum of e^i over the i with C(r, i) odd, where
+    # C(r, i) = (-1)^i C(i - r - 1, i) for r < 0
+    t = char_table(build_sl2(q))
+    block = next(rep_from_oir_blocks(t, {lab: 1}) for lab, _ in oir_labels(t)
+                 if quaternionic_multiplicity(rep_from_oir_blocks(t, {lab: 1})) == 1)
+    for r in range(-40, 41):
+        total = total_swc(block.scaled(r), 64)
+        ring = total.ring
+        assert ring.D == (64 if r < 0 else min(64, block.degree() * r))
+        odd = [i for i in range(ring.D // 4 + 1)
+               if (comb(r, i) if r >= 0 else comb(i - r - 1, i)) % 2]
+        assert total.cls == ring.from_monomials([(i, 0) for i in odd]), r
 
 
 def test_regular_q16_report_matches_oracle():
