@@ -4,6 +4,9 @@ A field is a set of dense tables over the ranks 0..q-1 of its elements,
 built once from integer polynomial arithmetic modulo a fixed irreducible.
 Cyclotomic integers are stored as the unique normal form modulo the m-th
 cyclotomic polynomial, which makes equality and integrality tests exact.
+Phi_m is built from Phi_n for the radical n of m by one exact division per
+prime, and a normal form is the remainder of one long division by the sparse
+monic Phi_m; no table of powers of zeta_m is kept.
 """
 
 from __future__ import annotations
@@ -178,75 +181,71 @@ class FieldTable:
 # Cyclotomic integers
 # ---------------------------------------------------------------------------
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
-def euler_phi(m: int) -> int:
-    out = m
-    n = m
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, in increasing order."""
+    out = []
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
         p += 1
-    if n > 1:
-        out -= out // n
+    if m > 1:
+        out.append(m)
     return out
 
 
-@lru_cache(maxsize=None)
+def _stretch(poly, k: int) -> list[int]:
+    """poly(t^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
+def _long_divide(vec: list[int], deg: int, terms) -> None:
+    """Divide vec in place by the monic t^deg + sum c t^i over (i, c) in terms,
+    leaving the remainder in vec[:deg] and the quotient in vec[deg:]."""
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            off = k - deg
+            for i, a in terms:
+                vec[off + i] -= c * a
+
+
+def _lower_terms(poly) -> tuple[tuple[int, int], ...]:
+    """The (i, c) with c = poly[i] nonzero, below the leading term."""
+    return tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
+
+
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low first) of the m-th cyclotomic polynomial.
 
-    Computed by exact division of t^m - 1 by the cyclotomic polynomials of
-    the proper divisors of m.
+    Built from the radical n of m: Phi_1 = t - 1, Phi_{np}(t) = Phi_n(t^p) /
+    Phi_n(t) for each prime p not dividing n, and Phi_m(t) = Phi_n(t^(m/n)).
     """
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
-        if d == m:
-            continue
-        div = list(cyclotomic_polynomial(d))
-        # exact long division by a monic divisor over Z
-        out = [0] * (len(poly) - len(div) + 1)
-        rem = list(poly)
-        for k in range(len(out) - 1, -1, -1):
-            c = rem[k + len(div) - 1]
-            out[k] = c
-            if c:
-                for i, dc in enumerate(div):
-                    rem[k + i] -= c * dc
-        assert not any(rem[: len(div) - 1]), "cyclotomic division was not exact"
-        poly = out
-    return tuple(poly)
+    poly, n = [-1, 1], 1
+    for p in prime_factors(m):
+        num = _stretch(poly, p)
+        deg = len(poly) - 1
+        _long_divide(num, deg, _lower_terms(poly))
+        if any(num[:deg]):
+            raise AssertionError("cyclotomic division was not exact")
+        poly, n = num[deg:], n * p
+    return tuple(_stretch(poly, m // n))
 
 
 @lru_cache(maxsize=None)
-def _power_rows(m: int) -> list[tuple[int, ...]]:
-    """Normal forms of t^k modulo the m-th cyclotomic polynomial, k = 0..2m."""
-    phi_poly = cyclotomic_polynomial(m)
-    phi = len(phi_poly) - 1
-    rows: list[tuple[int, ...]] = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        rows.append(tuple(row))
-    top = tuple(-c for c in phi_poly[:phi])  # t^phi
-    rows.append(top)
-    for _ in range(phi + 1, 2 * m + 1):
-        prev = rows[-1]
-        row = [0] * phi
-        for i in range(phi - 1):
-            row[i + 1] = prev[i]
-        c = prev[phi - 1]
-        if c:
-            for i in range(phi):
-                row[i] += c * top[i]
-        rows.append(tuple(row))
-    return rows
+def _sparse_phi(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_m and the (index, coefficient) pairs of Phi_m's nonzero lower terms."""
+    poly = cyclotomic_polynomial(m)
+    return len(poly) - 1, _lower_terms(poly)
+
+
+def euler_phi(m: int) -> int:
+    """phi(m) = deg Phi_m."""
+    return _sparse_phi(m)[0]
 
 
 class Cyclo:
@@ -267,12 +266,10 @@ class Cyclo:
     @staticmethod
     def root(m: int, k: int = 1) -> "Cyclo":
         """zeta_m^k."""
-        vec = [0] * m
-        vec[k % m] = 1
-        return cyclo_make(m, vec)
+        return cyclo_make(m, [0] * (k % m) + [1])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -291,19 +288,11 @@ class Cyclo:
             return o
         return Cyclo(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclo(self.m, tuple(-a for a in self.coeffs))
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         return Cyclo(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -318,9 +307,7 @@ class Cyclo:
                 for j, bj in enumerate(o.coeffs):
                     if bj:
                         acc[i + j] += ai * bj
-        return Cyclo(self.m, _reduce_vec(self.m, acc))
-
-    __rmul__ = __mul__
+        return cyclo_make(self.m, acc)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -332,34 +319,13 @@ class Cyclo:
 
     # -- structure maps -----------------------------------------------------
 
-    def galois(self, k: int) -> "Cyclo":
-        """Ring automorphism zeta -> zeta^k; requires gcd(k, m) = 1."""
-        k %= self.m
-        if gcd(k, self.m) != 1:
-            raise ValueError(f"zeta -> zeta^{k} is not an automorphism for m={self.m}")
-        vec = [0] * self.m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec[(i * k) % self.m] += c
-        return cyclo_make(self.m, vec)
-
-    def conj(self) -> "Cyclo":
-        if self.m <= 2:
-            return self
-        return self.galois(self.m - 1)
-
     def upcast(self, m2: int) -> "Cyclo":
         """Reinterpret inside Z[zeta_{m2}] where m divides m2."""
         if m2 == self.m:
             return self
         if m2 % self.m != 0:
             raise ValueError(f"{self.m} does not divide {m2}")
-        scale = m2 // self.m
-        vec = [0] * m2
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec[i * scale] += c
-        return cyclo_make(m2, vec)
+        return cyclo_make(m2, _stretch(self.coeffs, m2 // self.m))
 
     def exact_div(self, n: int) -> "Cyclo":
         if any(c % n for c in self.coeffs):
@@ -380,27 +346,23 @@ class Cyclo:
         return "+".join(terms).replace("+-", "-")
 
 
-def _reduce_vec(m: int, vec: list[int]) -> tuple[int, ...]:
-    phi = euler_phi(m)
-    rows = _power_rows(m)
-    out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
-    for k in range(phi, len(vec)):
-        c = vec[k]
-        if c:
-            row = rows[k]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out)
-
-
 def cyclo_make(m: int, coeffs) -> Cyclo:
-    """Normal form of sum coeffs[k] * zeta_m^k (any length; indices fold mod m)."""
-    vec = [0] * m
+    """Normal form of sum coeffs[k] * zeta_m^k (any length).
+
+    Indices fold by zeta^m = 1, and for even m also by zeta^(m/2) = -1, since
+    Phi_m divides t^(m/2) + 1.  The normal form is the remainder of the folded
+    vector on long division by the monic Phi_m, which touches only its
+    nonzero terms.
+    """
+    h = m // 2 if m % 2 == 0 else m
+    vec = [0] * h
     for k, c in enumerate(coeffs):
         if c:
-            vec[k % m] += c
-    return Cyclo(m, _reduce_vec(m, vec))
+            turns, i = divmod(k, h)
+            vec[i] += -c if turns % 2 and h < m else c
+    phi, terms = _sparse_phi(m)
+    _long_divide(vec, phi, terms)
+    return Cyclo(m, tuple(vec[:phi]))
 
 
 def cyclo_to_integer(c: Cyclo) -> int:

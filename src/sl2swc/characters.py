@@ -21,6 +21,7 @@ from .algebra import (
     cyclo_make,
     cyclo_to_integer,
     lcm,
+    prime_factors,
     smallest_prime_in_progression,
 )
 from .groups import (ConjugacyData, Group, Subgroup, build_gl2, build_sl2, conjugacy, minus_one,
@@ -58,9 +59,6 @@ class ClassFunction:
         self.m = m
         self.values = tuple(values)
 
-    def at(self, c: int) -> Cyclo:
-        return self.values[c]
-
     def int_at(self, c: int) -> int:
         return cyclo_to_integer(self.values[c])
 
@@ -78,7 +76,7 @@ class ClassFunction:
 
     def inner(self, other: "ClassFunction") -> Cyclo:
         """(1/|G|) sum |C| a(C) b(C^-1); exact, b a virtual character."""
-        assert self.group is other.group
+        _same_group(self, other)
         m = lcm(self.m, other.m)
         a, b = self.align(m), other.align(m)
         total = Cyclo.integer(m, 0)
@@ -93,7 +91,7 @@ class ClassFunction:
         return cyclo_to_integer(self.inner(other))
 
     def _pointwise(self, other, op):
-        assert self.group is other.group
+        _same_group(self, other)
         m = lcm(self.m, other.m)
         a, b = self.align(m), other.align(m)
         return ClassFunction(self.group, self.conj, m,
@@ -117,6 +115,11 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, deg {self.degree()})"
+
+
+def _same_group(a: ClassFunction, b: ClassFunction) -> None:
+    if a.group is not b.group:
+        raise ValueError(f"class functions of {a.group.name} and {b.group.name}")
 
 
 def fs_indicator(chi: ClassFunction) -> int:
@@ -205,7 +208,8 @@ def _coords_in_basis(basis, vecs, l):
     t = len(basis)
     aug = [[basis[j][i] for j in range(t)] + [v[i] for v in vecs] for i in range(s)]
     rref, pivots = _rref_mod(aug, l)
-    assert pivots[:t] == list(range(t)), "basis not independent"
+    if pivots[:t] != list(range(t)):
+        raise AssertionError("basis not independent")
     out = []
     for vi in range(len(vecs)):
         out.append([rref[r][t + vi] for r in range(t)])
@@ -261,17 +265,7 @@ def _dixon_eigenvectors(struct, s, id_class, l):
 
 
 def _primitive_root(l):
-    fac = []
-    n = l - 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            fac.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        fac.append(n)
+    fac = prime_factors(l - 1)
     g = 2
     while True:
         if all(pow(g, (l - 1) // f, l) != 1 for f in fac):
@@ -364,7 +358,7 @@ def char_table(G: Group) -> CharacterTable:
     chars = tuple(c for c, _ in chars_sorted)
     degrees = tuple(d for _, d in chars_sorted)
 
-    _validate_orthogonality(G, conj, chars, inv_of)
+    _validate_orthogonality(conj, chars)
 
     fs = tuple(fs_indicator(chi) for chi in chars)
     by_values = {chi.values: i for i, chi in enumerate(chars)}
@@ -374,7 +368,8 @@ def char_table(G: Group) -> CharacterTable:
     if G.kind == "sl2" and G.field.p != 2:
         zc = conj.class_of[minus_one(G)]
         omega = tuple(chi.int_at(zc) // degrees[i] for i, chi in enumerate(chars))
-        assert all(o in (-1, 1) for o in omega)
+        if any(o not in (-1, 1) for o in omega):
+            raise AssertionError("central character at -1 is not a sign")
 
     table = CharacterTable(G, conj, m, chars, degrees, fs, dual, omega)
     G._char_table = table
@@ -392,8 +387,9 @@ def structure_constants(G: Group, conj: ConjugacyData) -> list:
     return a.tolist()
 
 
-def _validate_orthogonality(G, conj, chars, inv_of):
-    """Row orthogonality, exactly: sum_c |C_c| chi_a(c) chi_b(c^-1) = n [a = b].
+def _validate_orthogonality(conj, chars):
+    """Row orthogonality, exactly: <chi_a, chi_b> = [a = b], that is
+    sum_c |C_c| chi_a(c) chi_b(c^-1) = n [a = b].
 
     This also proves the column relations.  Let A be the table (A[a][c] =
     chi_a(c)), n = |G| and M = diag(|C_c|)·P with P the permutation matrix
@@ -402,18 +398,16 @@ def _validate_orthogonality(G, conj, chars, inv_of):
     invertible with A^-1 = M·A^T / n, and A^-1·A = I gives A^T·A = n·M^-1:
     sum_a chi_a(c1) chi_a(c2^-1) = n / |C_c1| [c1 = c2], the columns.
     """
-    n = len(G)
     s = conj.nclasses()
     if len(chars) != s:
         raise LiftFailure(f"{len(chars)} characters for {s} classes")
-    m = chars[0].m
-    zero = Cyclo.integer(m, 0)
     for a in range(s):
         for b in range(a, s):
-            tot = zero
-            for c in range(s):
-                tot = tot + chars[a].values[c] * chars[b].values[inv_of[c]] * conj.sizes[c]
-            if cyclo_to_integer(tot) != (n if a == b else 0):
+            try:
+                ok = chars[a].inner(chars[b]) == int(a == b)
+            except NotRationalInteger:  # the sum is not divisible by n
+                ok = False
+            if not ok:
                 raise LiftFailure(f"row orthogonality failed at ({a},{b})")
 
 
@@ -423,7 +417,9 @@ def _validate_orthogonality(G, conj, chars, inv_of):
 
 def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
     """chi_Ind(g) = |H|^-1 sum over x in G with x^-1 g x in H of chi(x^-1 g x)."""
-    assert H.parent is G and chi.group is H.group
+    if H.parent is not G or chi.group is not H.group:
+        raise ValueError(f"cannot induce a class function of {chi.group.name} "
+                         f"through {H.group.name} to {G.name}")
     conj_g = conjugacy(G)
     conj_h = conjugacy(H.group)
     m = lcm(chi.m, conj_g.exponent)
@@ -474,7 +470,8 @@ class VirtualRep:
     def __init__(self, table: CharacterTable, mults):
         self.table = table
         self.mults = tuple(mults)
-        assert len(self.mults) == table.nchars()
+        if len(self.mults) != table.nchars():
+            raise ValueError(f"{len(self.mults)} multiplicities for {table.nchars()} characters")
         self._values: dict[int, Cyclo] = {}
 
     def value_at(self, c: int) -> Cyclo:
@@ -510,12 +507,17 @@ class VirtualRep:
             out[self.table.dual[i]] += n
         return VirtualRep(self.table, out)
 
+    def _same_table(self, other):
+        if self.table is not other.table:
+            raise ValueError(f"representations of {self.table.group.name} and "
+                             f"{other.table.group.name}")
+
     def __add__(self, other):
-        assert self.table is other.table
+        self._same_table(other)
         return VirtualRep(self.table, [a + b for a, b in zip(self.mults, other.mults)])
 
     def __sub__(self, other):
-        assert self.table is other.table
+        self._same_table(other)
         return VirtualRep(self.table, [a - b for a, b in zip(self.mults, other.mults)])
 
     def scaled(self, k: int) -> "VirtualRep":
@@ -619,7 +621,9 @@ def rep_from_oir_blocks(table: CharacterTable, blocks: dict[tuple, int]) -> Virt
 
 def rep_from_class_function(table: CharacterTable, cf: ClassFunction) -> VirtualRep:
     """Decompose an exact virtual character over the table, with verification."""
-    assert cf.group is table.group
+    if cf.group is not table.group:
+        raise ValueError(f"a class function of {cf.group.name} for the table of "
+                         f"{table.group.name}")
     mults = [cf.inner_int(chi) for chi in table.chars]
     rep = VirtualRep(table, mults)
     if not rep.character() == cf:
@@ -684,13 +688,15 @@ def principal_series(q: int, k: int) -> ClassFunction:
     gen = _canonical_multiplicative_generator(F)
     dlog = _dlog_table(F, gen)
     m = conjugacy(Gt).exponent
-    assert m % (q - 1) == 0
+    if m % (q - 1):
+        raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q - 1")
     step = m // (q - 1)
     conj_b = conjugacy(B.group)
     vals = [Cyclo.root(m, step * k * dlog[B.group.elem(r)[0]]) for r in conj_b.reps]
     chi = ClassFunction(B.group, conj_b, m, vals)
     out = induce(B, chi, Gt)
-    assert out.degree() == q + 1
+    if out.degree() != q + 1:
+        raise AssertionError(f"principal series of degree {out.degree()}, not q + 1")
     return out
 
 
@@ -715,7 +721,8 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     Te = standard_subgroup(Gt, "Te")
     ZN = standard_subgroup(Gt, "ZN")
     m = conjugacy(Gt).exponent
-    assert m % (q * q - 1) == 0 and m % p == 0
+    if m % (q * q - 1) or m % p:
+        raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q^2 - 1 and p")
     step = m // (q * q - 1)
 
     gen_i = next(i for i in range(len(Te.group)) if Te.group.elem_order(i) == q * q - 1)
@@ -740,7 +747,8 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     chi_zn = ClassFunction(ZN.group, conj_zn, m, vals_zn)
 
     out = induce(ZN, chi_zn, Gt) - induce(Te, chi_te, Gt)
-    assert out.degree() == q - 1
+    if out.degree() != q - 1:
+        raise AssertionError(f"cuspidal character of degree {out.degree()}, not q - 1")
     return out
 
 

@@ -203,7 +203,8 @@ def print_rep_terms(terms) -> str:
         mag = abs(w)
         body = atom_str(atom) if mag == 1 else f"{mag}*{atom_str(atom)}"
         if n == 0:
-            assert w >= 0, "a leading negative term is not expressible in the grammar"
+            if w < 0:
+                raise ValueError("a leading negative term is not expressible in the grammar")
             parts.append(body)
         else:
             parts.append(("+ " if w >= 0 else "- ") + body)

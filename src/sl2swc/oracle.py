@@ -406,8 +406,7 @@ def suite_gow(q: int) -> SuiteReport:
     return rep
 
 
-def suite_theorem(q: int, trials: int = 200, seed: int = DEFAULT_SEED,
-                  max_degree: int = 2000) -> SuiteReport:
+def suite_theorem(q: int, trials: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Closed formula vs restriction oracles: all OIRs, then seeded random
     genuine orthogonal combinations."""
     rep = SuiteReport("theorem", q, seed=seed)
@@ -418,7 +417,7 @@ def suite_theorem(q: int, trials: int = 200, seed: int = DEFAULT_SEED,
                      verify_swc_formula, pi, _theorem_truncation(q, True))
     rng = random.Random(seed)
     for n in range(trials):
-        pi = random_orthogonal_rep(table, rng, max_degree=max_degree)
+        pi = random_orthogonal_rep(table, rng)
         _record_case(rep, {"rep": f"random:{n}"}, pi,
                      verify_swc_formula, pi, _theorem_truncation(q, False))
     return rep

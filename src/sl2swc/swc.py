@@ -146,10 +146,6 @@ def _one_plus_g(ring: Ring, tag: str) -> GradedClass:
     return ring.from_monomials([(0,) * n] + units[:_G_GENERATORS[tag]])
 
 
-def default_truncation(pi: VirtualRep) -> int:
-    return _theorem(pi).truncation
-
-
 def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     """Total class (1+g)^n: (1+e)^r in F2[e,b]/(b^2) for odd q, (1+D)^m in the
     abstract Dickson ring for even q.  Genuine inputs truncate at deg pi."""

@@ -89,7 +89,7 @@ def test_criterion_02_odd_theorem_suite():
     with criterion(2, "odd q: (1+e)^r restricted to the center matches the "
                       "center oracle (all OIRs + 200 random, deg <= 2000, D = min(deg, 64))"):
         for q in (3, 5, 7):
-            rep = suite_theorem(q, trials=200, seed=SEED, max_degree=2000)
+            rep = suite_theorem(q, trials=200, seed=SEED)
             assert rep.ok(), rep.failures[:3]
             n_oirs = len(oir_labels(char_table(build_sl2(q))))
             assert rep.cases == n_oirs + 200
@@ -118,7 +118,7 @@ def test_criterion_04_even_theorem_suite():
                     assert (ell, m) == (1, 0)
                 else:
                     assert m == 1, (q, i)
-            rep = suite_theorem(q, trials=200, seed=SEED, max_degree=2000)
+            rep = suite_theorem(q, trials=200, seed=SEED)
             assert rep.ok(), rep.failures[:3]
 
 
@@ -266,8 +266,7 @@ def test_criterion_11_character_table_validity():
         for G in [build_sl2(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [build_gl2(3), build_gl2(5)]:
             t = char_table(G)
             assert sum(d * d for d in t.degrees) == len(G)
-            inv_of = [t.conj.inverse_class(c) for c in range(t.conj.nclasses())]
-            _validate_orthogonality(G, t.conj, t.chars, inv_of)
+            _validate_orthogonality(t.conj, t.chars)
             _check_columns(t)
         for q in (5, 7):
             assert principal_series(q, 1).degree() == q + 1

@@ -1,6 +1,13 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
+from functools import cache
+from math import lcm, prod
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sl2swc.algebra import (
@@ -11,11 +18,11 @@ from sl2swc.algebra import (
     cyclo_make,
     cyclo_to_integer,
     cyclotomic_polynomial,
-    euler_phi,
     factor_prime_power,
     field_make,
     is_prime,
     ord2,
+    prime_factors,
 )
 
 
@@ -165,19 +172,6 @@ def test_cyclo_random_numeric_agreement():
         assert abs(evalf(a + b) - (evalf(a) + evalf(b))) < 1e-6
 
 
-def test_conjugation_involution_and_norm():
-    rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randrange(1, 25)
-        c = cyclo_make(m, [rng.randrange(-5, 6) for _ in range(m)])
-        assert c.conj().conj() == c
-        # multiplicative: conj is a ring map
-        d = cyclo_make(m, [rng.randrange(-5, 6) for _ in range(m)])
-        assert (c * d).conj() == c.conj() * d.conj()
-        val = evalf(c * c.conj())
-        assert abs(val.imag) < 1e-6 and val.real > -1e-6
-
-
 def test_roundtrip_evaluation():
     rng = random.Random(3)
     for _ in range(100):
@@ -209,5 +203,159 @@ def test_binom_mod2_and_ord2():
 
 
 def test_phi_and_primes():
-    assert [euler_phi(m) for m in (1, 2, 3, 4, 12, 120)] == [1, 1, 2, 2, 4, 32]
+    degrees = [len(cyclotomic_polynomial(m)) - 1 for m in (1, 2, 3, 4, 12, 120)]
+    assert degrees == [1, 1, 2, 2, 4, 32]
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic kernel against the earlier one: Phi_m by dividing t^m - 1 by
+# Phi_d for every proper divisor d, and normal forms through the table of
+# the normal forms of t^k, k = 0..2m
+# ---------------------------------------------------------------------------
+
+def _sl2_exponents(top):
+    """exp SL(2,q) for every prime power q <= top: the lcm of the orders of
+    the ±unipotent elements (p, 2p), the split torus (q-1) and the non-split
+    torus (q+1)."""
+    out = set()
+    for q in range(2, top + 1):
+        try:
+            p, _ = factor_prime_power(q)
+        except ValueError:
+            continue
+        out.add(lcm(2 * p if p > 2 else 2, q - 1, q + 1))
+    return sorted(out)
+
+
+@cache
+def _ref_cyclotomic(m):
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        div = _ref_cyclotomic(d)
+        out = [0] * (len(poly) - len(div) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            c = out[k] = poly[k + len(div) - 1]
+            for i, dc in enumerate(div):
+                poly[k + i] -= c * dc
+        assert not any(poly)
+        poly = out
+    return tuple(poly)
+
+
+@cache
+def _ref_rows(m):
+    phi_poly = _ref_cyclotomic(m)
+    phi = len(phi_poly) - 1
+    rows = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+    top = tuple(-c for c in phi_poly[:phi])
+    rows.append(top)
+    while len(rows) <= 2 * m:
+        prev = rows[-1]
+        row = [0] + list(prev[:-1])
+        rows.append(tuple(a + prev[-1] * b for a, b in zip(row, top)))
+    return rows
+
+
+def _ref_reduce(m, vec):
+    rows = _ref_rows(m)
+    phi = len(rows[0])
+    out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
+    for k in range(phi, len(vec)):
+        if vec[k]:
+            out = [a + vec[k] * b for a, b in zip(out, rows[k])]
+    return tuple(out)
+
+
+def _ref_make(m, coeffs):
+    vec = [0] * m
+    for k, c in enumerate(coeffs):
+        vec[k % m] += c
+    return _ref_reduce(m, vec)
+
+
+def _ref_mul(m, a, b):
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[i + j] += x * y
+    return _ref_reduce(m, acc)
+
+
+def test_cyclotomic_polynomials_multiply_to_t_m_minus_one():
+    for m in range(1, 401):
+        acc = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(acc) + len(phi) - 1)
+                for j, c in enumerate(phi):
+                    if c:
+                        for i, a in enumerate(acc):
+                            out[i + j] += a * c
+                acc = out
+        assert acc == [-1] + [0] * (m - 1) + [1], m
+
+
+def _times_binomials(poly, ds):
+    """poly · prod (t^d - 1) over ds, as int64 coefficients."""
+    out = np.array(poly, dtype=np.int64)
+    for d in ds:
+        nxt = np.zeros(len(out) + d, dtype=np.int64)
+        nxt[d:] += out
+        nxt[:len(out)] -= out
+        out = nxt
+    return out
+
+
+def test_cyclotomic_polynomials_at_sl2_exponents():
+    # t^m - 1 = prod_{d|m} Phi_d for all m dividing M is, by Moebius inversion,
+    # Phi_d · prod_{mu(d/e) = -1} (t^e - 1) = prod_{mu(d/e) = 1} (t^e - 1) for
+    # all d dividing M; these products take one shifted difference per factor
+    exponents = _sl2_exponents(81)
+    assert exponents[:7] == [6, 12, 30, 60, 120, 126, 168] and 9840 in exponents
+    divisors = {d for M in exponents for d in range(1, M + 1) if M % d == 0}
+    for d in sorted(divisors):
+        ps = prime_factors(d)
+        plus, minus = [], []
+        for mask in range(2 ** len(ps)):
+            sub = [p for i, p in enumerate(ps) if mask >> i & 1]
+            (minus if len(sub) % 2 else plus).append(d // prod(sub))
+        phi = cyclotomic_polynomial(d)
+        # every coefficient is below the l1 bound, so int64 is exact
+        assert sum(map(abs, phi)) << len(minus) < 2 ** 62
+        assert np.array_equal(_times_binomials(phi, minus), _times_binomials([1], plus)), d
+
+
+@pytest.mark.parametrize("m", list(range(1, 131)) + [510, 660, 2448])
+def test_normal_forms_match_the_power_row_reduction(m):
+    assert cyclotomic_polynomial(m) == _ref_cyclotomic(m)
+    rng = random.Random(m)
+    for length in (1, m, m + 1, 2 * m + 3, 3 * m):
+        dense = [rng.randrange(-9, 10) for _ in range(length)]
+        sparse = [rng.randrange(-3, 4) if rng.random() < 0.05 else 0 for _ in range(length)]
+        for vec in (dense, sparse):
+            assert cyclo_make(m, vec).coeffs == _ref_make(m, vec)
+    a = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
+    b = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
+    assert (a * b).coeffs == _ref_mul(m, a.coeffs, b.coeffs)
+    half = _ref_make(m, [0] * (m // 2) + [1])
+    assert (a * Cyclo.root(m, m // 2)).coeffs == _ref_mul(m, a.coeffs, half)
+
+
+def test_cyclo_at_exp_sl2_81_fits_in_512_mib():
+    # with zeta = zeta_m, (sum_k k zeta^k)(zeta - 1) = m, so x (zeta - 1) = m zeta
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from sl2swc.algebra import Cyclo, cyclo_make\n"
+            "m = 9840\n"
+            "x = Cyclo.root(m, 1) * cyclo_make(m, range(m))\n"
+            "print(x * (Cyclo.root(m, 1) - 1) == Cyclo.root(m, 1) * m)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]

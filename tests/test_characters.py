@@ -5,9 +5,12 @@ import pytest
 from sl2swc.algebra import Cyclo, cyclo_to_integer
 from sl2swc.characters import (
     BadConstructionParams,
+    ClassFunction,
+    LiftFailure,
     NotIndicator,
     NotOrthogonal,
     VirtualRep,
+    _validate_orthogonality,
     char_table,
     cuspidal,
     cuspidal_sl,
@@ -86,6 +89,20 @@ def test_orthogonality(q, kind):
             tot = sum((chi.values[c1] * chi.values[conj.inverse_class(c2)] for chi in t.chars),
                       Cyclo.integer(t.m, 0))
             assert cyclo_to_integer(tot) == (len(G) // conj.sizes[c1] if c1 == c2 else 0)
+
+
+def test_orthogonality_check_rejects_a_non_integral_inner_product():
+    # chi(c) + zeta_m at a self-inverse class c makes <chi, chi> leave Z
+    t = char_table(build_sl2(5))
+    conj = t.conj
+    _validate_orthogonality(conj, t.chars)
+    c = next(c for c in range(1, conj.nclasses()) if conj.inverse_class(c) == c)
+    chi = t.chars[-1]
+    vals = list(chi.values)
+    vals[c] = vals[c] + Cyclo.root(t.m, 1)
+    bad = t.chars[:-1] + (ClassFunction(chi.group, conj, t.m, vals),)
+    with pytest.raises(LiftFailure, match="row orthogonality failed"):
+        _validate_orthogonality(conj, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,9 @@ def test_checks_survive_python_O():
     # not closed under inverses (a has order 4), {1, a, a^3} is closed under
     # inverses but not under products (a·a), and codes in decreasing order
     # would break the binary search in locate; the closed forms and the
-    # oracles take genuine representations only, and a total class is a unit
+    # oracles take genuine representations only, a total class is a unit,
+    # representations combine over one table with one multiplicity per
+    # character, and a rep expression cannot lead with a negative term
     q8 = ("from sl2swc.groups import Group, gen_quaternion, subgroup_from_indices\n"
           "G = gen_quaternion(3)\n")
     q3 = ("from sl2swc.characters import char_table, regular_rep, trivial_rep\n"
@@ -192,7 +194,13 @@ def test_checks_survive_python_O():
               "ValueError", "genuine representations"),
              ("from sl2swc.cohomology import center_ring\nfrom sl2swc.swc import TotalSWC\n"
               "TotalSWC(center_ring(8).zero(), 'center')",
-              "AssertionError", "must be a unit")]
+              "AssertionError", "must be a unit"),
+             (q3 + "trivial_rep(t) + trivial_rep(char_table(build_sl2(5)))",
+              "ValueError", "representations of SL(2,3) and SL(2,5)"),
+             (q3 + "from sl2swc.characters import VirtualRep\nVirtualRep(t, [1])",
+              "ValueError", "1 multiplicities for 7 characters"),
+             ("from sl2swc.cli import print_rep_terms\nprint_rep_terms([(-2, ('X', 1))])",
+              "ValueError", "leading negative term")]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     for make, error, message in cases:
