@@ -41,10 +41,6 @@ class TruncationTooLow(Exception):
     pass
 
 
-class OutsideDomain(Exception):
-    """Class involves a generator the restriction map does not define."""
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -406,6 +402,14 @@ def sl2_odd_ring(D: int) -> Ring:
 
 
 @lru_cache(maxsize=None)
+def sl2_odd_class_ring(D: int) -> Ring:
+    """F2[e] with |e|=4: the subalgebra of H*(SL(2,q)), q odd, generated by
+    the Stiefel-Whitney classes, since w(pi) = (1+e)^r.  Free, so its
+    classes need no normal forms."""
+    return Ring(("e",), (4,), (), D)
+
+
+@lru_cache(maxsize=None)
 def dickson_ring(r: int, D: int) -> Ring:
     """Free ring on the r Dickson invariants, deg d_i = 2^r - 2^(r-i)."""
     names = tuple(f"d{i}" for i in range(1, r + 1))
@@ -424,10 +428,9 @@ def unipotent_ring(r: int, D: int) -> Ring:
 # ---------------------------------------------------------------------------
 
 class RestrictionMap:
-    """Graded ring homomorphism given on (a subset of) the generators.
-
-    Generators without an image may not appear in applied classes; relations
-    involving only mapped generators are verified to map to zero.
+    """Graded ring homomorphism given by the image of every generator; the
+    relations are verified to map to zero.  A map defined on a subalgebra
+    only takes that subalgebra's own free ring, such as F2[e], as its source.
     """
 
     def __init__(self, src: Ring, dst: Ring, images: dict[str, GradedClass], name=""):
@@ -435,19 +438,15 @@ class RestrictionMap:
         self.dst = dst
         self.images = dict(images)
         self.name = name
+        if set(images) != set(src.names):
+            raise ValueError(f"{name or 'map'} needs one image for each generator of "
+                             f"{src.names}, not for {tuple(images)}")
         # images of the generators' powers, (generator index, exponent) -> class
         self._powers: dict[tuple[int, int], GradedClass] = {}
-        for g, img in images.items():
-            gd = src.degs[src.names.index(g)]
-            if not all(d == gd for d in img.comps):
+        for g, gd in zip(src.names, src.degs):
+            if not all(d == gd for d in images[g].comps):
                 raise RelationViolation(f"image of {g} is not homogeneous of degree {gd}")
         for rdeg, rel in src.relations:
-            if any(
-                e and src.names[i] not in images
-                for mon in rel
-                for i, e in enumerate(mon)
-            ):
-                continue
             acc = dst.zero()
             for mon in rel:
                 acc = acc + self._image_of_monomial(mon)
@@ -463,10 +462,7 @@ class RestrictionMap:
                 continue
             power = self._powers.get((i, e))
             if power is None:
-                g = self.src.names[i]
-                if g not in self.images:
-                    raise OutsideDomain(f"generator {g} has no image under {self.name or 'map'}")
-                power = self._powers[i, e] = self.images[g].pow_int(e)
+                power = self._powers[i, e] = self.images[self.src.names[i]].pow_int(e)
             out = power if out is None else out * power
         return self.dst.one() if out is None else out
 
@@ -508,11 +504,11 @@ def restrict_genq_to_q8(D: int) -> RestrictionMap:
 
 @lru_cache(maxsize=None)
 def restrict_sl2odd_to_center(D: int) -> RestrictionMap:
-    """The characteristic-class subalgebra F2[e] of H*(SL(2,q)) into H*(center).
-
-    Partial on purpose: b has no image, so classes outside F2[e] are rejected.
+    """The characteristic-class subalgebra F2[e] of H*(SL(2,q)) into H*(center):
+    e -> v^4.  Its source is the ring the odd-q total is computed in, so a
+    class with b in it (from `sl2_odd_ring`) is a RingMismatch.
     """
-    src, dst = sl2_odd_ring(D), center_ring(D)
+    src, dst = sl2_odd_class_ring(D), center_ring(D)
     return RestrictionMap(src, dst, {"e": dst.monomial((4,))}, name="SL2 odd -> Z")
 
 

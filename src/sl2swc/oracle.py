@@ -143,9 +143,9 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     _check_embedding(emb)
     G = pi.table.group
     K = emb.group
-    at = G.locate(K.codes).tolist() if emb.parent is G and K.arith is G.arith else [-1]
-    if -1 in at:  # at[i] is the index in G of element i of K
+    if emb.parent is not G:
         raise ValueError(f"{K.name} is not contained in {G.name}")
+    at = emb.indices  # at[i] is the index in G of element i of K
     qt = char_table(K)
     conj = qt.conj
     res = [pi.int_at(pi.table.conj.class_of[at[r]]) for r in conj.reps]
@@ -319,14 +319,9 @@ def restricted_total_class(pi: VirtualRep, D: int) -> GradedClass:
     return swc_from_center(pi, D).cls
 
 
-def wu_formula_holds(pi: VirtualRep, i: int, j: int) -> bool:
-    """Sq^i(w_j) = sum_t C(j+t-i-1, t) w_{i-t} w_{j+t} on the restriction."""
-    return wu_identity_holds(restricted_total_class(pi, i + j), i, j)
-
-
-def wu_identity_holds(w: GradedClass, i: int, j: int) -> bool:
-    """The Wu formula for (i, j) on a total class w known through degree
-    i + j; it reads w in degrees <= i + j only.
+def wu_formula_holds(w: GradedClass, i: int, j: int) -> bool:
+    """Sq^i(w_j) = sum_t C(j+t-i-1, t) w_{i-t} w_{j+t} on a restricted total
+    class w known through degree i + j; it reads w in degrees <= i + j only.
 
     So one restricted class computed at any D >= i + j decides every (i, j)
     as the class computed at D = i + j would.  That class is a product of
@@ -451,7 +446,7 @@ def _record_case(rep: SuiteReport, case: dict, pi: VirtualRep, check, *args):
 
 def suite_wu(q: int, trials: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Wu formula for i <= j, i + j <= 6 on restrictions of random reps, each
-    representation's restricted class built once (see wu_identity_holds)."""
+    representation's restricted class built once (see wu_formula_holds)."""
     rep = SuiteReport("wu", q, seed=seed)
     table = char_table(build_sl2(q))
     rng = random.Random(seed)
@@ -473,7 +468,7 @@ def suite_wu(q: int, trials: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport
 def _wu_case(w, i: int, j: int) -> bool:
     if isinstance(w, Exception):
         raise w
-    return wu_identity_holds(w.truncate(i + j), i, j)
+    return wu_formula_holds(w.truncate(i + j), i, j)
 
 
 def suite_obstruction(q: int, n_max: int = 1024) -> SuiteReport:

@@ -1,12 +1,13 @@
 """Total Stiefel-Whitney classes of (virtual) orthogonal representations of
 SL(2,q), obstruction degrees, top-class criteria, and image certificates.
 
-The theorem has one form for both parities: w(pi) = (1+g)^n.  For odd q,
-g = e, the degree-4 generator of F2[e] (x) F2[b]/(b^2), and
-n = (chi(1) - chi(-1))/8; for even q, g = d1 + ... + dr in the free ring on
-the Dickson invariants, and n = (chi(1) - chi(n0))/q.  `_theorem` reads pi
-once and makes the only parity decision; the total is (1+g)^n, the
-obstruction is x1^(2^ord2 n) for the first generator x1 (e, resp. d1), the
+The theorem has one form for both parities: w(pi) = (1+g)^n, g the sum of the
+generators of a free ring.  For odd q that ring is F2[e], |e| = 4, the
+subalgebra of H*(SL(2,q)) = F2[e] (x) F2[b]/(b^2) holding every (1+e)^n, and
+n = (chi(1) - chi(-1))/8; for even q it is the free ring on the Dickson
+invariants, and n = (chi(1) - chi(n0))/q.  `_theorem` reads pi once and makes
+the only parity decision; the total is (1+g)^n, the obstruction is
+x1^(2^ord2 n) for the first generator x1 (e, resp. d1), the
 top class is the degree-(deg pi) component of (1+g)^n, and the even-q class
 in the v-variables of H*(N) is the image of the printed total under the
 Dickson expansion.  Virtual inputs use the series inverse in the completed
@@ -21,7 +22,7 @@ from typing import Callable
 
 from .algebra import ord2
 from .characters import NotOrthogonal, VirtualRep, decompose_orthogonal, is_orthogonal_virtual
-from .cohomology import GradedClass, Ring, dickson_expansion, dickson_ring, sl2_odd_ring
+from .cohomology import GradedClass, Ring, dickson_expansion, dickson_ring, sl2_odd_class_ring
 from .groups import minus_one
 
 TRUNCATION_CAP = 256
@@ -128,7 +129,7 @@ class _Theorem:
 def _theorem(pi: VirtualRep) -> _Theorem:
     _, q, p, r = _sl2_data(pi)
     if p != 2:
-        return _Theorem("odd", "sl2-odd", sl2_odd_ring, 4, quaternionic_multiplicity(pi),
+        return _Theorem("odd", "sl2-odd", sl2_odd_class_ring, 4, quaternionic_multiplicity(pi),
                         None, False, pi.int_at(minus_one_class(pi.table)) == -pi.degree(),
                         "central element acts by -1")
     ell, m = unipotent_multiplicities(pi)
@@ -136,18 +137,15 @@ def _theorem(pi: VirtualRep) -> _Theorem:
                     ell == 0, "no nonzero vectors fixed by the unitriangular subgroup")
 
 
-# g is the sum of the leading generators of the total's ring: e, resp. d1..dr
-_G_GENERATORS = {"sl2-odd": 1, "dickson": None}
-
-
-def _one_plus_g(ring: Ring, tag: str) -> GradedClass:
+def _one_plus_g(ring: Ring) -> GradedClass:
+    """1 + g, g the sum of the generators: 1 + e, resp. 1 + d1 + ... + dr."""
     n = len(ring.names)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return ring.from_monomials([(0,) * n] + units[:_G_GENERATORS[tag]])
+    return ring.from_monomials([(0,) * n] + units)
 
 
 def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
-    """Total class (1+g)^n: (1+e)^r in F2[e,b]/(b^2) for odd q, (1+D)^m in the
+    """Total class (1+g)^n: (1+e)^r in F2[e] for odd q, (1+D)^m in the
     abstract Dickson ring for even q.  Genuine inputs truncate at deg pi."""
     th = _theorem(pi)
     if D is None:
@@ -156,7 +154,7 @@ def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
         D = min(D, pi.degree())
         if th.n * th.top > pi.degree():
             raise AssertionError("classes above deg pi must vanish")
-    return TotalSWC(_one_plus_g(th.ring(D), th.tag).pow_int(th.n), th.tag)
+    return TotalSWC(_one_plus_g(th.ring(D)).pow_int(th.n), th.tag)
 
 
 def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
@@ -175,7 +173,7 @@ def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     if pi.is_genuine():
         D = min(D, pi.degree())
     d_ring = max(D, 2**r - 1)
-    total = _one_plus_g(th.ring(d_ring), th.tag).pow_int(th.n).truncate(D)
+    total = _one_plus_g(th.ring(d_ring)).pow_int(th.n).truncate(D)
     return TotalSWC(dickson_expansion(r, d_ring)(total), "unipotent")
 
 
@@ -226,7 +224,7 @@ def _power_component(th: _Theorem, deg: int) -> frozenset:
     degrees of the factors still to come are dropped: no term of them can
     reach deg, so the component is exactly that of the full product.
     """
-    base = _one_plus_g(th.ring(deg), th.tag)
+    base = _one_plus_g(th.ring(deg))
     n = th.n
     factors = []
     while n:
@@ -246,11 +244,11 @@ def image_exponent(total: TotalSWC):
     """Certificate (n, 2^k) with total = (1+g)^n up to the truncation degree,
     or None.  Binary digits of n are the coefficients of g^(2^j), read off
     the power x^(2^j) of the first generator x (e, resp. d1)."""
-    if total.tag not in _G_GENERATORS:
+    if total.tag not in ("sl2-odd", "dickson"):
         raise ValueError(f"no single-parameter image in ring tagged {total.tag!r}")
     ring = total.ring
     D = ring.D
-    base = _one_plus_g(ring, total.tag)
+    base = _one_plus_g(ring)
     min_deg = ring.degs[0]
     if D < min_deg:
         return None

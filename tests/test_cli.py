@@ -202,7 +202,7 @@ def test_zero_trials_runs_no_random_cases(capsys):
 
 
 @pytest.mark.parametrize("suite,target", [("theorem", "verify_swc_formula"),
-                                          ("wu", "wu_identity_holds")])
+                                          ("wu", "wu_formula_holds")])
 def test_a_raising_case_is_recorded_and_replayable(capsys, monkeypatch, suite, target):
     from sl2swc import oracle
 

@@ -5,7 +5,6 @@ import pytest
 
 from sl2swc.cohomology import (
     InhomogeneousRelation,
-    OutsideDomain,
     RestrictionMap,
     Ring,
     RingMismatch,
@@ -21,6 +20,7 @@ from sl2swc.cohomology import (
     restrict_genq_to_q8,
     restrict_q8_to_center,
     restrict_sl2odd_to_center,
+    sl2_odd_class_ring,
     sl2_odd_ring,
     steenrod_sq,
     steenrod_total,
@@ -121,9 +121,16 @@ def test_restriction_maps():
     mg = restrict_genq_to_q8(D)
     assert mg(genq_ring(D).gen_class("E").pow_int(3)) == q8.gen_class("e").pow_int(3)
     ms = restrict_sl2odd_to_center(D)
-    assert ms(sl2_odd_ring(D).gen_class("e")) == center_ring(D).monomial((4,))
-    with pytest.raises(OutsideDomain):
+    assert ms(sl2_odd_class_ring(D).gen_class("e")) == center_ring(D).monomial((4,))
+    with pytest.raises(RingMismatch):
         ms(sl2_odd_ring(D).gen_class("b"))
+
+
+def test_restriction_needs_an_image_of_every_generator():
+    D = 8
+    dst = center_ring(D)
+    with pytest.raises(ValueError, match="one image for each generator"):
+        RestrictionMap(sl2_odd_ring(D), dst, {"e": dst.monomial((4,))})
 
 
 def test_restriction_rejects_relation_violation():

@@ -39,7 +39,6 @@ from sl2swc.oracle import (
     unipotent_character_multiplicities,
     verify_swc_formula,
     wu_formula_holds,
-    wu_identity_holds,
 )
 
 
@@ -389,13 +388,13 @@ def test_shared_wu_class_agrees_with_per_case_class(q):
             w = restricted_total_class(pi, i + j)
             for d in range(i + j + 1):
                 assert w6.monomials(d) == w.monomials(d)
-            shared = wu_identity_holds(w6.truncate(i + j), i, j)
+            shared = wu_formula_holds(w6.truncate(i + j), i, j)
             assert shared == _wu_at_own_truncation(pi, i, j)
-            assert wu_formula_holds(pi, i, j)
+            assert wu_formula_holds(w, i, j)
             # a corrupted class gives the same verdict at either truncation
             for d in range(1, i + j + 1):
-                assert (wu_identity_holds(_flip(w6, d).truncate(i + j), i, j)
-                        == wu_identity_holds(_flip(w, d), i, j))
+                assert (wu_formula_holds(_flip(w6, d).truncate(i + j), i, j)
+                        == wu_formula_holds(_flip(w, d), i, j))
 
 
 def test_wu_suite_records_a_corrupted_class(monkeypatch):
@@ -439,11 +438,11 @@ def test_memory_error_is_not_recorded_as_a_case(monkeypatch):
 def test_wu_cases():
     t = char_table(build_sl2(4))
     reg = regular_rep(t)
-    assert wu_formula_holds(reg, 0, 5)    # Sq^0 = id
-    assert wu_formula_holds(reg, 1, 2)
-    assert wu_formula_holds(reg, 2, 2)
+    assert wu_formula_holds(restricted_total_class(reg, 5), 0, 5)    # Sq^0 = id
+    assert wu_formula_holds(restricted_total_class(reg, 3), 1, 2)
+    assert wu_formula_holds(restricted_total_class(reg, 4), 2, 2)
     t3 = char_table(build_sl2(3))
-    assert wu_formula_holds(regular_rep(t3), 2, 3)
+    assert wu_formula_holds(restricted_total_class(regular_rep(t3), 5), 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_odd_total_is_the_lucas_series(q):
         assert ring.D == (64 if r < 0 else min(64, block.degree() * r))
         odd = [i for i in range(ring.D // 4 + 1)
                if (comb(r, i) if r >= 0 else comb(i - r - 1, i)) % 2]
-        assert total.cls == ring.from_monomials([(i, 0) for i in odd]), r
+        assert total.cls == ring.from_monomials([(i,) for i in odd]), r
 
 
 def test_regular_q16_report_matches_oracle():
@@ -262,8 +262,9 @@ def test_regular_q16_report_matches_oracle():
     assert report.total_expanded == verify_swc_formula(reg, 32)["expanded"]
 
 
-def test_regular_q16_cli_fits_in_512_mib(tmp_path):
-    # swc --q 16 --rep reg used to exhaust this address-space cap
+def _swc_in_512_mib(tmp_path, q, rep):
+    """The JSON report of `swc --q q --rep rep` run under a 512 MiB
+    address-space cap; the call must succeed."""
     limit = 512 << 20
 
     def cap():
@@ -271,14 +272,27 @@ def test_regular_q16_cli_fits_in_512_mib(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-m", "sl2swc.cli", "swc", "--q", "16", "--rep", "reg",
+        [sys.executable, "-m", "sl2swc.cli", "swc", "--q", str(q), "--rep", rep,
          "--cache-dir", str(tmp_path)],
         capture_output=True, env=env, preexec_fn=cap, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_regular_q16_cli_fits_in_512_mib(tmp_path):
+    # swc --q 16 --rep reg used to exhaust this address-space cap
+    out = _swc_in_512_mib(tmp_path, 16, "reg")
     assert (out["degree"], out["r_or_m"], out["ell"]) == (4080, 255, 255)
     assert out["top_nonzero"] is False and out["obstruction_degree"] == 8
+
+
+def test_huge_odd_degree_cli_fits_in_512_mib(tmp_path):
+    # the top class at deg pi = 23,592,960 and the obstruction at degree
+    # 4 * 2^16 are computed in F2[e]; the ring with b ran out of memory here
+    out = _swc_in_512_mib(tmp_path, 9, "32768*reg")
+    assert (out["degree"], out["r_or_m"]) == (720 * 32768, 90 * 32768)
+    assert out["top_nonzero"] is False and out["obstruction_degree"] == 4 * 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +332,13 @@ def test_symmetrized_series_sum_has_degree4_class():
 
 
 def test_image_exponent_rejects_outside():
-    from sl2swc.cohomology import sl2_odd_ring
+    from sl2swc.cohomology import sl2_odd_class_ring
     from sl2swc.swc import TotalSWC
 
-    S = sl2_odd_ring(16)
-    one_plus_b = S.one() + S.gen_class("b")
-    assert image_exponent(TotalSWC(one_plus_b, "sl2-odd")) is None
+    S = sl2_odd_class_ring(16)
+    e = S.gen_class("e")
+    # no (1+e)^n starts 1 + e + e^2: the digits read n = 3, and (1+e)^3 has e^3
+    assert image_exponent(TotalSWC(S.one() + e + e * e, "sl2-odd")) is None
 
 
 def test_report_shapes():
