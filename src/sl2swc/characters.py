@@ -360,6 +360,18 @@ def char_table(G: Group) -> CharacterTable:
 
     _validate_orthogonality(conj, chars)
 
+    table = table_from_characters(G, conj, m, chars)
+    G._char_table = table
+    return table
+
+
+def table_from_characters(G: Group, conj: ConjugacyData, m: int,
+                          chars: tuple[ClassFunction, ...]) -> CharacterTable:
+    """The table of the irreducible characters `chars`, with what their values
+    determine: the degrees (values at the identity), the Frobenius-Schur
+    indicators, the dual of each character (found by its values) and, for
+    SL(2,q) with q odd, the central character at -1."""
+    degrees = tuple(chi.degree() for chi in chars)
     fs = tuple(fs_indicator(chi) for chi in chars)
     by_values = {chi.values: i for i, chi in enumerate(chars)}
     dual = tuple(by_values[chi.dual().values] for chi in chars)
@@ -371,9 +383,7 @@ def char_table(G: Group) -> CharacterTable:
         if any(o not in (-1, 1) for o in omega):
             raise AssertionError("central character at -1 is not a sign")
 
-    table = CharacterTable(G, conj, m, chars, degrees, fs, dual, omega)
-    G._char_table = table
-    return table
+    return CharacterTable(G, conj, m, chars, degrees, fs, dual, omega)
 
 
 def structure_constants(G: Group, conj: ConjugacyData) -> list:

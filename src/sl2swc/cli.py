@@ -29,9 +29,10 @@ from .characters import (
     principal_series_sl,
     regular_rep,
     symmetrize,
+    table_from_characters,
     trivial_rep,
 )
-from .cohomology import genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring, dickson
+from .cohomology import dickson, dickson_ring, genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring
 from .groups import SIZE_CAP, build_gl2, build_sl2, conjugacy
 from .oracle import run_suite
 from .swc import TRUNCATION_CAP, swc_report
@@ -256,7 +257,10 @@ def _digest(payload: dict) -> str:
 
 
 def table_from_payload(payload: dict) -> CharacterTable:
-    """Rebuild group + conjugacy deterministically and attach cached values."""
+    """Rebuild group + conjugacy deterministically and attach cached values.
+    The payload must be what the rebuilt table serializes to: the fields the
+    values determine (degrees, indicators, duals, central characters) are
+    derived again, not read, since anyone can recompute the digest."""
     G = (build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"])
     if G._char_table is not None:
         return G._char_table
@@ -271,11 +275,10 @@ def table_from_payload(payload: dict) -> CharacterTable:
         ClassFunction(G, conj, m, [Cyclo(m, tuple(v)) for v in row])
         for row in payload["values"]
     )
-    table = CharacterTable(
-        G, conj, m, chars,
-        tuple(payload["degrees"]), tuple(payload["fs"]), tuple(payload["dual"]),
-        tuple(payload["omega_minus1"]) if payload["omega_minus1"] else None,
-    )
+    table = table_from_characters(G, conj, m, chars)
+    differ = [k for k, v in serialize_table(table).items() if k != "digest" and payload[k] != v]
+    if differ:
+        raise ValueError(f"cached {', '.join(differ)} differ from the rebuilt table")
     G._char_table = table
     return table
 
@@ -404,14 +407,10 @@ def cmd_dickson(args) -> int:
     if r < 1 or r > 6:
         raise UsageError("rank must be between 1 and 6")
     D = 2**r - 1
-    ds = dickson(r, D)
-    classes = {}
-    degrees = []
-    for i, d in enumerate(ds, start=1):
-        deg = 2**r - 2 ** (r - i)
-        degrees.append(deg)
-        classes[f"d{i}"] = " + ".join(d.monomial_strings(deg))
-    _emit({"schema": SCHEMA, "rank": r, "degrees": degrees, "dickson": classes})
+    degrees = dickson_ring(r, D).degs
+    classes = {f"d{i}": " + ".join(d.monomial_strings(deg))
+               for i, (d, deg) in enumerate(zip(dickson(r, D), degrees), start=1)}
+    _emit({"schema": SCHEMA, "rank": r, "degrees": list(degrees), "dickson": classes})
     return 0
 
 

@@ -579,13 +579,9 @@ def dickson(r: int, D: int) -> tuple[GradedClass, ...]:
             [tuple(1 if j == b else 0 for j in range(r)) for b in _bits(mask)]
         )
         prod = prod * (ring.one() + form)
-    want = {2**r - 2 ** (r - i) for i in range(1, r + 1)}
+    degs = dickson_ring(r, D).degs
     for d in prod.support_degrees():
-        if d != 0 and d not in want:
+        if d != 0 and d not in degs:
             raise AssertionError(f"unexpected degree {d} in the Dickson product")
-    out = []
-    for i in range(1, r + 1):
-        d = 2**r - 2 ** (r - i)
-        out.append(prod.truncate(d, d))
-    return tuple(out)
+    return tuple(prod.truncate(d, d) for d in degs)
 

@@ -6,12 +6,14 @@ generators of a free ring.  For odd q that ring is F2[e], |e| = 4, the
 subalgebra of H*(SL(2,q)) = F2[e] (x) F2[b]/(b^2) holding every (1+e)^n, and
 n = (chi(1) - chi(-1))/8; for even q it is the free ring on the Dickson
 invariants, and n = (chi(1) - chi(n0))/q.  `_theorem` reads pi once and makes
-the only parity decision; the total is (1+g)^n, the obstruction is
-x1^(2^ord2 n) for the first generator x1 (e, resp. d1), the
-top class is the degree-(deg pi) component of (1+g)^n, and the even-q class
+the only parity decision.  Everything else is a window of degrees of the one
+power, computed by `_power`: the total is the window [0, D]; the obstruction
+x1^(2^ord2 n), x1 the first generator (e, resp. d1), is checked on
+[0, deg_o]; the top class is the window [deg pi, deg pi]; an image
+certificate is compared with the window [0, D] of its power.  The even-q class
 in the v-variables of H*(N) is the image of the printed total under the
-Dickson expansion.  Virtual inputs use the series inverse in the completed
-(truncated) ring.
+Dickson expansion.  Virtual inputs (n < 0) take the same route: in the
+truncated ring the series inverse is a nonnegative power (see `_power`).
 """
 
 from __future__ import annotations
@@ -111,50 +113,66 @@ class _Theorem:
     """The data of w(pi) = (1+g)^n that depend on the parity, read once."""
 
     parity: str                   # "odd" | "even"
-    tag: str                      # TotalSWC tag of the ring: "sl2-odd" | "dickson"
     ring: Callable[[int], Ring]   # the ring of the total, by truncation degree
     top: int                      # deg g: 4, resp. q - 1
     n: int                        # r, resp. m
     ell: int | None               # trivial summands of res_N pi (even q)
-    expands: bool                 # whether the Dickson expansion maps the ring
     top_nonzero: bool             # the top-class criterion (genuine pi)
     criterion: str
+    degree: int                   # deg pi
+    genuine: bool
 
-    @property
-    def truncation(self) -> int:
-        """The default truncation: deg (1+g)^n, at least deg g, at most the cap."""
-        return max(16, min(self.top * max(abs(self.n), 1), TRUNCATION_CAP))
+    def window(self, D: int | None) -> int:
+        """The truncation of the total: D, by default deg (1+g)^n (at least
+        16, at most the cap), and at most deg pi for genuine pi."""
+        if D is None:
+            D = max(16, min(self.top * max(abs(self.n), 1), TRUNCATION_CAP))
+        return min(D, self.degree) if self.genuine else D
 
 
 def _theorem(pi: VirtualRep) -> _Theorem:
     _, q, p, r = _sl2_data(pi)
+    degree, genuine = pi.degree(), pi.is_genuine()
     if p != 2:
-        return _Theorem("odd", "sl2-odd", sl2_odd_class_ring, 4, quaternionic_multiplicity(pi),
-                        None, False, pi.int_at(minus_one_class(pi.table)) == -pi.degree(),
-                        "central element acts by -1")
+        return _Theorem("odd", sl2_odd_class_ring, 4, quaternionic_multiplicity(pi), None,
+                        pi.int_at(minus_one_class(pi.table)) == -degree,
+                        "central element acts by -1", degree, genuine)
     ell, m = unipotent_multiplicities(pi)
-    return _Theorem("even", "dickson", partial(dickson_ring, r), q - 1, m, ell, True,
-                    ell == 0, "no nonzero vectors fixed by the unitriangular subgroup")
+    return _Theorem("even", partial(dickson_ring, r), q - 1, m, ell, ell == 0,
+                    "no nonzero vectors fixed by the unitriangular subgroup", degree, genuine)
 
 
-def _one_plus_g(ring: Ring) -> GradedClass:
-    """1 + g, g the sum of the generators: 1 + e, resp. 1 + d1 + ... + dr."""
-    n = len(ring.names)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return ring.from_monomials([(0,) * n] + units)
+def _power(ring: Ring, n: int, hi: int, lo: int = 0) -> GradedClass:
+    """The components of degrees lo..hi (hi <= ring.D) of (1+g)^n, g the sum
+    of the generators: 1 + e, resp. 1 + d1 + ... + dr.
+
+    (1+g)^(2^k) = 1 + g^(2^k) is 1 below degree x·2^k, x = deg x1, so for the
+    least k with x·2^k > hi, (1+g)^n = (1+g)^(n mod 2^k) up to hi, negative n
+    included.  That is the product of the factors 1 + g^(2^j) over the set
+    bits j of n mod 2^k.  After each factor, the degrees below lo minus the
+    top degree of the factors still to come are dropped: none can reach lo.
+    """
+    k = (hi // ring.degs[0]).bit_length()
+    n %= 2**k
+    top = max(ring.degs)
+    base = sum((ring.gen_class(x) for x in ring.names), ring.one())
+    prod = ring.one().truncate(hi, lo - top * n)
+    for j in range(k):
+        if n >> j & 1:
+            rest = n >> (j + 1) << (j + 1)   # the exponent still to come
+            prod = (prod * base).truncate(hi, lo - top * rest)
+        base = base.square()
+    return prod
 
 
 def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     """Total class (1+g)^n: (1+e)^r in F2[e] for odd q, (1+D)^m in the
     abstract Dickson ring for even q.  Genuine inputs truncate at deg pi."""
     th = _theorem(pi)
-    if D is None:
-        D = th.truncation
-    if pi.is_genuine():
-        D = min(D, pi.degree())
-        if th.n * th.top > pi.degree():
-            raise AssertionError("classes above deg pi must vanish")
-    return TotalSWC(_one_plus_g(th.ring(D)).pow_int(th.n), th.tag)
+    D = th.window(D)
+    if th.genuine and th.n * th.top > th.degree:
+        raise AssertionError("classes above deg pi must vanish")
+    return TotalSWC(_power(th.ring(D), th.n, D), "sl2-odd" if th.parity == "odd" else "dickson")
 
 
 def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
@@ -168,19 +186,19 @@ def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     if p != 2:
         raise WrongParity("expansion in v-variables applies to even q")
     th = _theorem(pi)
-    if D is None:
-        D = th.truncation
-    if pi.is_genuine():
-        D = min(D, pi.degree())
+    D = th.window(D)
     d_ring = max(D, 2**r - 1)
-    total = _one_plus_g(th.ring(d_ring)).pow_int(th.n).truncate(D)
+    total = _power(th.ring(d_ring), th.n, D)
     return TotalSWC(dickson_expansion(r, d_ring)(total), "unipotent")
 
 
-def obstruction(pi: VirtualRep, D: int | None = None):
+def obstruction(pi: VirtualRep):
     """(degree, class) of the first nonzero positive-degree component, or
     (None, None) when the total class is 1: x1^(2^ord2 n) with x1 the first
-    generator (e, resp. d1).  Verified against the expansion.
+    generator (e, resp. d1).  Verified against the expansion up to that
+    degree deg_o: no component above deg_o can change the lowest positive
+    degree up to deg_o or the component at deg_o, so that window is the
+    whole check.
 
     Genuine representations only; for virtual classes the report inspects
     the truncated series instead (the closed form may sit past any finite
@@ -191,16 +209,15 @@ def obstruction(pi: VirtualRep, D: int | None = None):
     th = _theorem(pi)
     if th.n == 0:
         return None, None
-    degs = th.ring(0).degs
     power = 2 ** ord2(th.n)
-    deg_o = degs[0] * power
-    # the verification window must reach the closed-form degree
-    total = total_swc(pi, max(D if D is not None else th.truncation, deg_o))
-    cls = total.ring.monomial((power,) + (0,) * (len(degs) - 1))
-    low = total.cls.lowest_positive_degree()
+    deg_o = th.ring(0).degs[0] * power
+    ring = th.ring(deg_o)
+    total = _power(ring, th.n, deg_o)
+    cls = ring.monomial((power,) + (0,) * (len(ring.degs) - 1))
+    low = total.lowest_positive_degree()
     if low != deg_o:
         raise AssertionError(f"closed form {deg_o} != expansion minimum {low}")
-    if total.cls.component(deg_o) != cls.component(deg_o):
+    if total.component(deg_o) != cls.component(deg_o):
         raise AssertionError("obstruction class mismatch")
     return deg_o, cls
 
@@ -211,33 +228,10 @@ def top_class_nonzero(pi: VirtualRep) -> tuple[bool, str]:
     if not pi.is_genuine():
         raise ValueError("top class is defined for genuine representations")
     th = _theorem(pi)
-    if bool(_power_component(th, pi.degree())) != th.top_nonzero:
+    deg = th.degree
+    if _power(th.ring(deg), th.n, deg, deg).is_zero() == th.top_nonzero:
         raise AssertionError("top coefficient disagrees with the criterion")
     return th.top_nonzero, th.criterion
-
-
-def _power_component(th: _Theorem, deg: int) -> frozenset:
-    """The degree-deg component of (1+g)^n, n >= 0.
-
-    (1+g)^n is the product of the factors (1+g)^(2^j) = 1 + g^(2^j) over the
-    set bits j of n.  After each factor, the degrees below deg minus the top
-    degrees of the factors still to come are dropped: no term of them can
-    reach deg, so the component is exactly that of the full product.
-    """
-    base = _one_plus_g(th.ring(deg))
-    n = th.n
-    factors = []
-    while n:
-        if n & 1:
-            factors.append(base)
-        n >>= 1
-        base = base.square()
-    rest = sum(max(f.support_degrees()) for f in factors)
-    prod = base.ring.one()
-    for f in factors:
-        rest -= max(f.support_degrees())
-        prod = (prod * f).truncate(deg, deg - rest)
-    return prod.component(deg)
 
 
 def image_exponent(total: TotalSWC):
@@ -248,7 +242,6 @@ def image_exponent(total: TotalSWC):
         raise ValueError(f"no single-parameter image in ring tagged {total.tag!r}")
     ring = total.ring
     D = ring.D
-    base = _one_plus_g(ring)
     min_deg = ring.degs[0]
     if D < min_deg:
         return None
@@ -260,7 +253,7 @@ def image_exponent(total: TotalSWC):
         if total.cls.component(d) & digit.component(d):
             n += 2**k
         k += 1
-    if base.pow_int(n).truncate(D) == total.cls:
+    if _power(ring, n, D) == total.cls:
         return n, 2**k
     return None
 
@@ -289,18 +282,18 @@ EXPANSION_CAP = 64
 
 def swc_report(pi: VirtualRep, D: int | None = None) -> SwcReport:
     th = _theorem(pi)
-    if D is None:
-        D = th.truncation
+    D = th.window(D)
     total = total_swc(pi, D)
-    expanded = total_swc_expanded(pi, min(D, EXPANSION_CAP)).to_dict() if th.expands else None
-    if pi.is_genuine():
-        deg_o, cls_o = obstruction(pi, D)
+    expanded = (total_swc_expanded(pi, min(D, EXPANSION_CAP)).to_dict()
+                if th.parity == "even" else None)
+    if th.genuine:
+        deg_o, cls_o = obstruction(pi)
         top, criterion = top_class_nonzero(pi)
     else:
         deg_o, cls_o = total.cls.lowest_positive_degree(), total.cls
         top, criterion = False, "top class undefined for virtual representations"
     return SwcReport(
-        q=pi.table.group.q, parity=th.parity, r_or_m=th.n, ell=th.ell, degree=pi.degree(),
+        q=pi.table.group.q, parity=th.parity, r_or_m=th.n, ell=th.ell, degree=th.degree,
         truncation=total.ring.D, total=total.to_dict(), total_expanded=expanded,
         obstruction_degree=deg_o,
         obstruction_class=None if deg_o is None else " + ".join(cls_o.monomial_strings(deg_o)),

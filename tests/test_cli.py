@@ -317,5 +317,28 @@ def test_cache_rejects_unusable_payload(capsys, tmp_path, bad, why):
     assert json.loads(path.read_text()) == json.loads(fresh)
 
 
+@pytest.mark.parametrize("field, i, value", [
+    ("degrees", 1, 5), ("fs", 0, -1), ("dual", 0, 1), ("omega_minus1", 0, -1),
+])
+def test_cache_rejects_fields_the_values_contradict(capsys, tmp_path, field, i, value):
+    # the digest guards against accidents only: anyone can recompute it
+    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
+    assert code == 0 and err == ""
+    doc = json.loads(fresh)
+    assert doc[field][i] != value
+    doc[field][i] = value
+    path = cli.cache_path(bad_dir, "sl2", 5)
+    bad_dir.mkdir()
+    path.write_text(json.dumps(_digest_valid(doc)))
+    build_sl2.cache_clear()       # a fresh group, so the file is read
+    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
+    assert code == 0 and out == fresh
+    note = json.loads(err)
+    assert note["cache"] == "rejected" and note["path"] == str(path)
+    assert field in note["reason"]
+    assert json.loads(path.read_text()) == json.loads(fresh)
+
+
 def test_payload_keys_match_serialized_table():
     assert set(serialize_table(char_table(build_sl2(2)))) == cli._PAYLOAD_KEYS

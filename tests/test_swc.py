@@ -9,6 +9,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2swc.characters import (
     NotOrthogonal,
@@ -20,10 +22,12 @@ from sl2swc.characters import (
     symmetrize,
     trivial_rep,
 )
+from sl2swc.cohomology import dickson_ring, sl2_odd_class_ring
 from sl2swc.groups import build_sl2
 from sl2swc.oracle import verify_swc_formula
 from sl2swc.swc import (
     WrongParity,
+    _power,
     image_exponent,
     obstruction,
     quaternionic_multiplicity,
@@ -152,6 +156,42 @@ def test_total_even_irreducible():
     assert total.cls == P.one() + d1 + d2
 
 
+@pytest.mark.parametrize("ring", [sl2_odd_class_ring(40), dickson_ring(2, 40)],
+                         ids=["q=3", "q=4"])
+def test_power_windows_match_pow_int(ring):
+    # every window of (1+g)^n, negative n with lo > 0 included, against the
+    # square-and-multiply power with the series inverse
+    one_plus_g = ring.one()
+    for name in ring.names:
+        one_plus_g = one_plus_g + ring.gen_class(name)
+    for n in range(-40, 41):
+        full = one_plus_g.pow_int(n)
+        for lo, hi in [(0, 40), (0, 13), (5, 27), (12, 12), (20, 40), (40, 40), (3, 2)]:
+            assert _power(ring, n, hi, lo) == full.truncate(hi, lo), (n, lo, hi)
+
+
+@st.composite
+def _genuine_pair(draw):
+    """Two genuine orthogonal representations of SL(2,q), summed from
+    orthogonally irreducible blocks, and a truncation at most both degrees."""
+    t = char_table(build_sl2(draw(st.sampled_from([3, 4, 5, 8]))))
+    blocks = st.lists(st.sampled_from([lab for lab, _ in oir_labels(t)]), min_size=1, max_size=3)
+    pi, rho = (rep_from_oir_blocks(t, Counter(draw(blocks))) for _ in range(2))
+    return pi, rho, min(draw(st.integers(0, 24)), pi.degree(), rho.degree())
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(case=_genuine_pair())
+def test_whitney_sum(case):
+    pi, rho, D = case
+    w_pi, w_rho = total_swc(pi, D).cls, total_swc(rho, D).cls
+    assert total_swc(pi + rho, D).cls == w_pi * w_rho
+    # when rho is a summand of pi the difference is genuine and truncates at
+    # its own degree, above which the quotient vanishes
+    assert total_swc(pi - rho, D).to_dict() == (w_pi * w_rho.inverse()).to_dict()
+    verify_swc_formula(pi + rho, D)
+
+
 def test_genuine_truncates_at_degree():
     t = char_table(build_sl2(3))
     s = symmetrize(_single(t, _symplectic_index(t, 2)))   # degree 4
@@ -179,11 +219,9 @@ def test_obstruction_examples():
 
 
 def test_obstruction_survives_small_truncation():
-    # the verification window must reach the closed-form degree even when the
-    # requested truncation is below it
+    # the obstruction is checked at its own degree even when the requested
+    # truncation is below it
     t = char_table(build_sl2(3))
-    deg, cls = obstruction(regular_rep(t), 2)
-    assert deg == 4 and cls.monomial_strings(4) == ["e"]
     d = swc_report(regular_rep(t), 2).to_json_dict()
     assert d["truncation"] == 2 and d["obstruction_degree"] == 4
 
