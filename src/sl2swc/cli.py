@@ -328,8 +328,10 @@ def load_cached_table(cache_dir: Path, kind: str, q: int):
                              f"not the {kind} table for q={q}")
     try:
         return table_from_payload(payload)
-    except (ValueError, TypeError) as e:
-        return _reject(path, str(e))
+    except MemoryError:
+        raise
+    except Exception as e:
+        return _reject(path, f"{type(e).__name__}: {e}")
 
 
 def _reject(path: Path, reason: str) -> None:

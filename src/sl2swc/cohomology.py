@@ -295,35 +295,42 @@ class GradedClass:
             for d, c in self.comps.items() if 2 * d <= ring.D
         })
 
-    def inverse(self) -> "GradedClass":
-        """Series inverse of a unit (constant term 1), degree by degree."""
-        if not self.has_constant_term():
-            raise ValueError("only units with constant term 1 are invertible")
-        ring = self.ring
-        inv: dict[int, frozenset] = {0: _ONE}
-        for d in range(1, ring.D + 1):
-            acc: set = set()
-            for i in range(1, d + 1):
-                ui = self.comps.get(i)
-                wj = inv.get(d - i)
-                if ui and wj:
-                    _add_products(acc, ui, wj)
-            if acc:
-                inv[d] = ring._normal(d, acc)
-        return GradedClass(ring, inv)
+    def times_power(self, u: "GradedClass", n: int, lo: int = 0) -> "GradedClass":
+        """self·u^n in degrees lo..D: the one power loop of the package.
 
-    def pow_int(self, n: int) -> "GradedClass":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        result = self.ring.one()
-        base = self
+        Over F2 the Frobenius gives (1+a)^(2^k) = 1 + a^(2^k), which is 1
+        below degree 2^k·(lowest degree of a).  So a unit u = 1 + a has
+        u^(2^k) = 1 in the ring truncated at D for the least k with
+        2^k·(lowest degree of a) > D, and u^n = u^(n mod 2^k), negative n
+        included: the series inverse is the nonnegative power u^(2^k - 1).
+        Any other u needs n >= 0.
+
+        u^n is the product of the factors u^(2^j) over the set bits j of n,
+        multiplied in one at a time.  After each, the degrees below
+        lo - (top degree of u)·(the exponent still to come) are dropped: the
+        factors still to come cannot lift them to lo.
+        """
+        if self.ring is not u.ring:
+            raise RingMismatch("classes live in different rings")
+        D = self.ring.D
+        if u.has_constant_term():
+            low = u.lowest_positive_degree()
+            n %= 2 ** (D // low).bit_length() if low else 1
+        elif n < 0:
+            raise ValueError("only units (constant term 1) have negative powers")
+        top = max(u.comps, default=0)
+        out = self.truncate(D, lo - top * n)
         while n:
             if n & 1:
-                result = result * base
+                out = (out * u).truncate(D, lo - top * (n - 1))
             n >>= 1
             if n:
-                base = base.square()
-        return result
+                u, top = u.square(), 2 * top
+        return out
+
+    def pow_int(self, n: int, lo: int = 0) -> "GradedClass":
+        """self^n in degrees lo..D (see times_power)."""
+        return self.ring.one().times_power(self, n, lo)
 
     def truncate(self, d_max: int, d_min: int = 0) -> "GradedClass":
         """The components of degrees d_min..d_max."""
@@ -566,22 +573,31 @@ def steenrod_total(a: GradedClass) -> GradedClass:
 def dickson(r: int, D: int) -> tuple[GradedClass, ...]:
     """Dickson invariants d_1..d_r in F2[v1..vr], deg d_i = 2^r - 2^(r-i).
 
-    Read off the product over all 2^r - 1 nonzero linear forms of (1 + form);
-    every other positive-degree component of that product must vanish.
+    P_n(X), the product of X + v over the span of v1..vn, is additive:
+    P_n(X) = sum c_{n,i} X^(2^i), c_{n,n} = 1.  From P_0(X) = X and
+    P_n(X) = P_{n-1}(X) P_{n-1}(X + vn), c_{n,i} = c_{n-1,i-1}^2 +
+    c_{n-1,i} P_{n-1}(vn), and d_i = c_{r,r-i}.  Check: P_r vanishes at every
+    nonzero linear form.  Monic of degree 2^r with those 2^r roots, it is the
+    product, so P_r(X)/X at X = 1 gives 1 + d_1 + ... + d_r = prod (1 + l)
+    over the nonzero forms l.
     """
     top = 2**r - 1
     if D < top:
         raise TruncationTooLow(f"need D >= {top}, got {D}")
-    ring = unipotent_ring(r, D)
-    prod = ring.one()
-    for mask in range(1, 2**r):
-        form = ring.from_monomials(
-            [tuple(1 if j == b else 0 for j in range(r)) for b in _bits(mask)]
-        )
-        prod = prod * (ring.one() + form)
-    degs = dickson_ring(r, D).degs
-    for d in prod.support_degrees():
-        if d != 0 and d not in degs:
-            raise AssertionError(f"unexpected degree {d} in the Dickson product")
-    return tuple(prod.truncate(d, d) for d in degs)
+    ring = unipotent_ring(r, max(D, top + 1))   # P_r(l) has degree 2^r
+    vs = [ring.gen_class(name) for name in ring.names]
 
+    def at(cs, x):   # P(x) = sum of c_i x^(2^i)
+        return sum((c * x.pow_int(2**i) for i, c in enumerate(cs)), ring.zero())
+
+    zero = [ring.zero()]
+    cs = [ring.one()]
+    for v in vs:
+        pv = at(cs, v)
+        cs = [a.square() + b * pv for a, b in zip(zero + cs, cs + zero)]
+    for mask in range(1, 2**r):
+        if not at(cs, sum((vs[j] for j in _bits(mask)), ring.zero())).is_zero():
+            raise AssertionError(f"P_{r} does not vanish at the linear form of mask {mask}")
+    out = unipotent_ring(r, D)
+    return tuple(out.from_monomials(c.monomials(d))
+                 for c, d in zip(cs[r - 1::-1], dickson_ring(r, D).degs))

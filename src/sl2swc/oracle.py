@@ -4,10 +4,11 @@ linear characters, and suites checking every closed formula against them.
 
 Nothing here reuses the closed-form route: classes come from character inner
 products over the center, a quaternion subgroup of order 8, or the
-unitriangular subgroup, then products of (1 + w1) factors.  Each oracle reads
-pi only at the classes of the subgroup it restricts to, where pi takes
-rational integer values: the Q8 multiplicities are integer inner products of
-pi's values at Q8's five classes with Q8's own rational table.
+unitriangular subgroup, then products of powers of (1 + w1) factors in the
+ring arithmetic of `cohomology`.  Each oracle reads pi only at the classes of
+the subgroup it restricts to, where pi takes rational integer values: the Q8
+multiplicities are integer inner products of pi's values at Q8's five classes
+with Q8's own rational table.
 
 The suites record every failing case, a Mismatch with its diff and any other
 exception with its type and message, and give each failure an `expr`:
@@ -195,13 +196,9 @@ def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
     ring = quaternion8_ring(d_max)
     x, y, e = ring.gen_class("x"), ring.gen_class("y"), ring.gen_class("e")
     one = ring.one()
-    out = (
-        (one + x).pow_int(m1)
-        * (one + y).pow_int(m2)
-        * (one + x + y).pow_int(m3)
-        * (one + e).pow_int(m4)
-    )
-    return TotalSWC(out.truncate(d_max), "quaternion8")
+    out = (one.times_power(one + x, m1).times_power(one + y, m2)
+           .times_power(one + x + y, m3).times_power(one + e, m4))
+    return TotalSWC(out, "quaternion8")
 
 
 def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
@@ -243,13 +240,7 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
         # t^i has canonical rank 2^i; pair against the basis via the trace
         u = ring.one() + ring.from_monomials([tuple(int(j == i) for j in range(r))
                                               for i in range(r) if F.trace[F.mul[a][2**i]]])
-        # multiply by the sparse factors (1+w1)^(2^j) = 1 + w1^(2^j), j in bits n
-        n = mults[a]
-        while n:
-            if n & 1:
-                out = out * u
-            n >>= 1
-            u = u.square()
+        out = out.times_power(u, mults[a])
     return TotalSWC(out.truncate(d_max), "unipotent")
 
 

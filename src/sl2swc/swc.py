@@ -142,27 +142,10 @@ def _theorem(pi: VirtualRep) -> _Theorem:
                     "no nonzero vectors fixed by the unitriangular subgroup", degree, genuine)
 
 
-def _power(ring: Ring, n: int, hi: int, lo: int = 0) -> GradedClass:
-    """The components of degrees lo..hi (hi <= ring.D) of (1+g)^n, g the sum
-    of the generators: 1 + e, resp. 1 + d1 + ... + dr.
-
-    (1+g)^(2^k) = 1 + g^(2^k) is 1 below degree x·2^k, x = deg x1, so for the
-    least k with x·2^k > hi, (1+g)^n = (1+g)^(n mod 2^k) up to hi, negative n
-    included.  That is the product of the factors 1 + g^(2^j) over the set
-    bits j of n mod 2^k.  After each factor, the degrees below lo minus the
-    top degree of the factors still to come are dropped: none can reach lo.
-    """
-    k = (hi // ring.degs[0]).bit_length()
-    n %= 2**k
-    top = max(ring.degs)
-    base = sum((ring.gen_class(x) for x in ring.names), ring.one())
-    prod = ring.one().truncate(hi, lo - top * n)
-    for j in range(k):
-        if n >> j & 1:
-            rest = n >> (j + 1) << (j + 1)   # the exponent still to come
-            prod = (prod * base).truncate(hi, lo - top * rest)
-        base = base.square()
-    return prod
+def _power(ring: Ring, n: int, lo: int = 0) -> GradedClass:
+    """The components of degrees lo..D of (1+g)^n, g the sum of the
+    generators: 1 + e, resp. 1 + d1 + ... + dr (see GradedClass.times_power)."""
+    return sum((ring.gen_class(x) for x in ring.names), ring.one()).pow_int(n, lo)
 
 
 def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
@@ -172,7 +155,7 @@ def total_swc(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     D = th.window(D)
     if th.genuine and th.n * th.top > th.degree:
         raise AssertionError("classes above deg pi must vanish")
-    return TotalSWC(_power(th.ring(D), th.n, D), "sl2-odd" if th.parity == "odd" else "dickson")
+    return TotalSWC(_power(th.ring(D), th.n), "sl2-odd" if th.parity == "odd" else "dickson")
 
 
 def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
@@ -188,7 +171,7 @@ def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     th = _theorem(pi)
     D = th.window(D)
     d_ring = max(D, 2**r - 1)
-    total = _power(th.ring(d_ring), th.n, D)
+    total = _power(th.ring(d_ring), th.n).truncate(D)
     return TotalSWC(dickson_expansion(r, d_ring)(total), "unipotent")
 
 
@@ -212,7 +195,7 @@ def obstruction(pi: VirtualRep):
     power = 2 ** ord2(th.n)
     deg_o = th.ring(0).degs[0] * power
     ring = th.ring(deg_o)
-    total = _power(ring, th.n, deg_o)
+    total = _power(ring, th.n)
     cls = ring.monomial((power,) + (0,) * (len(ring.degs) - 1))
     low = total.lowest_positive_degree()
     if low != deg_o:
@@ -229,7 +212,7 @@ def top_class_nonzero(pi: VirtualRep) -> tuple[bool, str]:
         raise ValueError("top class is defined for genuine representations")
     th = _theorem(pi)
     deg = th.degree
-    if _power(th.ring(deg), th.n, deg, deg).is_zero() == th.top_nonzero:
+    if _power(th.ring(deg), th.n, deg).is_zero() == th.top_nonzero:
         raise AssertionError("top coefficient disagrees with the criterion")
     return th.top_nonzero, th.criterion
 
@@ -253,7 +236,7 @@ def image_exponent(total: TotalSWC):
         if total.cls.component(d) & digit.component(d):
             n += 2**k
         k += 1
-    if _power(ring, n, D) == total.cls:
+    if _power(ring, n) == total.cls:
         return n, 2**k
     return None
 

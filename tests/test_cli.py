@@ -340,5 +340,25 @@ def test_cache_rejects_fields_the_values_contradict(capsys, tmp_path, field, i, 
     assert json.loads(path.read_text()) == json.loads(fresh)
 
 
+def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
+    # one character's values copied over another's make the table load raise
+    # NotRationalInteger; that rejects the file like any other unusable one
+    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
+    assert code == 0 and err == ""
+    doc = json.loads(fresh)
+    doc["values"][3][2] = doc["values"][4][2]
+    path = cli.cache_path(bad_dir, "sl2", 5)
+    bad_dir.mkdir()
+    path.write_text(json.dumps(_digest_valid(doc)))
+    build_sl2.cache_clear()
+    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
+    assert code == 0 and out == fresh
+    note = json.loads(err)
+    assert note["cache"] == "rejected" and note["path"] == str(path)
+    assert note["reason"].startswith("NotRationalInteger: ")
+    assert json.loads(path.read_text()) == json.loads(fresh)
+
+
 def test_payload_keys_match_serialized_table():
     assert set(serialize_table(char_table(build_sl2(2)))) == cli._PAYLOAD_KEYS

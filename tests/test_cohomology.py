@@ -71,6 +71,9 @@ def test_free_ring_product():
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
         center_ring(4).gen_class("v") * center_ring(5).gen_class("v")
+    # also when the exponent reduces to 0, so no product is taken
+    with pytest.raises(RingMismatch):
+        center_ring(4).one().times_power(center_ring(5).one() + center_ring(5).gen_class("v"), 8)
 
 
 def test_inhomogeneous_relation_rejected():
@@ -278,14 +281,37 @@ def test_dickson_expansion_map():
     assert exp(A.gen_class("d1") * A.gen_class("d2")) == ds[0] * ds[1]
 
 
+def _series_inverse(u):
+    """The inverse of a unit u, degree by degree: w_0 = 1 and w_d is the sum
+    of u_i w_(d-i) over 0 < i <= d."""
+    ring = u.ring
+    w = ring.one()
+    for d in range(1, ring.D + 1):
+        for i in range(1, d + 1):
+            w = w + u.truncate(i, i) * w.truncate(d - i, d - i)
+    return w
+
+
 def test_series_inverse():
     S = sl2_odd_ring(20)
     u = S.one() + S.gen_class("e")
-    w = u.inverse()
+    w = _series_inverse(u)
     assert (u * w).is_one()
     # all-ones series
     assert all(w.component(4 * i) for i in range(6))
+    assert u.pow_int(-1) == w
     assert u.pow_int(-3) == w * w * w
+
+
+def test_negative_power_needs_a_unit():
+    R = quaternion8_ring(12)
+    x, e = R.gen_class("x"), R.gen_class("e")
+    for a in (x, x + e, R.zero()):
+        with pytest.raises(ValueError, match="units"):
+            a.pow_int(-1)
+        with pytest.raises(ValueError, match="units"):
+            R.one().times_power(a, -2, 3)
+    assert (x + e).pow_int(0) == R.one()
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +375,10 @@ def test_free_ring_products_match_reference(name):
         assert ra == {m for m in ma if ma.count(m) % 2}
         assert _ref(a * b) == _ref_mul(ring, ra, rb)
         assert _ref(a.square()) == _ref_mul(ring, ra, ra)
-        n = rng.randrange(0, 6)
+        n, lo = rng.randrange(0, 6), rng.randrange(0, ring.D + 2)
         assert _ref(a.pow_int(n)) == _ref_pow(ring, ra, n)
+        assert _ref(a.pow_int(n, lo)) == {m for m in _ref_pow(ring, ra, n)
+                                          if _ref_deg(ring, m) >= lo}
         # a unit 1 + x; its inverse is the geometric series in x, which is
         # finite because x^k vanishes for k > D
         x = ra - one
@@ -358,9 +386,11 @@ def test_free_ring_products_match_reference(name):
         inv = set()
         for k in range(ring.D + 1):
             inv ^= _ref_pow(ring, x, k)
-        assert _ref(u.inverse()) == inv
+        assert _ref(u.pow_int(-1)) == inv
         assert _ref_mul(ring, _ref(u), inv) == one
         assert _ref(u.pow_int(-n)) == _ref_pow(ring, inv, n)
+        assert _ref(a.times_power(u, -n, lo)) == {
+            m for m in _ref_mul(ring, ra, _ref_pow(ring, inv, n)) if _ref_deg(ring, m) >= lo}
 
 
 PRESENTED_RINGS = {

@@ -4,7 +4,7 @@ import resource
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from sl2swc.characters import (
     symmetrize,
     trivial_rep,
 )
-from sl2swc.cohomology import dickson_ring, sl2_odd_class_ring
+from sl2swc.cohomology import dickson_ring, quaternion8_ring, sl2_odd_class_ring
 from sl2swc.groups import build_sl2
 from sl2swc.oracle import verify_swc_formula
 from sl2swc.swc import (
@@ -156,18 +156,39 @@ def test_total_even_irreducible():
     assert total.cls == P.one() + d1 + d2
 
 
-@pytest.mark.parametrize("ring", [sl2_odd_class_ring(40), dickson_ring(2, 40)],
-                         ids=["q=3", "q=4"])
-def test_power_windows_match_pow_int(ring):
-    # every window of (1+g)^n, negative n with lo > 0 included, against the
-    # square-and-multiply power with the series inverse
-    one_plus_g = ring.one()
-    for name in ring.names:
-        one_plus_g = one_plus_g + ring.gen_class(name)
+def _ref_pow(u, n):
+    """u^n by repeated multiplication; for n < 0, of the geometric series
+    sum of (u - 1)^k, k <= D, the inverse of the unit u."""
+    ring = u.ring
+    if n < 0:
+        x, term, u, n = u + ring.one(), ring.one(), ring.one(), -n
+        for _ in range(ring.D):
+            term = term * x
+            u = u + term
+    out = ring.one()
+    for _ in range(n):
+        out = out * u
+    return out
+
+
+@pytest.mark.parametrize("ring, names", [
+    (sl2_odd_class_ring(24), ("e",)),
+    (dickson_ring(2, 24), ("d1", "d2")),
+    (quaternion8_ring(24), ("x",)),
+    (quaternion8_ring(24), ("x", "y")),
+    (quaternion8_ring(24), ("e",)),
+], ids=["q=3", "q=4", "Q8:1+x", "Q8:1+x+y", "Q8:1+e"])
+def test_power_windows_match_pow_int(ring, names):
+    # every window lo..D of u^n, negative n included, against the reference;
+    # for u = 1 + g, the sum of all generators, also through swc's _power
+    u = sum((ring.gen_class(x) for x in names), ring.one())
     for n in range(-40, 41):
-        full = one_plus_g.pow_int(n)
-        for lo, hi in [(0, 40), (0, 13), (5, 27), (12, 12), (20, 40), (40, 40), (3, 2)]:
-            assert _power(ring, n, hi, lo) == full.truncate(hi, lo), (n, lo, hi)
+        ref = _ref_pow(u, n)
+        for lo in range(ring.D + 2):
+            want = ref.truncate(ring.D, lo)
+            assert u.pow_int(n, lo) == want, (n, lo)
+            if names == ring.names:
+                assert _power(ring, n, lo) == want, (n, lo)
 
 
 @st.composite
@@ -188,7 +209,7 @@ def test_whitney_sum(case):
     assert total_swc(pi + rho, D).cls == w_pi * w_rho
     # when rho is a summand of pi the difference is genuine and truncates at
     # its own degree, above which the quotient vanishes
-    assert total_swc(pi - rho, D).to_dict() == (w_pi * w_rho.inverse()).to_dict()
+    assert total_swc(pi - rho, D).to_dict() == (w_pi * _ref_pow(w_rho, -1)).to_dict()
     verify_swc_formula(pi + rho, D)
 
 
@@ -300,22 +321,23 @@ def test_regular_q16_report_matches_oracle():
     assert report.total_expanded == verify_swc_formula(reg, 32)["expanded"]
 
 
-def _swc_in_512_mib(tmp_path, q, rep):
-    """The JSON report of `swc --q q --rep rep` run under a 512 MiB
-    address-space cap; the call must succeed."""
+def _cli_in_512_mib(*args, timeout=300):
+    """The JSON output of `sl2swc ARGS` run under a 512 MiB address-space
+    cap; the call must succeed within the timeout."""
     limit = 512 << 20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sl2swc.cli", "swc", "--q", str(q), "--rep", rep,
-         "--cache-dir", str(tmp_path)],
-        capture_output=True, env=env, preexec_fn=cap, timeout=300,
-    )
+    proc = subprocess.run([sys.executable, "-m", "sl2swc.cli", *args],
+                          capture_output=True, env=env, preexec_fn=cap, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _swc_in_512_mib(tmp_path, q, rep):
+    return _cli_in_512_mib("swc", "--q", str(q), "--rep", rep, "--cache-dir", str(tmp_path))
 
 
 def test_regular_q16_cli_fits_in_512_mib(tmp_path):
@@ -331,6 +353,17 @@ def test_huge_odd_degree_cli_fits_in_512_mib(tmp_path):
     out = _swc_in_512_mib(tmp_path, 9, "32768*reg")
     assert (out["degree"], out["r_or_m"]) == (720 * 32768, 90 * 32768)
     assert out["top_nonzero"] is False and out["obstruction_degree"] == 4 * 2**16
+
+
+def test_dickson_rank6_cli_fits_in_512_mib_and_60_s():
+    # rank 6 is the largest the CLI accepts; a product over all 63 nonzero
+    # linear forms needed about 80 s and 867 MB on a shared 2-vCPU machine
+    out = _cli_in_512_mib("dickson", "--rank", "6", timeout=60)
+    assert out["degrees"] == [32, 48, 56, 60, 62, 63]
+    # d_r is the Moore determinant det(v_i^(2^j)): one monomial per permutation
+    moore = {"*".join(f"v{i}" if s == 0 else f"v{i}^{2**s}" for i, s in enumerate(perm, 1))
+             for perm in permutations(range(6))}
+    assert set(out["dickson"]["d6"].split(" + ")) == moore
 
 
 # ---------------------------------------------------------------------------
