@@ -6,6 +6,12 @@ method: simultaneous eigenvectors of the class matrices are found modulo a
 prime l = 1 (mod exp(G)), and exact cyclotomic values are recovered by
 discrete Fourier inversion over the power-class table.  Both orthogonality
 relations are validated exactly before a table is returned.
+
+The modular step works on int64 numpy arrays.  One kernel, `_nullspace_mod`,
+finds every eigenspace; each matrix Dixon's method splits by (first the
+combination sum 3^i M_i, then the class matrices M_i) gets one characteristic
+polynomial; the lift is one matrix product per class.  `_check_int64` proves
+that no sum of products leaves int64.
 """
 
 from __future__ import annotations
@@ -138,60 +144,53 @@ def fs_indicator(chi: ClassFunction) -> int:
 # Dixon's method, modulo a prime l = 1 (mod exp G)
 # ---------------------------------------------------------------------------
 
-def _rref_mod(mat, l):
-    mat = [row[:] for row in mat]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], l - 2, l)
-        mat[r] = [(x * inv) % l for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [(a - f * b) % l for a, b in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+def _check_int64(terms: int, l: int) -> None:
+    """LiftFailure unless terms·(l - 1)^2 < 2^63.
+
+    The modular step reduces every operand mod l, so an entry of a product
+    sums at most `terms` products of residues below l: s of them in Dixon's
+    matrix products, o in the lift at a class of order o.  `char_table`
+    checks max(s, largest element order) before it allocates anything; at
+    q = 81, s = 85 and l < 2^24, so the sums stay below 85·2^48 < 2^55."""
+    if terms * (l - 1) ** 2 >= 2 ** 63:
+        raise LiftFailure(f"{terms} products mod {l} overflow int64")
 
 
 def _nullspace_mod(A, l):
-    t = len(A)
-    rref, pivots = _rref_mod(A, l)
-    free = [c for c in range(t) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * t
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-rref[i][f]) % l
-        basis.append(v)
-    return basis
+    """Rows spanning the left null space {x : x·A = 0 (mod l)} of A (t x u).
+
+    Row-reduces [A | I]: the rows whose A part ends at zero carry, in their
+    I part, independent combinations that kill A, t - rank of them."""
+    A = np.asarray(A, dtype=np.int64) % l
+    t, u = A.shape
+    W = np.concatenate([A, np.eye(t, dtype=np.int64)], axis=1)
+    r = 0
+    for c in range(u):
+        if r == t:
+            break
+        nz = np.flatnonzero(W[r:, c])
+        if not nz.size:
+            continue
+        W[[r, r + nz[0]]] = W[[r + nz[0], r]]
+        W[r] = W[r] * pow(int(W[r, c]), -1, l) % l
+        W[r + 1:] = (W[r + 1:] - np.outer(W[r + 1:, c], W[r])) % l
+        r += 1
+    return W[r:, u:]
 
 
 def _charpoly_mod(A, l):
     """Faddeev-LeVerrier; returns coefficients low power first, monic."""
+    A = np.asarray(A, dtype=np.int64) % l
     t = len(A)
-    M = [row[:] for row in A]
+    M = A.copy()
     cs = [1]
     for k in range(1, t + 1):
-        tr = sum(M[i][i] for i in range(t)) % l
-        ck = (-tr * pow(k, l - 2, l)) % l
+        ck = -int(np.trace(M)) * pow(k, -1, l) % l
         cs.append(ck)
         if k < t:
-            for i in range(t):
-                M[i][i] = (M[i][i] + ck) % l
-            M = [[sum(A[i][x] * M[x][j] for x in range(t)) % l for j in range(t)]
-                 for i in range(t)]
-    return list(reversed(cs))
+            M[np.diag_indices(t)] += ck
+            M = A @ (M % l) % l
+    return cs[::-1]
 
 
 def _roots_mod(poly, l):
@@ -202,66 +201,58 @@ def _roots_mod(poly, l):
     return sorted(int(x) for x in np.nonzero(acc == 0)[0])
 
 
-def _coords_in_basis(basis, vecs, l):
-    """Coordinates of each vec in the span of the (independent) basis rows."""
-    s = len(basis[0])
-    t = len(basis)
-    aug = [[basis[j][i] for j in range(t)] + [v[i] for v in vecs] for i in range(s)]
-    rref, pivots = _rref_mod(aug, l)
-    if pivots[:t] != list(range(t)):
-        raise AssertionError("basis not independent")
+def _split(spaces, M, l):
+    """Each space V (independent rows, invariant under v -> v·M) cut into its
+    parts V ∩ ker(M - λ), for λ among the roots of M's characteristic
+    polynomial; the part for λ is N·V with N the left null space of V·M - λV."""
+    roots = _roots_mod(_charpoly_mod(M, l), l)
     out = []
-    for vi in range(len(vecs)):
-        out.append([rref[r][t + vi] for r in range(t)])
+    for V in spaces:
+        if len(V) == 1:
+            out.append(V)
+            continue
+        VM = V @ M % l
+        got = 0
+        for lam in roots:
+            N = _nullspace_mod(VM - lam * V, l)
+            if len(N):
+                out.append(N @ V % l)
+                got += len(N)
+                if got == len(V):
+                    break
+        if got != len(V):
+            raise LiftFailure("eigenspace dimensions did not add up")
     return out
+
+
+def _dixon_matrices(struct, l):
+    """The matrices Dixon's method splits by, acting on rows: first the
+    combination sum_i 3^i M_i, which separates most characters at once, then
+    each class matrix M_i, which together always separate them."""
+    mats = np.transpose(np.asarray(struct, dtype=np.int64) % l, (0, 2, 1))
+    weights = np.array([pow(3, i, l) for i in range(len(mats))], dtype=np.int64)
+    return [np.tensordot(weights, mats, axes=1) % l, *mats]
 
 
 def _dixon_eigenvectors(struct, s, id_class, l):
-    """Common eigenvectors of the class matrices, normalized at the identity class."""
-    spaces = [[[1 if i == j else 0 for j in range(s)] for i in range(s)]]
-    for i in range(s):
+    """Common eigenvectors of the class matrices, normalized at the identity class.
+
+    A central character omega of the class algebra satisfies
+    omega_i·omega = M_i omega with M_i[j][k] = struct[i][j][k], so as a row
+    it is a common eigenvector of the transposes."""
+    spaces = [np.eye(s, dtype=np.int64)]
+    for M in _dixon_matrices(struct, l):
         if all(len(V) == 1 for V in spaces):
             break
-        Mi = [[struct[i][j][k] % l for k in range(s)] for j in range(s)]
-        new_spaces = []
-        for V in spaces:
-            if len(V) == 1:
-                new_spaces.append(V)
-                continue
-            imgs = [[sum(Mi[j][k] * v[k] for k in range(s)) % l for j in range(s)] for v in V]
-            A = _coords_in_basis(V, imgs, l)
-            # A currently holds, per img, its coords: make the operator matrix A[row][col]
-            t = len(V)
-            op = [[A[j][i] for j in range(t)] for i in range(t)]
-            roots = _roots_mod(_charpoly_mod(op, l), l)
-            if len(roots) == 1:
-                new_spaces.append(V)
-                continue
-            got = 0
-            for lam in roots:
-                shifted = [[(op[a][b] - (lam if a == b else 0)) % l for b in range(t)]
-                           for a in range(t)]
-                eig_basis = []
-                for nv in _nullspace_mod(shifted, l):
-                    w = [sum(nv[a] * V[a][k] for a in range(t)) % l for k in range(s)]
-                    eig_basis.append(w)
-                if eig_basis:
-                    new_spaces.append(eig_basis)
-                    got += len(eig_basis)
-            if got != t:
-                raise LiftFailure("eigenspace dimensions did not add up")
-        spaces = new_spaces
+        spaces = _split(spaces, M, l)
     if not all(len(V) == 1 for V in spaces):
         raise LiftFailure("class matrices failed to separate characters")
-    out = []
-    for V in spaces:
-        v = V[0]
-        c = v[id_class]
-        if c == 0:
-            raise LiftFailure("eigenvector vanished at the identity class")
-        ci = pow(c, l - 2, l)
-        out.append([(x * ci) % l for x in v])
-    return out
+    W = np.concatenate(spaces)
+    c = W[:, id_class]
+    if not c.all():
+        raise LiftFailure("eigenvector vanished at the identity class")
+    inv = np.array([pow(int(x), -1, l) for x in c], dtype=np.int64)
+    return W * inv[:, None] % l
 
 
 def _primitive_root(l):
@@ -311,42 +302,40 @@ def char_table(G: Group) -> CharacterTable:
     bound = 2 * (isqrt(n) + 1) * max(conj.sizes)
     l = smallest_prime_in_progression(m, 1, bound)
 
-    omegas = _dixon_eigenvectors(structure_constants(G, conj), s, id_class, l)
-    if len(omegas) != s:
+    _check_int64(max(s, *conj.orders), l)
+    W = _dixon_eigenvectors(structure_constants(G, conj), s, id_class, l)
+    if len(W) != s:
         raise LiftFailure("wrong number of eigenvectors")
 
-    z_root = pow(_primitive_root(l), (l - 1) // m, l)
+    # chi = d·omega / |C| with d^2 = n / sum_j omega_j omega_{j^-1} / |C_j|;
+    # a zero sum leaves 0, which is the square of no 0 < d < l
     inv_of = [conj.inverse_class(c) for c in range(s)]
-    size_inv = [pow(h, l - 2, l) for h in conj.sizes]
+    size_inv = np.array([pow(h, -1, l) for h in conj.sizes], dtype=np.int64)
+    norms = (W * W[:, inv_of] % l * size_inv % l).sum(axis=1) % l
+    root_of = {x * x % l: x for x in range(1, isqrt(n) + 2)}
+    degrees = [root_of.get(n * pow(int(nm), l - 2, l) % l) for nm in norms]
+    if None in degrees:
+        raise LiftFailure("degree recovery failed")
+    d = np.array(degrees, dtype=np.int64)
+    X = d[:, None] * W % l * size_inv % l
 
-    chars = []
-    degrees = []
-    for w in omegas:
-        norm = sum(w[j] * w[inv_of[j]] % l * size_inv[j] for j in range(s)) % l
-        d_sq = n * pow(norm, l - 2, l) % l
-        d = next((x for x in range(1, isqrt(n) + 2) if x * x % l == d_sq), None)
-        if d is None:
-            raise LiftFailure("degree recovery failed")
-        chi_mod = [d * w[j] % l * size_inv[j] % l for j in range(s)]
-
-        values = []
-        for j in range(s):
-            nj = conj.orders[j]
-            zj = pow(z_root, m // nj, l)
-            nj_inv = pow(nj, l - 2, l)
-            vec = [0] * m
-            for t_exp in range(nj):
-                tot = 0
-                for k in range(nj):
-                    tot += chi_mod[conj.power[j][k]] * pow(zj, (-t_exp * k) % nj, l)
-                mt = tot * nj_inv % l
-                if mt > d:
-                    raise LiftFailure("eigenvalue multiplicity exceeded the degree")
-                if mt:
-                    vec[(t_exp * (m // nj)) % m] += mt
-            values.append(cyclo_make(m, vec))
-        chars.append(ClassFunction(G, conj, m, values))
-        degrees.append(d)
+    # the multiplicity of the eigenvalue z_c^t of rho(c), c of order o, is
+    # (1/o) sum_k chi(c^k) z_c^(-tk): one product for all characters at once
+    z_root = pow(_primitive_root(l), (l - 1) // m, l)
+    values = []
+    for c in range(s):
+        o = conj.orders[c]
+        zc = pow(z_root, m // o, l)
+        zp = np.array([pow(zc, e, l) for e in range(o)], dtype=np.int64)
+        ks = np.arange(o)
+        F = zp[np.outer(ks, -ks) % o]
+        mt = X[:, conj.power[c][:o]] @ F % l * pow(o, -1, l) % l
+        if (mt > d[:, None]).any():
+            raise LiftFailure("eigenvalue multiplicity exceeded the degree")
+        vec = np.zeros((s, m), dtype=np.int64)
+        vec[:, :: m // o] = mt
+        values.append([cyclo_make(m, row) for row in vec.tolist()])
+    chars = [ClassFunction(G, conj, m, col) for col in zip(*values)]
 
     if sum(d * d for d in degrees) != n:
         raise LiftFailure("degree squares do not sum to the group order")
@@ -386,7 +375,7 @@ def table_from_characters(G: Group, conj: ConjugacyData, m: int,
     return CharacterTable(G, conj, m, chars, degrees, fs, dual, omega)
 
 
-def structure_constants(G: Group, conj: ConjugacyData) -> list:
+def structure_constants(G: Group, conj: ConjugacyData) -> np.ndarray:
     """a[i][j][k] = #{x in C_i : x^-1 z in C_j}, z the representative of C_k."""
     s = conj.nclasses()
     cls = np.asarray(conj.class_of)
@@ -394,7 +383,7 @@ def structure_constants(G: Group, conj: ConjugacyData) -> list:
     for k, z in enumerate(conj.reps):
         pairs = cls * s + cls[G.mul_many(G.inverses, z)]
         a[:, :, k] = np.bincount(pairs, minlength=s * s).reshape(s, s)
-    return a.tolist()
+    return a
 
 
 def _validate_orthogonality(conj, chars):

@@ -376,7 +376,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+# A cold GL(2,9) table takes about 5 s and GL(2,11) 95 s and 494 MB, nearly
+# all of it the exact orthogonality check (a shared 2-vCPU machine), so larger
+# GL tables are refused up front.
+GL_TABLE_CAP = 9
+
+
 def cmd_table(args) -> int:
+    if args.group == "gl2" and args.q > GL_TABLE_CAP:
+        raise UsageError(f"table --group gl2 needs q <= {GL_TABLE_CAP}, not {args.q}")
     cache_dir = cache_directory(args.cache_dir)
     table = get_table(args.group, args.q, cache_dir)
     _emit(serialize_table(table))

@@ -38,7 +38,7 @@ from .cohomology import (
     steenrod_sq,
     unipotent_ring,
 )
-from .groups import Group, Subgroup, build_sl2, find_quaternion, minus_one
+from .groups import Group, Subgroup, build_sl2, conjugacy, find_quaternion
 from .swc import (
     TotalSWC,
     WrongParity,
@@ -74,17 +74,14 @@ class RestrictionProfile:
 
 
 def central_involution(G: Group) -> int:
-    """Index of the unique central element of order 2."""
-    if G.kind == "sl2":
-        if G.field.p == 2:
-            raise WrongParity("SL(2,q) with even q has no central involution")
-        return minus_one(G)
-    found = []
-    for z in range(len(G)):
-        if z != G.identity and G.mult(z, z) == G.identity:
-            if all(G.mult(z, x) == G.mult(x, z) for x in range(len(G))):
-                found.append(z)
+    """Index of the unique central element of order 2, the representative of
+    the one class of size 1 and order 2."""
+    conj = conjugacy(G)
+    found = [r for r, size, o in zip(conj.reps, conj.sizes, conj.orders)
+             if size == 1 and o == 2]
     if len(found) != 1:
+        if G.kind == "sl2" and G.field.p == 2:
+            raise WrongParity("SL(2,q) with even q has no central involution")
         raise ValueError(f"{G.name} has {len(found)} central involutions")
     return found[0]
 

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
-from sl2swc.algebra import Cyclo, cyclo_to_integer
+from sl2swc.algebra import Cyclo, cyclo_to_integer, smallest_prime_in_progression
 from sl2swc.characters import (
     BadConstructionParams,
     ClassFunction,
@@ -10,6 +13,11 @@ from sl2swc.characters import (
     NotIndicator,
     NotOrthogonal,
     VirtualRep,
+    _charpoly_mod,
+    _check_int64,
+    _dixon_matrices,
+    _nullspace_mod,
+    _split,
     _validate_orthogonality,
     char_table,
     cuspidal,
@@ -24,12 +32,14 @@ from sl2swc.characters import (
     regular_rep,
     rep_from_class_function,
     restrict,
+    structure_constants,
     symmetrize,
     trivial_rep,
 )
 from sl2swc.groups import (
     build_gl2,
     build_sl2,
+    conjugacy,
     gen_quaternion,
     standard_subgroup,
     subgroup_from_indices,
@@ -359,3 +369,109 @@ def test_value_at_is_the_summed_character(q):
                 want = want + chi.values[c] * n
             assert fresh.value_at(c) == want == whole.values[c]
             assert pi.value_at(c) == want
+
+
+# ---------------------------------------------------------------------------
+# the modular kernels of Dixon's method, against brute force mod a small prime
+# ---------------------------------------------------------------------------
+
+def _vectors(p, t):
+    return np.array(list(itertools.product(range(p), repeat=t)), dtype=np.int64).reshape(p ** t, t)
+
+
+def _random_matrix(rng, p, t, u, rank):
+    """A t x u matrix mod p of rank at most `rank`."""
+    B = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(t)], dtype=np.int64)
+    C = np.array([[rng.randrange(p) for _ in range(u)] for _ in range(rank)], dtype=np.int64)
+    return B.reshape(t, rank) @ C.reshape(rank, u) % p
+
+
+def _left_kernel_cases():
+    rng = random.Random(5)
+    p = 5
+    yield p, np.zeros((3, 4), dtype=np.int64)
+    yield p, np.eye(4, dtype=np.int64)
+    yield p, np.array([[1, 2, 3], [0, 4, 1], [2, 2, 0]], dtype=np.int64)  # det 3, full rank
+    yield p, np.zeros((2, 0), dtype=np.int64)
+    for _ in range(12):
+        t, u = rng.randrange(1, 5), rng.randrange(1, 5)
+        yield p, _random_matrix(rng, p, t, u, rng.randrange(0, min(t, u) + 1))
+
+
+@pytest.mark.parametrize("p,A", _left_kernel_cases())
+def test_nullspace_mod_is_the_left_kernel(p, A):
+    t = len(A)
+    N = _nullspace_mod(A, p)
+    assert N.shape[1] == t and not (N @ A % p).any()
+    X = _vectors(p, t)
+    kernel = {tuple(x) for x in X[~(X @ A % p).any(axis=1)]}
+    rank = round(math.log(len({tuple(y) for y in X @ A % p}), p))
+    assert len(N) == t - rank
+    # the rows span the whole kernel, and independently: p^k combinations, all distinct
+    span = {tuple(c) for c in _vectors(p, len(N)) @ N % p}
+    assert span == kernel and len(kernel) == p ** len(N)
+
+
+def _det_mod(M, p):
+    t = len(M)
+    total = 0
+    for perm in itertools.permutations(range(t)):
+        inversions = sum(perm[i] > perm[j] for i in range(t) for j in range(i + 1, t))
+        term = (-1) ** inversions
+        for i in range(t):
+            term *= int(M[i][perm[i]])
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_charpoly_mod_against_brute_force(seed):
+    rng = random.Random(seed)
+    p = 7
+    t = rng.randrange(1, 6)   # t < p, so the values at the p points fix the polynomial
+    A = np.array([[rng.randrange(p) for _ in range(t)] for _ in range(t)], dtype=np.int64)
+    poly = _charpoly_mod(A, p)
+    assert len(poly) == t + 1 and poly[-1] == 1
+    for lam in range(p):
+        value = sum(c * lam ** k for k, c in enumerate(poly)) % p
+        assert value == _det_mod(lam * np.eye(t, dtype=np.int64) - A, p)
+    # Cayley-Hamilton: p(A) = 0
+    acc = np.zeros((t, t), dtype=np.int64)
+    for c in reversed(poly):
+        acc = (acc @ A + c * np.eye(t, dtype=np.int64)) % p
+    assert not acc.any()
+
+
+def test_int64_bound():
+    _check_int64(85, 2 ** 24)   # q = 81: s = 85 classes, l < 2^24
+    bound = math.isqrt((2 ** 63 - 1) // 85)  # the largest l - 1 whose products fit
+    _check_int64(85, bound + 1)
+    with pytest.raises(LiftFailure):
+        _check_int64(85, bound + 2)
+
+
+def test_int64_guard_runs_before_the_structure_constants(monkeypatch):
+    from sl2swc import characters
+
+    def never(*args):
+        raise AssertionError("allocated the structure constants")
+
+    monkeypatch.setattr(characters, "smallest_prime_in_progression", lambda *a: 2 ** 31 - 1)
+    monkeypatch.setattr(characters, "structure_constants", never)
+    with pytest.raises(LiftFailure, match="overflow int64"):
+        char_table(build_sl2.__wrapped__(3))   # a fresh group, no cached table
+
+
+@pytest.mark.parametrize("build,q,parts", [(build_sl2, 3, 6), (build_gl2, 9, 79)],
+                         ids=["SL(2,3)", "GL(2,9)"])
+def test_the_class_matrices_finish_what_the_combination_leaves(build, q, parts):
+    # the combination sum 3^i M_i has a repeated eigenvalue on these groups, so
+    # their tables exercise the split by the single class matrices
+    G = build(q)
+    conj = conjugacy(G)
+    n, s = len(G), conj.nclasses()
+    l = smallest_prime_in_progression(conj.exponent, 1,
+                                      2 * (math.isqrt(n) + 1) * max(conj.sizes))
+    combination, *_ = _dixon_matrices(structure_constants(G, conj), l)
+    assert len(_split([np.eye(s, dtype=np.int64)], combination, l)) == parts < s
+    assert len(char_table(G).chars) == s

@@ -183,11 +183,22 @@ def test_usage_errors(capsys, tmp_path):
     ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
     ("cohomology", "--group", "c2:6", "--max-degree", "257"),
+    # GL tables above GL_TABLE_CAP = 9 are refused: a cold GL(2,11) takes 95 s
+    ("table", "--group", "gl2", "--q", "11"),
+    ("table", "--group", "gl2", "--q", "81"),
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+def test_gl_table_cap_leaves_the_gl_constructions(capsys, tmp_path):
+    # ps(k) and cusp(k) induce inside GL(2,q) without its character table
+    code, out, _ = _run(capsys, "swc", "--q", "11", "--rep", "S(ps(1))",
+                        "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["degree"] == 24
 
 
 def test_zero_trials_runs_no_random_cases(capsys):

@@ -165,7 +165,7 @@ def test_structure_constants_match_brute_force():
         for x in range(len(G)):
             y = prod(ref["inverse"][x], z)
             want[cls[x]][cls[G.find(y)]][k] += 1
-    assert structure_constants(G, conjugacy(G)) == want
+    assert structure_constants(G, conjugacy(G)).tolist() == want
 
 
 def test_checks_survive_python_O():

@@ -17,6 +17,7 @@ from sl2swc.characters import (
 )
 from sl2swc.cohomology import restrict_genq_to_q8, restrict_q8_to_center, steenrod_sq
 from sl2swc.groups import (
+    build_gl2,
     build_sl2,
     find_quaternion,
     gen_quaternion,
@@ -40,6 +41,7 @@ from sl2swc.oracle import (
     verify_swc_formula,
     wu_formula_holds,
 )
+from sl2swc.swc import WrongParity
 
 
 def _single(table, i):
@@ -329,9 +331,17 @@ def test_genq_symmetrized_class_via_center():
 
 def test_central_involution_detection():
     assert central_involution(gen_quaternion(3)) == gen_quaternion(3).find((2, 0))
-    G = build_sl2(5)
-    m1 = G.field.neg[1]
-    assert central_involution(G) == G.find((m1, 0, 0, m1))
+    for G in (build_sl2(5), build_sl2(9), build_gl2(3)):
+        m1 = G.field.neg[1]
+        assert central_involution(G) == G.find((m1, 0, 0, m1)), G.name
+
+
+def test_central_involution_errors():
+    # SL(2, 2^r) has trivial center; the nontrivial scalars of GL(2,4) have order 3
+    with pytest.raises(WrongParity):
+        central_involution(build_sl2(4))
+    with pytest.raises(ValueError, match="GL.* has 0 central involutions"):
+        central_involution(build_gl2(4))
 
 
 # ---------------------------------------------------------------------------
