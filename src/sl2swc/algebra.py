@@ -167,15 +167,6 @@ class FieldTable:
             raise AssertionError("trace landed outside the prime field")
         return acc
 
-    def mult_order(self, i: int) -> int:
-        if i == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        k, cur = 1, i
-        while cur != 1:
-            cur = self.mul[cur][i]
-            k += 1
-        return k
-
 
 # ---------------------------------------------------------------------------
 # Cyclotomic integers

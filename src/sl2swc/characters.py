@@ -12,6 +12,10 @@ finds every eigenspace; each matrix Dixon's method splits by (first the
 combination sum 3^i M_i, then the class matrices M_i) gets one characteristic
 polynomial; the lift is one matrix product per class.  `_check_int64` proves
 that no sum of products leaves int64.
+
+Induction and restriction read subgroup classes through one fusion map,
+`_fusion`, taken from the conjugacy data of both groups, so neither
+multiplies group elements once those are built.
 """
 
 from __future__ import annotations
@@ -329,7 +333,7 @@ def char_table(G: Group) -> CharacterTable:
         zp = np.array([pow(zc, e, l) for e in range(o)], dtype=np.int64)
         ks = np.arange(o)
         F = zp[np.outer(ks, -ks) % o]
-        mt = X[:, conj.power[c][:o]] @ F % l * pow(o, -1, l) % l
+        mt = X[:, conj.power[c]] @ F % l * pow(o, -1, l) % l
         if (mt > d[:, None]).any():
             raise LiftFailure("eigenvalue multiplicity exceeded the degree")
         vec = np.zeros((s, m), dtype=np.int64)
@@ -414,8 +418,23 @@ def _validate_orthogonality(conj, chars):
 # Induction and restriction
 # ---------------------------------------------------------------------------
 
+def _fusion(K: Group, G: Group) -> list[int]:
+    """The class of G that each class of K lies in, for K inside G with the
+    same element codes; ValueError unless both groups share one coding and
+    every element of K is in G."""
+    at = G.locate(K.codes) if K.arith is G.arith else None
+    if at is None or np.count_nonzero(at < 0):
+        raise ValueError(f"{K.name} is not contained in {G.name}")
+    class_of = conjugacy(G).class_of
+    return [class_of[i] for i in at[conjugacy(K).reps].tolist()]
+
+
 def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
-    """chi_Ind(g) = |H|^-1 sum over x in G with x^-1 g x in H of chi(x^-1 g x)."""
+    """chi_Ind(g) = |G| / (|H| |g^G|) · sum |c| chi(c) over the classes c of H
+    that fuse into the class g^G.
+
+    This is the definition |H|^-1 sum over x in G with x^-1 g x in H of
+    chi(x^-1 g x): each h in H ∩ g^G equals x^-1 g x for |G| / |g^G| of the x."""
     if H.parent is not G or chi.group is not H.group:
         raise ValueError(f"cannot induce a class function of {chi.group.name} "
                          f"through {H.group.name} to {G.name}")
@@ -423,34 +442,19 @@ def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
     conj_h = conjugacy(H.group)
     m = lcm(chi.m, conj_g.exponent)
     chi = chi.align(m)
-    X = np.arange(len(G))
-    h_cls = np.asarray(conj_h.class_of)
-    phi = len(Cyclo.integer(m, 0).coeffs)
-    values = []
-    for g in conj_g.reps:
-        # H-index of each conjugate x^-1 g x, or -1 outside H
-        y = H.group.locate(G.codes[G.mul_many(G.inverses, G.mul_many(g, X))])
-        counts = np.bincount(h_cls[y[y >= 0]], minlength=conj_h.nclasses())
-        acc_vec = [0] * phi
-        for c in np.flatnonzero(counts).tolist():
-            for i, cc in enumerate(chi.values[c].coeffs):
-                if cc:
-                    acc_vec[i] += int(counts[c]) * cc
-        values.append(Cyclo(m, tuple(acc_vec)).exact_div(len(H.group)))
+    sums = [Cyclo.integer(m, 0)] * conj_g.nclasses()
+    for c, gc in enumerate(_fusion(H.group, G)):
+        sums[gc] = sums[gc] + chi.values[c] * conj_h.sizes[c]
+    values = [(v * (len(G) // size)).exact_div(len(H.group))
+              for v, size in zip(sums, conj_g.sizes)]
     return ClassFunction(G, conj_g, m, values)
 
 
 def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
     """Restriction along the inclusion of K in chi's group, given by equal
-    element codes; ValueError unless both groups share one coding and every
-    element of K is in chi's group."""
-    G = chi.group
-    at = G.locate(K.codes) if K.arith is G.arith else None
-    if at is None or np.count_nonzero(at < 0):
-        raise ValueError(f"{K.name} is not contained in {G.name}")
-    conj_k = conjugacy(K)
-    vals = [chi.values[chi.conj.class_of[i]] for i in at[conj_k.reps].tolist()]
-    return ClassFunction(K, conj_k, chi.m, vals)
+    element codes; ValueError as for `_fusion`."""
+    vals = [chi.values[c] for c in _fusion(K, chi.group)]
+    return ClassFunction(K, conjugacy(K), chi.m, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +665,17 @@ def random_genuine_rep(table, rng, max_degree=200) -> VirtualRep:
 # Principal series and cuspidal constructions
 # ---------------------------------------------------------------------------
 
-def _canonical_multiplicative_generator(F) -> int:
-    for a in range(2, F.q):
-        if F.mult_order(a) == F.q - 1:
-            return a
-    raise AssertionError("multiplicative group had no generator")
+def _logs(mult, one, elems, n: int) -> dict:
+    """{g^j: j for 0 <= j < n}, g the first of `elems` of order n, the powers
+    taken with `mult` from `one`."""
+    for g in elems:
+        out, cur = {}, one
+        while cur not in out:
+            out[cur] = len(out)
+            cur = mult(cur, g)
+        if len(out) == n:
+            return out
+    raise AssertionError(f"no element of order {n}")
 
 
 def principal_series(q: int, k: int) -> ClassFunction:
@@ -684,8 +694,7 @@ def principal_series(q: int, k: int) -> ClassFunction:
     Gt = build_gl2(q)
     B = standard_subgroup(Gt, "B")
     F = Gt.field
-    gen = _canonical_multiplicative_generator(F)
-    dlog = _dlog_table(F, gen)
+    dlog = _logs(lambda a, b: F.mul[a][b], 1, range(2, q), q - 1)
     m = conjugacy(Gt).exponent
     if m % (q - 1):
         raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q - 1")
@@ -724,12 +733,7 @@ def cuspidal(q: int, k: int) -> ClassFunction:
         raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q^2 - 1 and p")
     step = m // (q * q - 1)
 
-    gen_i = next(i for i in range(len(Te.group)) if Te.group.elem_order(i) == q * q - 1)
-    dlog_te = [0] * len(Te.group)  # by Te index
-    cur = Te.group.identity
-    for j in range(q * q - 1):
-        dlog_te[cur] = j
-        cur = Te.group.mult(cur, gen_i)
+    dlog_te = _logs(Te.group.mult, Te.group.identity, range(len(Te.group)), q * q - 1)
 
     conj_te = conjugacy(Te.group)
     vals_te = [Cyclo.root(m, step * k * dlog_te[r]) for r in conj_te.reps]
@@ -739,8 +743,7 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     vals_zn = []
     for r in conj_zn.reps:
         s_, x, _, _ = ZN.group.elem(r)
-        u = F.mul[x][F.inv[s_]]
-        tr = F.trace[u]
+        tr = F.trace[F.mul[x][F.inv[s_]]]
         e = step * k * dlog_te[Te.group.find((s_, 0, 0, s_))] + (m // p) * tr
         vals_zn.append(Cyclo.root(m, e))
     chi_zn = ClassFunction(ZN.group, conj_zn, m, vals_zn)
@@ -749,15 +752,6 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     if out.degree() != q - 1:
         raise AssertionError(f"cuspidal character of degree {out.degree()}, not q - 1")
     return out
-
-
-def _dlog_table(F, gen: int) -> dict[int, int]:
-    table = {}
-    cur = 1
-    for j in range(F.q - 1):
-        table[cur] = j
-        cur = F.mul[cur][gen]
-    return table
 
 
 def principal_series_sl(q: int, k: int) -> VirtualRep:

@@ -391,7 +391,15 @@ def cmd_table(args) -> int:
     return 0
 
 
+# Cold `swc --rep "S(ps(1))"` and `"S(cusp(1))"` under 512 MiB took 29 s and
+# 27 s at q = 19 but 114 s and 121 s at q = 23, mostly in conjugacy(GL(2,q))
+# (a shared 2-vCPU machine), so larger q is refused before any table is built.
+PS_CUSP_CAP = 19
+
+
 def cmd_swc(args) -> int:
+    if args.q > PS_CUSP_CAP and {"ps", "cusp"} & {tok[1] for tok in _tokenize(args.rep)}:
+        raise UsageError(f"ps(k) and cusp(k) need q <= {PS_CUSP_CAP}, not {args.q}")
     cache_dir = cache_directory(args.cache_dir)
     table = get_table("sl2", args.q, cache_dir)
     pi = parse_rep(args.rep, table)

@@ -246,16 +246,16 @@ class ConjugacyData:
     sizes: list[int]
     orders: list[int]          # element order of each class
     exponent: int
-    power: list[list[int]]     # power[c][k] = class of rep_c^k, k mod exponent
+    power: list[list[int]]     # power[c][k] = class of rep_c^k, k < orders[c]
 
     def nclasses(self) -> int:
         return len(self.reps)
 
     def power_class(self, c: int, k: int) -> int:
-        return self.power[c][k % self.exponent]
+        return self.power[c][k % self.orders[c]]
 
     def inverse_class(self, c: int) -> int:
-        return self.power[c][(-1) % self.exponent]
+        return self.power[c][-1]
 
     def class_of_elem(self, elem) -> int:
         return self.class_of[self.group.find(elem)]
@@ -311,8 +311,7 @@ def conjugacy(G: Group) -> ConjugacyData:
                              "representative differ in order")
     orders = order[rep_idx].tolist()
     exponent = reduce(lcm, orders, 1)
-    power = [[int(rows[k][c]) for k in range(d)] * (exponent // d)
-             for c, d in enumerate(orders)]
+    power = [[int(rows[k][c]) for k in range(d)] for c, d in enumerate(orders)]
 
     data = ConjugacyData(G, cls.tolist(), reps, sizes, orders, exponent, power)
     G._conj = data

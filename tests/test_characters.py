@@ -37,6 +37,7 @@ from sl2swc.characters import (
     trivial_rep,
 )
 from sl2swc.groups import (
+    Group,
     build_gl2,
     build_sl2,
     conjugacy,
@@ -191,6 +192,64 @@ def test_frobenius_reciprocity():
             lhs = ind.inner_int(psi)
             rhs = restrict(psi, B.group).inner_int(chi)
             assert lhs == rhs
+
+
+def _induce_by_definition(H, chi, G):
+    """(1/|H|) sum over x in G with x^-1 g x in H of chi(x^-1 g x), summing
+    over all of G: counts[c] is the number of x with x^-1 g x in the class c
+    of H."""
+    conj_g, conj_h = conjugacy(G), conjugacy(H.group)
+    m = math.lcm(chi.m, conj_g.exponent)
+    chi = chi.align(m)
+    X = np.arange(len(G))
+    h_cls = np.asarray(conj_h.class_of)
+    values = []
+    for g in conj_g.reps:
+        y = H.group.locate(G.codes[G.mul_many(G.inverses, G.mul_many(g, X))])
+        counts = np.bincount(h_cls[y[y >= 0]], minlength=conj_h.nclasses()).tolist()
+        total = Cyclo.integer(m, 0)
+        for c, n in enumerate(counts):
+            total = total + chi.values[c] * n
+        values.append(total.exact_div(len(H.group)))
+    return ClassFunction(G, conj_g, m, values)
+
+
+INDUCE_CASES = [("gl2", q, tag) for q in (3, 5) for tag in ("Z", "N", "ZN", "T", "B", "Te")] \
+    + [("sl2", 5, tag) for tag in ("Z", "N", "ZN", "T", "B")]
+
+
+@pytest.mark.parametrize("kind, q, tag", INDUCE_CASES,
+                         ids=[f"{k}-{q}-{t}" for k, q, t in INDUCE_CASES])
+def test_induce_matches_the_sum_over_the_group(kind, q, tag):
+    G = (build_gl2 if kind == "gl2" else build_sl2)(q)
+    H = standard_subgroup(G, tag)
+    for psi in char_table(G).chars:
+        chi = restrict(psi, H.group)
+        assert induce(H, chi, G) == _induce_by_definition(H, chi, G), psi
+
+
+def test_induce_takes_no_group_products(monkeypatch):
+    G = build_gl2(5)
+    B = standard_subgroup(G, "B")
+    chi = restrict(char_table(G).chars[-1], B.group)  # caches both conjugacy tables
+    calls = []
+    real = Group.mul_many
+
+    def counted(self, I, J):
+        calls.append(self.name)
+        return real(self, I, J)
+
+    monkeypatch.setattr(Group, "mul_many", counted)
+    induce(B, chi, G)
+    assert calls == []
+
+
+def test_induce_rejects_a_foreign_subgroup():
+    G = build_gl2(3)
+    B = standard_subgroup(build_gl2(5), "B")
+    chi = char_table(B.group).chars[0]
+    with pytest.raises(ValueError, match="cannot induce"):
+        induce(B, chi, G)
 
 
 def test_restrict_rho_to_center_is_twice_sign():

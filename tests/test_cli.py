@@ -193,6 +193,17 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"] == "UsageError"
 
 
+# ps(k) and cusp(k) above PS_CUSP_CAP = 19 are refused before any table is
+# built: cold, they take more than a minute at q = 23
+@pytest.mark.parametrize("q, rep", [("23", "S(ps(1))"), ("23", "cusp(1)"), ("81", "ps(1)"),
+                                    ("25", "reg - 2*S(S(cusp(3)))")])
+def test_ps_cusp_cap_refuses_before_any_build(capsys, monkeypatch, q, rep):
+    monkeypatch.setattr(cli, "get_table", lambda *args: pytest.fail("a table was built"))
+    code, out, err = _run(capsys, "swc", "--q", q, "--rep", rep)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_gl_table_cap_leaves_the_gl_constructions(capsys, tmp_path):
     # ps(k) and cusp(k) induce inside GL(2,q) without its character table
     code, out, _ = _run(capsys, "swc", "--q", "11", "--rep", "S(ps(1))",

@@ -113,8 +113,7 @@ def _reference_conjugacy(G):
         reps.append(g)
     orders = [len(powers[r]) for r in reps]
     exponent = reduce(lcm, orders, 1)
-    power = [[class_of[index[powers[r][k % len(powers[r])]]] for k in range(exponent)]
-             for r in reps]
+    power = [[class_of[index[x]] for x in powers[r]] for r in reps]
     return {"classes": classes, "class_of": class_of, "reps": reps,
             "sizes": [len(c) for c in classes], "orders": orders,
             "exponent": exponent, "power": power, "inverse": inverse}
