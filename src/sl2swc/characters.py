@@ -3,9 +3,15 @@ induction/restriction, symmetrization, and orthogonal decomposition.
 
 Character tables are computed from scratch by the Burnside-Dixon class-matrix
 method: simultaneous eigenvectors of the class matrices are found modulo a
-prime l = 1 (mod exp(G)), and exact cyclotomic values are recovered by
-discrete Fourier inversion over the power-class table.  Both orthogonality
-relations are validated exactly before a table is returned.
+prime l = 1 (mod exp(G)), which gives the table X mod l.  One routine,
+`_certified_table`, takes any such X to a checked table: it lifts each class
+to the eigenvalue multiplicities (spectra) of every character by discrete
+Fourier inversion over the power-class table, folds each distinct spectrum
+into Z[zeta_m] once, and certifies that the rows are the irreducible
+characters (row orthogonality in Z, read off the spectra through Ramanujan
+sums, and the class-algebra relations mod l).  `char_table` reaches it from
+Dixon's eigenvectors and `table_from_values` from stored values reduced mod
+l, so loading a cached table reruns the certificate of a cold build.
 
 The modular step works on int64 numpy arrays.  One kernel, `_nullspace_mod`,
 finds every eigenspace; each matrix Dixon's method splits by (first the
@@ -21,7 +27,8 @@ multiplies group elements once those are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .algebra import (
     NotRationalInteger,
     cyclo_make,
     cyclo_to_integer,
+    euler_phi,
     lcm,
     prime_factors,
     smallest_prime_in_progression,
@@ -153,11 +161,34 @@ def _check_int64(terms: int, l: int) -> None:
 
     The modular step reduces every operand mod l, so an entry of a product
     sums at most `terms` products of residues below l: s of them in Dixon's
-    matrix products, o in the lift at a class of order o.  `char_table`
-    checks max(s, largest element order) before it allocates anything; at
-    q = 81, s = 85 and l < 2^24, so the sums stay below 85·2^48 < 2^55."""
+    matrix products and the class-algebra check, o in the lift at a class of
+    order o.  `_modulus` checks max(s, largest element order) before anything
+    is allocated; at q = 81, s = 85 and l < 2^24, so the sums stay below
+    85·2^48 < 2^55."""
     if terms * (l - 1) ** 2 >= 2 ** 63:
         raise LiftFailure(f"{terms} products mod {l} overflow int64")
+
+
+def _modulus(G: Group, conj: ConjugacyData) -> int:
+    """The prime l of Dixon's method: the least l = 1 (mod exp G) above
+    2(isqrt|G| + 1)·max |C|.  So l does not divide |G| (every prime that does
+    divides exp G), every degree, being at most sqrt|G|, is below l/2, and
+    every structure constant, being at most a class size, is below l."""
+    bound = 2 * (isqrt(len(G)) + 1) * max(conj.sizes)
+    l = smallest_prime_in_progression(conj.exponent, 1, bound)
+    _check_int64(max(conj.nclasses(), *conj.orders), l)
+    return l
+
+
+def _dot_mod(A, v, l):
+    """A·v mod l for residues below l, summed in int64 chunks of at most
+    (2^63 - 1) // (l - 1)^2 terms: a whole row of phi(m) terms can leave int64
+    (phi(m)·(l - 1)^2 passes 2^63 near q = 79)."""
+    step = (2 ** 63 - 1) // (l - 1) ** 2
+    out = np.zeros(A.shape[:-1], dtype=np.int64)
+    for i in range(0, A.shape[-1], step):
+        out = (out + A[..., i:i + step] @ v[i:i + step] % l) % l
+    return out
 
 
 def _nullspace_mod(A, l):
@@ -259,13 +290,14 @@ def _dixon_eigenvectors(struct, s, id_class, l):
     return W * inv[:, None] % l
 
 
-def _primitive_root(l):
+def _root_of_unity(m, l):
+    """A primitive m-th root of unity mod l: the (l - 1)/m-th power of the
+    least primitive root."""
     fac = prime_factors(l - 1)
     g = 2
-    while True:
-        if all(pow(g, (l - 1) // f, l) != 1 for f in fac):
-            return g
+    while not all(pow(g, (l - 1) // f, l) != 1 for f in fac):
         g += 1
+    return pow(g, (l - 1) // m, l)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +327,16 @@ class CharacterTable:
 
 
 def char_table(G: Group) -> CharacterTable:
+    """The character table of G: Dixon's method gives the table mod l, and
+    `_certified_table` lifts and certifies it."""
     if G._char_table is not None:
         return G._char_table
     conj = conjugacy(G)
     n = len(G)
     s = conj.nclasses()
-    m = conj.exponent
-    id_class = conj.class_of[G.identity]
-
-    bound = 2 * (isqrt(n) + 1) * max(conj.sizes)
-    l = smallest_prime_in_progression(m, 1, bound)
-
-    _check_int64(max(s, *conj.orders), l)
-    W = _dixon_eigenvectors(structure_constants(G, conj), s, id_class, l)
-    if len(W) != s:
-        raise LiftFailure("wrong number of eigenvectors")
+    l = _modulus(G, conj)
+    struct = structure_constants(G, conj)
+    W = _dixon_eigenvectors(struct, s, conj.class_of[G.identity], l)
 
     # chi = d·omega / |C| with d^2 = n / sum_j omega_j omega_{j^-1} / |C_j|;
     # a zero sum leaves 0, which is the square of no 0 < d < l
@@ -320,42 +347,164 @@ def char_table(G: Group) -> CharacterTable:
     degrees = [root_of.get(n * pow(int(nm), l - 2, l) % l) for nm in norms]
     if None in degrees:
         raise LiftFailure("degree recovery failed")
-    d = np.array(degrees, dtype=np.int64)
-    X = d[:, None] * W % l * size_inv % l
+    X = np.array(degrees, dtype=np.int64)[:, None] * W % l * size_inv % l
 
-    # the multiplicity of the eigenvalue z_c^t of rho(c), c of order o, is
-    # (1/o) sum_k chi(c^k) z_c^(-tk): one product for all characters at once
-    z_root = pow(_primitive_root(l), (l - 1) // m, l)
+    G._char_table = _certified_table(G, conj, l, struct, X)
+    return G._char_table
+
+
+def table_from_values(G: Group, conj: ConjugacyData, values) -> CharacterTable:
+    """The certified table whose characters have the given values, each a
+    coefficient list in Z[zeta_m], m = exp G, as `CharacterTable` stores
+    them: they are reduced mod l at zeta_m -> z and go through
+    `_certified_table` as Dixon's table does.  The table returned holds the
+    values lifted from those residues, so a caller that compares them with
+    its own rejects any value that is not the fold of its own spectrum."""
+    m = conj.exponent
+    l = _modulus(G, conj)
+    z = _root_of_unity(m, l)
+    zp = np.array([pow(z, i, l) for i in range(euler_phi(m))], dtype=np.int64)
+    X = np.array([_dot_mod(np.array(row, dtype=np.int64) % l, zp, l) for row in values])
+    return _certified_table(G, conj, l, structure_constants(G, conj), X)
+
+
+def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> CharacterTable:
+    """The table of the characters chi_a with chi_a(c) = X[a][c] (mod l),
+    each lifted through its spectra, or LiftFailure unless the rows of X are
+    exactly the irreducible characters.
+
+    The checks: there are s rows for s classes; every degree d_a, the entry
+    of X[a] at the identity class, lies in 0 < d_a < l/2; the spectra pass
+    `_check_spectra` (row orthogonality in Z); and every
+    omega_a = X[a]·|C| / d_a is a homomorphism of the class algebra mod l
+    (`_check_class_algebra`).  Together they admit only Irr(G), by three
+    facts: l does not divide |G|, every degree is below l/2, and every
+    multiplicity is at most chi(1) < l.
+
+    Proof.  Fix the prime ideal of Z[zeta_m] over l with zeta_m = z; its
+    residue field is F_l, as l = 1 (mod m).  Since l does not divide |G|, the
+    class algebra over F_l is split semisimple of dimension s, and its s
+    homomorphisms to F_l are the reductions of the central characters
+    omega_psi = |C|·psi / psi(1), psi in Irr(G) (psi(1) divides |G|, so it
+    is a unit mod l).  So the class-algebra check makes each row
+    X[a] = r_a·psi_a mod l for some psi_a in Irr(G), r_a = d_a / psi_a(1).
+    Fourier inversion gives sum_t mu_a(c)[t] z^t = X[a][c]: the lifted
+    value chi_a reduces to X[a].  Hence <chi_a, chi_a> = 1, reduced mod l,
+    says r_a^2 = <psi_a, psi_a> = 1, so d_a = +-psi_a(1) (mod l); both lie in
+    (0, l/2), so d_a = psi_a(1) and r_a = 1.  Then mu_a(c) is congruent to
+    the multiplicities of psi_a's eigenvalues at c, which lie in
+    [0, psi_a(1)], inside [0, l) as the residues mu_a(c) do, so the two are
+    equal and chi_a = psi_a.  Finally <chi_a, chi_b> = 0 for a != b makes the
+    psi_a distinct: the s rows are all of Irr(G).
+    """
+    s, m = conj.nclasses(), conj.exponent
+    if X.shape != (s, s):
+        raise LiftFailure(f"{len(X)} characters for {s} classes")
+    d = X[:, conj.class_of[G.identity]]
+    if not ((d > 0) & (2 * d < l)).all():
+        raise LiftFailure("a degree is not between 0 and l/2")
+    spectra = _spectra(conj, X, l)
+    _check_spectra(conj, spectra, d, len(G))
+    d_inv = np.array([pow(int(x), -1, l) for x in d], dtype=np.int64)
+    _check_class_algebra(struct, X * np.array(conj.sizes) % l * d_inv[:, None] % l, l)
+
+    # fold each distinct spectrum once: sum_t mu[t] zeta_o^t in Z[zeta_m]
+    folded = {}
     values = []
-    for c in range(s):
-        o = conj.orders[c]
-        zc = pow(z_root, m // o, l)
-        zp = np.array([pow(zc, e, l) for e in range(o)], dtype=np.int64)
+    for o, mu in zip(conj.orders, spectra):
+        col = []
+        for row in mu.tolist():
+            v = folded.get((o, *row))
+            if v is None:
+                vec = [0] * m
+                vec[:: m // o] = row
+                v = folded[(o, *row)] = cyclo_make(m, vec)
+            col.append(v)
+        values.append(col)
+    chars = sorted((ClassFunction(G, conj, m, col) for col in zip(*values)),
+                   key=lambda chi: (chi.degree(), tuple(v.coeffs for v in chi.values)))
+    return table_from_characters(G, conj, m, tuple(chars))
+
+
+def _spectra(conj: ConjugacyData, X, l: int) -> list:
+    """mu[c][a][t], the multiplicity of the eigenvalue z_o^t of rho_a(c) for
+    c of order o, z_o = z^(m/o), as the residue (1/o) sum_k X[a][c^k] z_o^(-tk):
+    one product per class for all characters at once."""
+    m = conj.exponent
+    z = _root_of_unity(m, l)
+    out = []
+    for c, o in enumerate(conj.orders):
+        zp = np.array([pow(z, m // o * e, l) for e in range(o)], dtype=np.int64)
         ks = np.arange(o)
-        F = zp[np.outer(ks, -ks) % o]
-        mt = X[:, conj.power[c]] @ F % l * pow(o, -1, l) % l
-        if (mt > d[:, None]).any():
-            raise LiftFailure("eigenvalue multiplicity exceeded the degree")
-        vec = np.zeros((s, m), dtype=np.int64)
-        vec[:, :: m // o] = mt
-        values.append([cyclo_make(m, row) for row in vec.tolist()])
-    chars = [ClassFunction(G, conj, m, col) for col in zip(*values)]
+        out.append(X[:, conj.power[c]] @ zp[np.outer(ks, -ks) % o] % l * pow(o, -1, l) % l)
+    return out
 
-    if sum(d * d for d in degrees) != n:
-        raise LiftFailure("degree squares do not sum to the group order")
 
-    chars_sorted = sorted(
-        zip(chars, degrees),
-        key=lambda cd: (cd[1], tuple(v.coeffs for v in cd[0].values)),
-    )
-    chars = tuple(c for c, _ in chars_sorted)
-    degrees = tuple(d for _, d in chars_sorted)
+@lru_cache(maxsize=None)
+def _ramanujan(o: int):
+    """K[t][u] = c_o(t - u) = Tr zeta_o^(t-u), the Ramanujan sum, by von
+    Sterneck's formula c_o(j) = mu(h)·phi(o) / phi(h), h = o / gcd(j, o)
+    (Hardy-Wright 16.6)."""
+    c = []
+    for j in range(o):
+        h = o // gcd(j, o)
+        primes = prime_factors(h)
+        mobius = (-1) ** len(primes) if prod(primes) == h else 0
+        c.append(mobius * euler_phi(o) // euler_phi(h))
+    t = np.arange(o)
+    return np.array(c, dtype=np.int64)[(t[:, None] - t) % o]
 
-    _validate_orthogonality(conj, chars)
 
-    table = table_from_characters(G, conj, m, chars)
-    G._char_table = table
-    return table
+def _check_spectra(conj: ConjugacyData, spectra, d, n: int) -> None:
+    """LiftFailure unless the spectra mu[c] (residues, so nonnegative) make
+    characters chi_a(c) = sum_t mu[c][a][t] zeta_o^t that are orthonormal:
+    sum_c |C_c| chi_a(c) chi_b(c^-1) = n [a = b], checked in Z.
+
+    Each class's multiplicities must sum to the degree, and the spectra must
+    be Galois compatible: mu[c^k][k·t mod o] = mu[c][t] for k prime to o,
+    that is chi(c^k) = sigma_k(chi(c)) with sigma_k: zeta_o -> zeta_o^k.
+    Then chi(c^-1) = sigma_-1(chi(c)), and the classes of the c^k make up
+    the Galois orbit R of c, each reached by phi(o) / |R| of the k.  So R
+    adds |C_c| times the orbit sum sum_k sigma_k(chi_a(c)·sigma_-1(chi_b(c)))
+    / (phi(o) / |R|) to the left side.  The sum over k is the trace
+    mu_a^T K mu_b, K the Ramanujan sums (`_ramanujan`), and the orbit sum,
+    a rational algebraic integer, is an integer: the division is exact.
+    With the degree sums, |mu_a^T K mu_b| <= d_a·d_b·phi(o) < o·(l - 1)^2,
+    inside int64 by `_modulus`; the orbit sums are added as Python ints."""
+    s = len(d)
+    total = np.zeros((s, s), dtype=object)
+    seen = set()
+    for c, o in enumerate(conj.orders):
+        mu = spectra[c]
+        if (mu.sum(axis=1) != d).any():
+            raise LiftFailure("eigenvalue multiplicities do not sum to the degree")
+        if c in seen:
+            continue
+        units = [k for k in range(o) if gcd(k, o) == 1]
+        orbit = {conj.power[c][k] for k in units}
+        seen |= orbit
+        t = np.arange(o)
+        for k in units:
+            if (spectra[conj.power[c][k]][:, k * t % o] != mu).any():
+                raise LiftFailure(f"the spectra at class {c} and its {k}-th power disagree")
+        orbit_sum, rest = np.divmod(mu @ _ramanujan(o) @ mu.T, euler_phi(o) // len(orbit))
+        if rest.any():
+            raise LiftFailure(f"a non-integral orbit sum at class {c}")
+        total += orbit_sum.astype(object) * conj.sizes[c]
+    bad = np.argwhere(total != n * np.eye(s, dtype=np.int64))
+    if len(bad):
+        raise LiftFailure(f"row orthogonality failed at {tuple(bad[0].tolist())}")
+
+
+def _check_class_algebra(struct, omega, l: int) -> None:
+    """LiftFailure unless omega_i·omega_j = sum_k a_ijk omega_k (mod l) for
+    every row omega, a_ijk = struct[i][j][k]: each row is a homomorphism of
+    the class algebra (omega is 1 at the identity class, where X[a] is d_a).
+    One i at a time, the s products of residues and structure constants
+    below l stay in int64."""
+    for i, A in enumerate(struct):
+        if ((omega @ A.T) % l != omega[:, i:i + 1] * omega % l).any():
+            raise LiftFailure(f"a character fails the class-algebra relations at class {i}")
 
 
 def table_from_characters(G: Group, conj: ConjugacyData, m: int,
@@ -388,30 +537,6 @@ def structure_constants(G: Group, conj: ConjugacyData) -> np.ndarray:
         pairs = cls * s + cls[G.mul_many(G.inverses, z)]
         a[:, :, k] = np.bincount(pairs, minlength=s * s).reshape(s, s)
     return a
-
-
-def _validate_orthogonality(conj, chars):
-    """Row orthogonality, exactly: <chi_a, chi_b> = [a = b], that is
-    sum_c |C_c| chi_a(c) chi_b(c^-1) = n [a = b].
-
-    This also proves the column relations.  Let A be the table (A[a][c] =
-    chi_a(c)), n = |G| and M = diag(|C_c|)·P with P the permutation matrix
-    of c -> c^-1.  The rows say A·M·A^T = n·I.  With s characters for s
-    classes A is square, so over the fraction field of Z[zeta_m] it is
-    invertible with A^-1 = M·A^T / n, and A^-1·A = I gives A^T·A = n·M^-1:
-    sum_a chi_a(c1) chi_a(c2^-1) = n / |C_c1| [c1 = c2], the columns.
-    """
-    s = conj.nclasses()
-    if len(chars) != s:
-        raise LiftFailure(f"{len(chars)} characters for {s} classes")
-    for a in range(s):
-        for b in range(a, s):
-            try:
-                ok = chars[a].inner(chars[b]) == int(a == b)
-            except NotRationalInteger:  # the sum is not divisible by n
-                ok = False
-            if not ok:
-                raise LiftFailure(f"row orthogonality failed at ({a},{b})")
 
 
 # ---------------------------------------------------------------------------

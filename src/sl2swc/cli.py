@@ -15,13 +15,13 @@ import os
 import re
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
-from .algebra import Cyclo, factor_prime_power
+from .algebra import factor_prime_power
 from .characters import (
     BadConstructionParams,
     CharacterTable,
-    ClassFunction,
     NotOrthogonal,
     VirtualRep,
     char_table,
@@ -29,7 +29,7 @@ from .characters import (
     principal_series_sl,
     regular_rep,
     symmetrize,
-    table_from_characters,
+    table_from_values,
     trivial_rep,
 )
 from .cohomology import dickson, dickson_ring, genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring
@@ -257,10 +257,14 @@ def _digest(payload: dict) -> str:
 
 
 def table_from_payload(payload: dict) -> CharacterTable:
-    """Rebuild group + conjugacy deterministically and attach cached values.
-    The payload must be what the rebuilt table serializes to: the fields the
-    values determine (degrees, indicators, duals, central characters) are
-    derived again, not read, since anyone can recompute the digest."""
+    """Rebuild group + conjugacy deterministically and rerun the certificate
+    of a cold build on the cached values: `characters.table_from_values`
+    reduces them mod l and lifts, folds and certifies them as `char_table`
+    does.  The payload must then be what that table serializes to, so a
+    stored value that is not the fold of its own spectrum is rejected, and
+    the fields the values determine (degrees, indicators, duals, central
+    characters) are derived again, not read, since anyone can recompute the
+    digest."""
     G = (build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"])
     if G._char_table is not None:
         return G._char_table
@@ -268,14 +272,9 @@ def table_from_payload(payload: dict) -> CharacterTable:
     if (_class_reps(G, conj) != payload["class_reps"]
             or list(conj.sizes) != payload["class_sizes"]):
         raise ValueError("cached class data does not match the rebuilt group")
-    m = payload["exponent"]
-    if m != conj.exponent:
+    if payload["exponent"] != conj.exponent:
         raise ValueError("cached exponent does not match the rebuilt group")
-    chars = tuple(
-        ClassFunction(G, conj, m, [Cyclo(m, tuple(v)) for v in row])
-        for row in payload["values"]
-    )
-    table = table_from_characters(G, conj, m, chars)
+    table = table_from_values(G, conj, payload["values"])
     differ = [k for k, v in serialize_table(table).items() if k != "digest" and payload[k] != v]
     if differ:
         raise ValueError(f"cached {', '.join(differ)} differ from the rebuilt table")
@@ -340,6 +339,16 @@ def _reject(path: Path, reason: str) -> None:
     return None
 
 
+def _write_json(payload: dict, fh) -> None:
+    """The payload as indented JSON and a newline, written in blocks: an
+    indented json.dumps holds every piece at once (460 MB for the 51 MB table
+    of GL(2,11)), and json.dump writes them one at a time, in twice the time."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(islice(pieces, 1 << 16)):
+        fh.write(block)
+    fh.write("\n")
+
+
 def store_table(cache_dir: Path, table: CharacterTable) -> dict:
     payload = serialize_table(table)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -347,8 +356,7 @@ def store_table(cache_dir: Path, table: CharacterTable) -> dict:
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".table-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(payload, fh)
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):
@@ -373,13 +381,14 @@ def get_table(kind: str, q: int, cache_dir: Path | None) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write_json(payload, sys.stdout)
 
 
-# A cold GL(2,9) table takes about 5 s and GL(2,11) 95 s and 494 MB, nearly
-# all of it the exact orthogonality check (a shared 2-vCPU machine), so larger
-# GL tables are refused up front.
-GL_TABLE_CAP = 9
+# A cold `table --group gl2` took 12 s and 94 MB at q = 11 and 45-47 s and
+# 232 MB at q = 13, half of it writing the JSON (one BLAS thread, 512 MiB of
+# address space, a shared 2-vCPU machine); GL(2,16) has 255 classes against
+# 168, so larger GL tables are refused up front.
+GL_TABLE_CAP = 13
 
 
 def cmd_table(args) -> int:
@@ -400,6 +409,7 @@ PS_CUSP_CAP = 19
 def cmd_swc(args) -> int:
     if args.q > PS_CUSP_CAP and {"ps", "cusp"} & {tok[1] for tok in _tokenize(args.rep)}:
         raise UsageError(f"ps(k) and cusp(k) need q <= {PS_CUSP_CAP}, not {args.q}")
+    _RepParser(args.rep).parse()   # a syntax error costs no table
     cache_dir = cache_directory(args.cache_dir)
     table = get_table("sl2", args.q, cache_dir)
     pi = parse_rep(args.rep, table)

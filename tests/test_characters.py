@@ -13,12 +13,18 @@ from sl2swc.characters import (
     NotIndicator,
     NotOrthogonal,
     VirtualRep,
+    _certified_table,
     _charpoly_mod,
+    _check_class_algebra,
     _check_int64,
+    _check_spectra,
     _dixon_matrices,
+    _dot_mod,
+    _modulus,
     _nullspace_mod,
+    _root_of_unity,
+    _spectra,
     _split,
-    _validate_orthogonality,
     char_table,
     cuspidal,
     cuspidal_sl,
@@ -42,6 +48,7 @@ from sl2swc.groups import (
     build_sl2,
     conjugacy,
     gen_quaternion,
+    minus_one,
     standard_subgroup,
     subgroup_from_indices,
 )
@@ -102,18 +109,114 @@ def test_orthogonality(q, kind):
             assert cyclo_to_integer(tot) == (len(G) // conj.sizes[c1] if c1 == c2 else 0)
 
 
-def test_orthogonality_check_rejects_a_non_integral_inner_product():
-    # chi(c) + zeta_m at a self-inverse class c makes <chi, chi> leave Z
-    t = char_table(build_sl2(5))
+def _residues(t):
+    """The table mod l: each value evaluated at zeta_m -> z, as the cache load does."""
+    l = _modulus(t.group, t.conj)
+    z = _root_of_unity(t.m, l)
+    X = [[sum(a * pow(z, i, l) for i, a in enumerate(v.coeffs)) % l for v in chi.values]
+         for chi in t.chars]
+    return l, np.array(X, dtype=np.int64)
+
+
+def _moved_eigenvalue(q):
+    """The spectra of the SL(2,q) table, q odd, and a copy in which one
+    eigenvalue of one character at the class of -1 moved from 1 to -1."""
+    t = char_table(build_sl2(q))
     conj = t.conj
-    _validate_orthogonality(conj, t.chars)
-    c = next(c for c in range(1, conj.nclasses()) if conj.inverse_class(c) == c)
-    chi = t.chars[-1]
-    vals = list(chi.values)
-    vals[c] = vals[c] + Cyclo.root(t.m, 1)
-    bad = t.chars[:-1] + (ClassFunction(chi.group, conj, t.m, vals),)
+    l, X = _residues(t)
+    spectra = _spectra(conj, X, l)
+    c = conj.class_of[minus_one(t.group)]
+    a = next(a for a in range(t.nchars()) if spectra[c][a, 0])
+    bad = [mu.copy() for mu in spectra]
+    bad[c][a] += (-1, 1)
+    return t, X, spectra, bad
+
+
+def test_orthogonality_check_rejects_a_non_integral_inner_product():
+    # moving one eigenvalue from 1 to -1 at the central class changes chi(-1)
+    # by 2: the multiplicities still sum to the degree and the class of order
+    # 2 has no Galois conjugate, but <chi, chi> moves by a non-integer
+    t, X, spectra, bad = _moved_eigenvalue(11)
+    d = X[:, t.conj.class_of[t.group.identity]]
+    _check_spectra(t.conj, spectra, d, len(t.group))
     with pytest.raises(LiftFailure, match="row orthogonality failed"):
-        _validate_orthogonality(conj, bad)
+        _check_spectra(t.conj, bad, d, len(t.group))
+
+
+def test_certificate_rejects_a_moved_eigenvalue():
+    # the same fault planted in the residues, through the whole certificate:
+    # X at -1 is the inverse Fourier transform of the moved spectrum
+    t, X, spectra, bad = _moved_eigenvalue(11)
+    G, conj = t.group, t.conj
+    l = _modulus(G, conj)
+    struct = structure_constants(G, conj)
+    assert _certified_table(G, conj, l, struct, X).chars == t.chars
+    c = conj.class_of[minus_one(G)]
+    X_bad = X.copy()
+    X_bad[:, c] = (bad[c][:, 0] - bad[c][:, 1]) % l
+    with pytest.raises(LiftFailure):
+        _certified_table(G, conj, l, struct, X_bad)
+
+
+def test_spectra_must_be_galois_compatible():
+    # moving an eigenvalue at a class of order q + 1 without its Galois
+    # conjugates breaks chi(c^k) = sigma_k(chi(c))
+    t = char_table(build_sl2(11))
+    conj = t.conj
+    l, X = _residues(t)
+    spectra = _spectra(conj, X, l)
+    c = conj.orders.index(12)
+    a = next(a for a in range(t.nchars()) if spectra[c][a, 1])
+    moved = [mu.copy() for mu in spectra]
+    moved[c][a, [0, 1]] += (1, -1)
+    d = X[:, conj.class_of[t.group.identity]]
+    with pytest.raises(LiftFailure, match="disagree"):
+        _check_spectra(conj, moved, d, len(t.group))
+    # and the multiplicities at a class must add up to the degree
+    extra = [mu.copy() for mu in spectra]
+    extra[conj.class_of[t.group.identity]][a, 0] += 1
+    with pytest.raises(LiftFailure, match="do not sum to the degree"):
+        _check_spectra(conj, extra, d, len(t.group))
+
+
+def test_class_algebra_check_rejects_a_sum_of_characters():
+    # chi_1 + chi_2, scaled to 1 at the identity, is no homomorphism of the
+    # class algebra
+    t = char_table(build_sl2(5))
+    G, conj = t.group, t.conj
+    l, X = _residues(t)
+    struct = structure_constants(G, conj)
+    sizes = np.array(conj.sizes, dtype=np.int64)
+    d = X[:, conj.class_of[G.identity]]
+    omega = X * sizes % l * np.array([pow(int(x), -1, l) for x in d])[:, None] % l
+    _check_class_algebra(struct, omega, l)
+    mixed = X[1] + X[2]
+    omega[0] = mixed * sizes % l * pow(int(mixed[conj.class_of[G.identity]]), -1, l) % l
+    with pytest.raises(LiftFailure, match="class-algebra"):
+        _check_class_algebra(struct, omega, l)
+
+
+def test_certificate_rejects_a_degree_above_half_of_l():
+    # -chi has the degree l - chi(1) mod l; its spectra are those of chi
+    # negated, which no degree bound below l/2 admits
+    t = char_table(build_sl2(5))
+    G, conj = t.group, t.conj
+    l, X = _residues(t)
+    X[-1] = -X[-1] % l
+    with pytest.raises(LiftFailure, match="between 0 and l/2"):
+        _certified_table(G, conj, l, structure_constants(G, conj), X)
+    with pytest.raises(LiftFailure, match="8 characters for 9 classes"):
+        _certified_table(G, conj, l, structure_constants(G, conj), X[1:])
+
+
+def test_dot_mod_sums_in_chunks_that_fit_int64():
+    # at l = 2^31 - 1 only two products fit in an int64 sum
+    l = 2 ** 31 - 1
+    rng = random.Random(0)
+    A = np.array([[rng.randrange(l) for _ in range(37)] for _ in range(5)], dtype=np.int64)
+    v = np.array([rng.randrange(l) for _ in range(37)], dtype=np.int64)
+    want = [sum(int(a) * int(b) for a, b in zip(row, v)) % l for row in A]
+    assert _dot_mod(A, v, l).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,8 @@ def test_usage_errors(capsys, tmp_path):
     ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
     ("cohomology", "--group", "c2:6", "--max-degree", "257"),
-    # GL tables above GL_TABLE_CAP = 9 are refused: a cold GL(2,11) takes 95 s
-    ("table", "--group", "gl2", "--q", "11"),
+    # GL tables above GL_TABLE_CAP = 13 are refused: a cold GL(2,13) takes 45 s
+    ("table", "--group", "gl2", "--q", "16"),
     ("table", "--group", "gl2", "--q", "81"),
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(capsys, argv):
@@ -363,8 +363,9 @@ def test_cache_rejects_fields_the_values_contradict(capsys, tmp_path, field, i, 
 
 
 def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
-    # one character's values copied over another's make the table load raise
-    # NotRationalInteger; that rejects the file like any other unusable one
+    # one character's values copied over another's lift to no character: the
+    # load's certificate raises LiftFailure, which rejects the file like any
+    # other unusable one
     fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
     code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
     assert code == 0 and err == ""
@@ -378,8 +379,59 @@ def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
     assert code == 0 and out == fresh
     note = json.loads(err)
     assert note["cache"] == "rejected" and note["path"] == str(path)
-    assert note["reason"].startswith("NotRationalInteger: ")
+    assert note["reason"].startswith("LiftFailure: ")
     assert json.loads(path.read_text()) == json.loads(fresh)
+
+
+def _tampered_load(capsys, tmp_path, tamper):
+    """The stderr note of `table --q 5` on a re-digested cache file whose
+    values `tamper` changed; its stdout must be that of a fresh build."""
+    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
+    assert code == 0 and err == ""
+    doc = json.loads(fresh)
+    tamper(doc["values"])
+    path = cli.cache_path(bad_dir, "sl2", 5)
+    bad_dir.mkdir()
+    path.write_text(json.dumps(_digest_valid(doc)))
+    build_sl2.cache_clear()
+    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
+    assert code == 0 and out == fresh
+    assert json.loads(path.read_text()) == json.loads(fresh)
+    note = json.loads(err)
+    assert note["cache"] == "rejected" and note["path"] == str(path)
+    return note
+
+
+def test_cache_rejects_tampered_values(capsys, tmp_path):
+    # adding 1 to one coefficient of one value used to print the altered table
+    def tamper(values):
+        values[1][0][0] += 1
+
+    assert _tampered_load(capsys, tmp_path, tamper)["reason"].startswith("LiftFailure: ")
+
+
+def test_cache_rejects_a_value_moved_by_a_multiple_of_l(capsys, tmp_path):
+    # the residues mod l are unchanged, so the certificate passes, but the
+    # value is not the fold of its own spectrum
+    from sl2swc.characters import _modulus
+
+    G = build_sl2(5)
+    l = _modulus(G, cli.conjugacy(G))
+
+    def tamper(values):
+        values[3][2][1] += l
+
+    assert _tampered_load(capsys, tmp_path, tamper)["reason"] == (
+        "ValueError: cached values differ from the rebuilt table")
+
+
+def test_swc_syntax_error_builds_no_table(capsys, tmp_path):
+    code, out, err = _run(capsys, "swc", "--q", "13", "--rep", "reg +",
+                          "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "RepSyntaxError"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_payload_keys_match_serialized_table():

@@ -4,8 +4,9 @@ before the finite-field tables were rebuilt from integer polynomials, and the
 SL(2,16) and SL(2,17) table digests from the code before the group layer
 moved to numpy index arrays, and the SL(2,19), SL(2,25), SL(2,27), GL(2,7)
 and GL(2,9) table digests from the code before Dixon's method moved to numpy
-arrays; a refactor that changes no behaviour must leave every one of them
-unchanged."""
+arrays, and the SL(2,23), SL(2,31) and SL(2,32) table digests from the code
+before orthogonality was checked in Z on eigenvalue spectra; a refactor that
+changes no behaviour must leave every one of them unchanged."""
 
 import hashlib
 import json
