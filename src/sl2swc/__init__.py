@@ -1,7 +1,7 @@
 """Exact Stiefel-Whitney classes of orthogonal representations of SL(2,q).
 
-Everything is computed with exact arithmetic: finite fields as dense tables
-built from polynomial residues, character values as cyclotomic integers,
+Everything is computed with exact arithmetic: finite fields as numpy tables
+built from multiplication matrices, character values as cyclotomic integers,
 cohomology classes as per-degree sets of integer-coded monomials.  The
 `oracle` module re-derives every class by brute force from restrictions to
 small subgroups, independently of the closed formulas in `swc`.

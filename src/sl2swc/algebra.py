@@ -1,7 +1,8 @@
 """Exact arithmetic foundations: finite fields GF(p^r) and cyclotomic integers Z[zeta_m].
 
-A field is a set of dense tables over the ranks 0..q-1 of its elements,
-built once from integer polynomial arithmetic modulo a fixed irreducible.
+A field is a set of numpy tables over the ranks 0..q-1 of its elements,
+built once from the matrices of multiplication by each element modulo a
+fixed irreducible.
 Cyclotomic integers are stored as the unique normal form modulo the m-th
 cyclotomic polynomial, which makes equality and integrality tests exact.
 Phi_m is built from Phi_n for the radical n of m by one exact division per
@@ -14,9 +15,15 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 
 class CompositeP(Exception):
     """Characteristic of a requested field is not prime."""
+
+
+class ReducibleModulus(ValueError):
+    """The modulus of a `FieldTable` factors, so its residues form no field."""
 
 
 class NotRationalInteger(Exception):
@@ -55,117 +62,69 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(p): coefficient tuples, constant term first.
+# Finite fields
 # ---------------------------------------------------------------------------
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    _poly_trim(a)
-    d = len(mod) - 1
-    while len(a) > d:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - d
-            for i in range(d):
-                a[off + i] = (a[off + i] - c * mod[i]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    """Trial division of a monic polynomial by every lower-degree monic polynomial."""
-    r = len(mod) - 1
-    if r == 1:
-        return True
-    for d in range(1, r // 2 + 1):
-        for enc in range(p ** d):
-            div = _digits(enc, p, d) + [1]
-            if not _poly_mod(mod, div, p):
-                return False
-    return True
-
-
-def _digits(n: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(n % p)
-        n //= p
-    return out
-
 
 def field_make(p: int, r: int) -> "FieldTable":
     """GF(p^r) with the lowest-ranked monic irreducible modulus.
 
     Candidates are scanned by the integer encoding of their low coefficients,
     so the choice is deterministic and reproduces standard small-field moduli.
+    The first that `FieldTable` accepts is irreducible: GF(p)[t]/(f) has zero
+    divisors exactly when f factors.
     """
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
     if r < 1:
         raise ValueError("r must be positive")
     for enc in range(p ** r):
-        low = _digits(enc, p, r)
-        if _is_irreducible(low + [1], p):
-            return FieldTable(p, r, tuple(low))
+        try:
+            return FieldTable(p, r, tuple(enc // p ** i % p for i in range(r)))
+        except ReducibleModulus:
+            continue
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 class FieldTable:
-    """GF(p^r) = GF(p)[t] / (t^r + modulus) as dense index-based tables.
+    """GF(p^r) = GF(p)[t] / (t^r + modulus) as numpy int64 tables over ranks.
 
     The element of rank n is the residue whose coefficients (constant term
-    first) are the base-p digits of n, so rank 0 is zero and rank 1 is one.
-    `modulus` holds the r low coefficients of the monic modulus; `trace[n]`
-    is Tr(n) = n + n^p + ... + n^(p^(r-1)) as an integer in 0..p-1.
+    first) are the base-p digits of n, so rank 0 is zero and rank 1 is one;
+    `digits[n]` is that coefficient tuple and `modulus` holds the r low
+    coefficients of the monic modulus.  `add` and `neg` act digitwise mod p.
+    Multiplication by x is the GF(p)-linear map M_x = sum x_i C^i, C the
+    companion matrix of t^r + modulus, so `mul[x][y]` is the rank of
+    M_x digits(y), and `inv[x]` is the y with mul[x][y] = 1 (inv[0] = 0, so
+    a singular matrix stays singular under the adjugate formula).
+
+    `trace[x]` is Tr(x) = x + x^p + ... + x^(p^(r-1)) in 0..p-1, read as
+    tr(M_x) mod p: the characteristic polynomial of M_x is the minimal
+    polynomial of x raised to r/d, d = [GF(p)(x) : GF(p)], whose roots are the
+    d conjugates x^(p^i); so the eigenvalues of M_x, with multiplicity, are
+    x, x^p, ..., x^(p^(r-1)), and a trace is the sum of the eigenvalues (Lidl
+    and Niederreiter, Finite Fields, ch. 2).
     """
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
         self.p, self.r, self.modulus = p, r, modulus
         q = self.q = p ** r
-        digits = self.digits = [tuple(_digits(n, p, r)) for n in range(q)]
-        mod = list(modulus) + [1]
-
-        def rank(coeffs) -> int:
-            n = 0
-            for c in reversed(coeffs):
-                n = n * p + c
-            return n
-
-        self.add = [[rank([(a + b) % p for a, b in zip(x, y)]) for y in digits]
-                    for x in digits]
-        self.mul = [[rank(_poly_mod(_poly_mul(x, y, p), mod, p)) for y in digits]
-                    for x in digits]
-        self.neg = [rank([-a % p for a in x]) for x in digits]
-        self.inv = [None] + [row.index(1) for row in self.mul[1:]]
-        self.trace = [self._trace(n) for n in range(q)]
-
-    def _trace(self, n: int) -> int:
-        acc = cur = n
-        for _ in range(self.r - 1):
-            frob = 1
-            for _ in range(self.p):
-                frob = self.mul[frob][cur]
-            cur = frob
-            acc = self.add[acc][cur]
-        if acc >= self.p:
-            raise AssertionError("trace landed outside the prime field")
-        return acc
+        place = p ** np.arange(r, dtype=np.int64)
+        D = np.arange(q, dtype=np.int64)[:, None] // place % p   # D[n] = digits of n
+        self.digits = [tuple(row) for row in D.tolist()]
+        # C maps t^j to t^(j+1), and t^(r-1) to t^r = -modulus
+        C = np.eye(r, k=-1, dtype=np.int64)
+        C[:, -1] = np.negative(modulus) % p
+        powers = [np.eye(r, dtype=np.int64)]
+        for _ in range(r - 1):
+            powers.append(C @ powers[-1] % p)
+        M = np.tensordot(D, np.array(powers), axes=1) % p       # M[x] = M_x
+        self.add = (D[:, None, :] + D[None, :, :]) % p @ place
+        self.neg = -D % p @ place
+        self.mul = np.einsum("xjk,yk->xyj", M, D) % p @ place
+        if np.count_nonzero(self.mul[1:, 1:] == 0):
+            raise ReducibleModulus(f"t^{r} + (low terms {modulus}) factors over GF({p})")
+        self.inv = np.argmax(self.mul == 1, axis=1)  # row 0 holds no 1: inv[0] = 0
+        self.trace = np.trace(M, axis1=1, axis2=2) % p
 
 
 # ---------------------------------------------------------------------------

@@ -868,7 +868,7 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     vals_zn = []
     for r in conj_zn.reps:
         s_, x, _, _ = ZN.group.elem(r)
-        tr = F.trace[F.mul[x][F.inv[s_]]]
+        tr = int(F.trace[F.mul[x, F.inv[s_]]])  # k, and so e, may pass int64
         e = step * k * dlog_te[Te.group.find((s_, 0, 0, s_))] + (m // p) * tr
         vals_zn.append(Cyclo.root(m, e))
     chi_zn = ClassFunction(ZN.group, conj_zn, m, vals_zn)

@@ -180,12 +180,23 @@ def _atom_to_rep(atom, table: CharacterTable) -> VirtualRep:
     raise AssertionError(f"unhandled atom {atom!r}")
 
 
-def parse_rep(src: str, table: CharacterTable) -> VirtualRep:
-    terms = _RepParser(src).parse()
+def rep_from_terms(terms, table: CharacterTable) -> VirtualRep:
+    """The sum of the parsed (weight, atom) terms over `table`."""
     out = VirtualRep(table, [0] * table.nchars())
     for weight, atom in terms:
         out = out + _atom_to_rep(atom, table).scaled(weight)
     return out
+
+
+def parse_rep(src: str, table: CharacterTable) -> VirtualRep:
+    return rep_from_terms(_RepParser(src).parse(), table)
+
+
+def _innermost(atom):
+    """`atom` without its S(...) wrappers."""
+    while atom[0] == "S":
+        atom = atom[1]
+    return atom
 
 
 def print_rep_terms(terms) -> str:
@@ -407,12 +418,12 @@ PS_CUSP_CAP = 19
 
 
 def cmd_swc(args) -> int:
-    if args.q > PS_CUSP_CAP and {"ps", "cusp"} & {tok[1] for tok in _tokenize(args.rep)}:
+    terms = _RepParser(args.rep).parse()   # a syntax error costs no table
+    if args.q > PS_CUSP_CAP and any(_innermost(atom)[0] in ("ps", "cusp") for _, atom in terms):
         raise UsageError(f"ps(k) and cusp(k) need q <= {PS_CUSP_CAP}, not {args.q}")
-    _RepParser(args.rep).parse()   # a syntax error costs no table
     cache_dir = cache_directory(args.cache_dir)
     table = get_table("sl2", args.q, cache_dir)
-    pi = parse_rep(args.rep, table)
+    pi = rep_from_terms(terms, table)
     report = swc_report(pi, args.truncate)
     _emit(report.to_json_dict())
     return 0

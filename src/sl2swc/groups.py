@@ -7,10 +7,10 @@ increase strictly with the index: a*q^3 + b*q^2 + c*q + d for the matrix
 lexicographic order, and 2k + l for the quaternion word a^k b^l.  Tuples
 appear only through `Group.find` and `Group.elem`.  Products are taken on
 numpy arrays of indices (`Group.mul_many`): entrywise on codes (matrix
-entries through numpy copies of the field's add and mul tables), then mapped
-back to indices by binary search in the sorted codes.  A subgroup is a set of
-parent indices and shares its parent's codes and coding object; there is one
-coding per q, and codes are compared only between groups that share it.  All
+entries through the field's numpy add and mul tables), then mapped back to
+indices by binary search in the sorted codes.  A subgroup is a set of parent
+indices and shares its parent's codes and coding object; there is one coding
+per q, and codes are compared only between groups that share it.  All
 data is immutable once built; conjugacy and power tables are cached on the
 group object.
 
@@ -129,10 +129,7 @@ class _MatrixCodes:
 
     def __init__(self, F: FieldTable):
         self.q = F.q
-        self.fadd = np.array(F.add)
-        self.fmul = np.array(F.mul)
-        self.fneg = np.array(F.neg)
-        self.finv = np.array([0] + F.inv[1:])  # 0 -> 0 only makes singular codes
+        self.F = F
 
     def entries(self, x):
         q = self.q
@@ -143,19 +140,20 @@ class _MatrixCodes:
         return ((a * q + b) * q + c) * q + d
 
     def det(self, a, b, c, d):
-        return self.fadd[self.fmul[a, d], self.fneg[self.fmul[b, c]]]
+        F = self.F
+        return F.add[F.mul[a, d], F.neg[F.mul[b, c]]]
 
     def mul(self, x, y):
-        add, mul = self.fadd, self.fmul
+        add, mul = self.F.add, self.F.mul
         a, b, c, d = self.entries(x)
         e, f, g, h = self.entries(y)
         return self.code(add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
                          add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]])
 
     def inv(self, x):
-        mul, neg = self.fmul, self.fneg
+        mul, neg = self.F.mul, self.F.neg
         a, b, c, d = self.entries(x)
-        di = self.finv[self.det(a, b, c, d)]
+        di = self.F.inv[self.det(a, b, c, d)]  # inv[0] = 0 keeps singular codes singular
         return self.code(mul[d, di], mul[neg[b], di], mul[neg[c], di], mul[a, di])
 
 
@@ -171,18 +169,25 @@ def _matrix_codes(q: int) -> _MatrixCodes:
     return _MatrixCodes(_field_table(q))
 
 
+def _matrix_group_codes(arith: _MatrixCodes, want_sl: bool) -> np.ndarray:
+    """Increasing codes of the matrices with det = 1 (want_sl) or det != 0:
+    one block a*q^3 + n per first entry a, n coding (b, c, d), so the
+    entry arrays over all (b, c, d) are freed before the group is built."""
+    q = arith.q
+    _, b, c, d = arith.entries(np.arange(q ** 3))
+    blocks = []
+    for a in range(q):
+        det = arith.det(a, b, c, d)
+        blocks.append(a * q ** 3 + np.flatnonzero(det == 1 if want_sl else det != 0))
+    return np.concatenate(blocks)
+
+
 def _build_matrix_group(q: int, want_sl: bool) -> Group:
     if q > SIZE_CAP:
         raise TooLarge(f"q={q} exceeds cap {SIZE_CAP}")
     arith = _matrix_codes(q)
-    # member[a, n] says whether the matrix of code a*q^3 + n is in the group
-    _, b, c, d = arith.entries(np.arange(q ** 3))
-    member = np.empty((q, q ** 3), dtype=bool)
-    for a in range(q):
-        det = arith.det(a, b, c, d)
-        member[a] = (det == 1) if want_sl else (det != 0)
     name = f"{'SL' if want_sl else 'GL'}(2,{q})"
-    G = Group(name, "sl2" if want_sl else "gl2", np.flatnonzero(member), arith,
+    G = Group(name, "sl2" if want_sl else "gl2", _matrix_group_codes(arith, want_sl), arith,
               (1, 0, 0, 1), q=q, field=_field_table(q))
     expect = q * (q * q - 1) if want_sl else (q * q - 1) * (q * q - q)
     if len(G) != expect:
@@ -430,10 +435,10 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
 
 def _canonical_irreducible_quadratic(F: FieldTable) -> tuple[int, int]:
     """Low coefficients (c0, c1) of the first root-free monic quadratic over F_q."""
-    q = F.q
-    for enc in range(q * q):
-        c0, c1 = enc % q, enc // q
-        if all(F.add[F.mul[x][x]][F.add[F.mul[c1][x]][c0]] != 0 for x in range(q)):
+    x = np.arange(F.q)
+    for enc in range(F.q ** 2):
+        c0, c1 = enc % F.q, enc // F.q
+        if np.all(F.add[F.mul[x, x], F.add[F.mul[c1, x], c0]] != 0):
             return c0, c1
     raise AssertionError("no irreducible quadratic found")
 

@@ -209,9 +209,11 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     conj = pi.table.conj
     unip = G.locate([G.arith.code(1, x, 0, 1) for x in range(q)])  # (1, x, 0, 1)
     chi_at = [pi.int_at(conj.class_of[i]) for i in unip.tolist()]
+    # signs[a][x] = (-1)^Tr(ax) as Python ints: the character values may pass int64
+    signs = (1 - 2 * F.trace[F.mul]).tolist()
     out = []
     for a in range(q):
-        tot = sum(chi_at[xx] * (-1) ** F.trace[F.mul[a][xx]] for xx in range(q))
+        tot = sum(c * s for c, s in zip(chi_at, signs[a]))
         if tot % q:
             raise AssertionError(f"character sum {tot} is not divisible by q={q}")
         out.append(tot // q)
@@ -236,7 +238,7 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     for a in range(1, q):
         # t^i has canonical rank 2^i; pair against the basis via the trace
         u = ring.one() + ring.from_monomials([tuple(int(j == i) for j in range(r))
-                                              for i in range(r) if F.trace[F.mul[a][2**i]]])
+                                              for i in range(r) if F.trace[F.mul[a, 2**i]]])
         out = out.times_power(u, mults[a])
     return TotalSWC(out.truncate(d_max), "unipotent")
 

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,7 +15,9 @@ import pytest
 from sl2swc.algebra import (
     CompositeP,
     Cyclo,
+    FieldTable,
     NotRationalInteger,
+    ReducibleModulus,
     binom_mod2,
     cyclo_make,
     cyclo_to_integer,
@@ -77,11 +81,12 @@ def test_trace_gf4():
 
 
 def _check_axioms(F):
-    add, mul, q = F.add, F.mul, F.q
+    # list copies: the triple loop indexes numpy scalars several times slower
+    add, mul, neg, inv, q = F.add.tolist(), F.mul.tolist(), F.neg.tolist(), F.inv.tolist(), F.q
     rng = range(q)
     for a in rng:
         assert add[0][a] == a and mul[1][a] == a
-        assert add[a][F.neg[a]] == 0
+        assert add[a][neg[a]] == 0
         for b in rng:
             assert add[a][b] == add[b][a]
             assert mul[a][b] == mul[b][a]
@@ -90,7 +95,7 @@ def _check_axioms(F):
                 assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
                 assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
     for a in range(1, q):
-        assert mul[a][F.inv[a]] == 1
+        assert mul[a][inv[a]] == 1
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
@@ -118,6 +123,88 @@ def test_frobenius_and_trace(p, r):
         for b in elems:
             assert F.trace[F.add[a][b]] == (F.trace[a] + F.trace[b]) % p
     assert set(F.trace) == set(range(p))
+
+
+# The modulus and a SHA-256 of [add, mul, neg, inv[1:], trace] (as lists,
+# compact JSON) of every field with q <= 81, as the construction by
+# polynomial products, remainders and Frobenius sums produced them.
+FIELD_PINS = {
+    2: ((0,), "9310f0c9b407a02dbcfedbd5587bbeac2e4ccb5fcaf4fcb7a9d38da3c7075013"),
+    3: ((0,), "f72b2fad9c8d86fe10320c5e8d12936a95cbfebcc47f9a5ac2e28524813566ef"),
+    4: ((1, 1), "c0a1f38850a86efcc71bf7285dd16788ff95dd7b78ce1202fb166efcff728a9d"),
+    5: ((0,), "45cf5ab4c6465163fd246930acc9eb37a55aa1894db587551a28ec1e261d42f5"),
+    7: ((0,), "6eeb374292f7c84622dec9b0d3e1608741dad72c9bac83af0a4fb4145c18271c"),
+    8: ((1, 1, 0), "68cb688e88885ce624ee5633c729f1b04c3d669fa9f7725202dcd4804a23621c"),
+    9: ((1, 0), "0f8b712f4b7c18a344684b5207576d3ec1fa697ffc58804792c5ff6462add7a2"),
+    11: ((0,), "42efeac8d855744dfabd2ecb6d169ff6ce7ca5264fe1492c19d06487def0c2c6"),
+    13: ((0,), "676000bdde54a8e2121b515b512ebe620f4cb4391013d25e84f8ef077832a6fb"),
+    16: ((1, 1, 0, 0), "d17789ba9d46b4847b943cf0d180e97a99c1217ea2837987e593108f520f5c24"),
+    17: ((0,), "6b68ccc2aa662955091783e394d1615be3189539cf0b178a868017a21d5618df"),
+    19: ((0,), "94f8c4c1c5cc17cfb7a4b7cd1231d5fe65f3209bcf2cb36509729b61560bacbf"),
+    23: ((0,), "45c5ea633c4354a44d8ad03b477c2f3a5b39313ffd9b33a70f432b887ad74ccd"),
+    25: ((2, 0), "0d2c6397ba85d04dbd0ec90e34ea4c17b3134d75e8bba334251bdce51e8a92d3"),
+    27: ((1, 2, 0), "7157f7dbfc8838610caba60f66a1882be3787df6ba4e141940bdb22dc51c90d9"),
+    29: ((0,), "513b08ac011fb7806c8ad1ec4806c05ddc0f46fff69917e3ecd76b0ecd2c6e53"),
+    31: ((0,), "444f7851bdb9e357da92786833c63aa35d49e61abca37136eac991d8a782d9bd"),
+    32: ((1, 0, 1, 0, 0), "bd8540fd3c7f2dc142e395fde5c491d0f83aeadb3d482cc50e5c3eb0ff3c9157"),
+    37: ((0,), "f277f225759ad5fb51885a6cb00f88a728f2a9ae47c9e72b4d583e386cf30035"),
+    41: ((0,), "6750b1d11c4452f569e2dc1172f32c47dbd3ad11ca1cb2e17b1ee2e409a50a58"),
+    43: ((0,), "2c94f1594dbaf64da6362662089dabdc63282823585489721aca7397df17825e"),
+    47: ((0,), "aa25c8f42544a4bc229e1f62ddd7c40127f82e392cc59055b5e7089ac308da27"),
+    49: ((1, 0), "8ca0d774c5f6afe04d0c6189dc268196790381529eeb189339af0b0d7986d43e"),
+    53: ((0,), "670c71df20733b49dfddfb971e089e8af54fbffd8a3eeb22f909d5bfdced4f71"),
+    59: ((0,), "d9abae9f2bf956dfacb10e586d3ce31851f685f53dd3fd883cf8dc16b586efef"),
+    61: ((0,), "7f7d7e4cd206efb17b391b64bfdea0813b80842fefb4acacc3eb644b29cc6872"),
+    64: ((1, 1, 0, 0, 0, 0), "d1381a096edf02e19b5a62db7a3bc26c1114ccf365f92f7bdd15d18d3c2614ca"),
+    67: ((0,), "30702f2dcb3e3f2850265a3d9be64364a86409a29657284619846a76bb8886ba"),
+    71: ((0,), "0db975179da28a54855677b99ec87e6fa285492aad8b389f07932bd01cd8c112"),
+    73: ((0,), "af03ca3a355ad4e23b65009773a0cb085febdcd173be94a4afc02bd10f06aa8f"),
+    79: ((0,), "f219fd19f70df08c4c1086d5317d5ae24b695f4620120c320db57094a316cbe3"),
+    81: ((2, 1, 0, 0), "6f87f030319e3e7dfbfec9628a4151a36953461376a5e32abf0d576b755248c3"),
+}
+
+
+def _table_digest(F):
+    tables = [np.asarray(t).tolist() for t in (F.add, F.mul, F.neg, F.inv[1:], F.trace)]
+    return hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_field_pins_cover_every_prime_power_to_81():
+    assert sorted(FIELD_PINS) == [q for q in range(2, 82)
+                                  if len(prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_PINS))
+def test_field_modulus_and_tables_are_pinned(q):
+    F = field_make(*factor_prime_power(q))
+    assert (F.modulus, _table_digest(F)) == FIELD_PINS[q]
+    for t in (F.add, F.mul, F.neg, F.inv, F.trace):
+        assert t.dtype == np.int64
+    assert F.inv[0] == 0  # a singular matrix stays singular under the adjugate
+    assert F.digits == [tuple(n // F.p ** i % F.p for i in range(F.r)) for n in range(q)]
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_PINS))
+def test_trace_is_the_sum_of_frobenius_powers(q):
+    F = field_make(*factor_prime_power(q))
+    add, mul = F.add.tolist(), F.mul.tolist()
+    for x in range(q):
+        acc = cur = x
+        for _ in range(F.r - 1):
+            frob = 1
+            for _ in range(F.p):
+                frob = mul[frob][cur]
+            cur = frob
+            acc = add[acc][cur]
+        assert acc == F.trace[x]
+
+
+@pytest.mark.parametrize("p, r, low", [(2, 2, (0, 0)), (2, 2, (1, 0)), (5, 2, (1, 0)),
+                                       (3, 3, (0, 1, 0))])
+def test_reducible_modulus_is_rejected(p, r, low):
+    # t^2, t^2 + 1 = (t + 1)^2, t^2 + 1 = (t - 2)(t + 2), t^3 + t = t (t^2 + 1)
+    with pytest.raises(ReducibleModulus):
+        FieldTable(p, r, low)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,49 @@ def test_ps_cusp_cap_refuses_before_any_build(capsys, monkeypatch, q, rep):
     assert json.loads(err)["error"] == "UsageError"
 
 
+def test_swc_parses_the_expression_once(capsys, monkeypatch, tmp_path):
+    seen = []
+    tokenize = cli._tokenize
+    monkeypatch.setattr(cli, "_tokenize", lambda src: seen.append(src) or tokenize(src))
+    code, _, _ = _run(capsys, "swc", "--q", "3", "--rep", "S(X2) + triv",
+                      "--cache-dir", str(tmp_path))
+    assert code == 0 and seen == ["S(X2) + triv"]
+
+
+# the exponent of cusp(k) passes int64; the additive character's trace must
+# enter the exponent as a Python int
+CUSP_BIG_K_REPORT = """{
+  "criterion": "central element acts by -1",
+  "degree": 8,
+  "ell": null,
+  "obstruction_class": "e^2",
+  "obstruction_degree": 8,
+  "parity": "odd",
+  "q": 5,
+  "r_or_m": 2,
+  "schema": "sl2swc/1",
+  "top_nonzero": true,
+  "total": {
+    "0": [
+      "1"
+    ],
+    "8": [
+      "e^2"
+    ]
+  },
+  "total_expanded": null,
+  "truncation": 8
+}
+"""
+
+
+def test_swc_cusp_exponent_beyond_int64(capsys, tmp_path):
+    code, out, err = _run(capsys, "swc", "--q", "5", "--rep", "S(cusp(100000000000000000001))",
+                          "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == CUSP_BIG_K_REPORT
+
+
 def test_gl_table_cap_leaves_the_gl_constructions(capsys, tmp_path):
     # ps(k) and cusp(k) induce inside GL(2,q) without its character table
     code, out, _ = _run(capsys, "swc", "--q", "11", "--rep", "S(ps(1))",

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from math import lcm
 from pathlib import Path
@@ -14,6 +15,8 @@ from sl2swc.groups import (
     EvenQ,
     TooLarge,
     UnsupportedTag,
+    _build_matrix_group,
+    _matrix_codes,
     build_gl2,
     build_sl2,
     conjugacy,
@@ -34,6 +37,20 @@ def test_orders():
 def test_too_large():
     with pytest.raises(TooLarge):
         build_sl2(83)
+
+
+def test_sl2_81_build_fits_in_64_mib():
+    # SL(2,81) holds 12 MiB; a q x q^3 membership table, or the (b, c, d)
+    # entry arrays kept alive while the group inverts its codes, costs more
+    _matrix_codes(81)
+    tracemalloc.start()
+    try:
+        G = _build_matrix_group(81, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(G) == 81 * (81 * 81 - 1)
+    assert peak < 64 * 2**20
 
 
 def test_class_counts():

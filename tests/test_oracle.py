@@ -245,6 +245,14 @@ def test_unipotent_multiplicities_coincide():
             assert len(set(mults[1:])) == 1
 
 
+def test_unipotent_multiplicities_beyond_int64():
+    # the regular representation restricts to 15 copies of the regular
+    # representation of the unitriangular group; the signs must multiply
+    # character values that pass int64 as Python ints
+    pi = regular_rep(char_table(build_sl2(4))).scaled(10**20)
+    assert unipotent_character_multiplicities(pi) == [15 * 10**20] * 4
+
+
 # ---------------------------------------------------------------------------
 # formula verification
 # ---------------------------------------------------------------------------
