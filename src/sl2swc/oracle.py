@@ -4,11 +4,14 @@ linear characters, and suites checking every closed formula against them.
 
 Nothing here reuses the closed-form route: classes come from character inner
 products over the center, a quaternion subgroup of order 8, or the
-unitriangular subgroup, then products of powers of (1 + w1) factors in the
-ring arithmetic of `cohomology`.  Each oracle reads pi only at the classes of
-the subgroup it restricts to, where pi takes rational integer values: the Q8
-multiplicities are integer inner products of pi's values at Q8's five classes
-with Q8's own rational table.
+unitriangular subgroup, then products of powers of (1 + w1) factors.  Over
+the center that product is a Lucas binomial series.  Over Q8 it is a closed
+form, since every degree-1 class cubes to zero in H*(Q8) (quaternion_class).
+Over the unitriangular subgroup it is multiplied out by a packed kernel, one
+bit per monomial of F2[v1..vr] in a Python int (linear_unit_product).  Each
+oracle reads pi only at the classes of the subgroup it restricts to, where pi
+takes rational integer values: the Q8 multiplicities are integer inner
+products of pi's values at Q8's five classes with Q8's own rational table.
 
 The suites record every failing case, a Mismatch with its diff and any other
 exception with its type and message, and give each failure an `expr`:
@@ -19,6 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from .algebra import binom_mod2, ord2
 from .characters import (
@@ -184,18 +190,41 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     return RestrictionProfile("Q8", (m0, m1, m2, m3, m4))
 
 
+@lru_cache(maxsize=None)
+def _quaternion_low_part(m1: int, m2: int, m3: int) -> tuple[tuple[int, int, int], ...]:
+    """The normal-form monomials of (1+x)^m1 (1+y)^m2 (1+x+y)^m3 in H*(Q8),
+    which lies in degrees <= 3: x^3 = x(xy + y^2) = x^2 y + x y^2 = 0, and
+    likewise y^3 = (x+y)^3 = 0 (Adem-Milgram, ch. IV).  So for a degree-1
+    class l, (1+l)^m = 1 + m l + C(m,2) l^2 mod 2."""
+    ring = quaternion8_ring(3)
+    x, y = ring.gen_class("x"), ring.gen_class("y")
+    out = ring.one()
+    for ell, m in ((x, m1), (y, m2), (x + y, m3)):
+        unit = ring.one()
+        if m & 1:
+            unit = unit + ell
+        if binom_mod2(m, 2):
+            unit = unit + ell.square()
+        out = out * unit
+    return tuple(mon for d in out.support_degrees() for mon in out.monomials(d))
+
+
+def quaternion_class(m1: int, m2: int, m3: int, m4: int, D: int) -> GradedClass:
+    """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 in H*(Q8) truncated at D, in
+    closed form: the degree-1 units' product (see _quaternion_low_part, which
+    depends on each m mod 4 only) times the Lucas series (1+e)^m4, the sum of
+    the e^k with C(m4, k) odd."""
+    low = _quaternion_low_part(m1 % 4, m2 % 4, m3 % 4)
+    return quaternion8_ring(D).from_monomials(
+        (a, b, k) for k in range(D // 4 + 1) if binom_mod2(m4, k) for a, b, _ in low)
+
+
 def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
-    """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 from the restriction profile."""
+    """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 from the restriction profile,
+    multiplied out in closed form (see quaternion_class)."""
     _require_genuine(pi)
-    prof = quaternion_profile(pi, emb)
-    _, m1, m2, m3, m4 = prof.mults
-    d_max = min(D, pi.degree())
-    ring = quaternion8_ring(d_max)
-    x, y, e = ring.gen_class("x"), ring.gen_class("y"), ring.gen_class("e")
-    one = ring.one()
-    out = (one.times_power(one + x, m1).times_power(one + y, m2)
-           .times_power(one + x + y, m3).times_power(one + e, m4))
-    return TotalSWC(out, "quaternion8")
+    _, m1, m2, m3, m4 = quaternion_profile(pi, emb).mults
+    return TotalSWC(quaternion_class(m1, m2, m3, m4, min(D, pi.degree())), "quaternion8")
 
 
 def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
@@ -224,23 +253,97 @@ def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
 
 def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     """Product over the additive characters of (1 + w1)^multiplicity, with w1
-    read off through the trace pairing against the polynomial basis."""
+    read off through the trace pairing against the polynomial basis, and
+    multiplied out by the packed kernel (see linear_unit_product)."""
     _require_genuine(pi)
-    G = pi.table.group
-    F = G.field
-    q, r = G.q, G.field.r
+    F = pi.table.group.field
     mults = unipotent_character_multiplicities(pi)
     if min(mults) < 0:
         raise AssertionError(f"negative additive character multiplicity in {mults}")
-    d_max = min(D, pi.degree())
+    # t^i has canonical rank 2^i; pair against the basis via the trace
+    forms = [[i for i in range(F.r) if F.trace[F.mul[a, 2**i]]] for a in range(1, F.q)]
+    cls = linear_unit_product(F.r, min(D, pi.degree()), zip(forms, mults[1:]))
+    return TotalSWC(cls, "unipotent")
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel: products of powers of 1 + (linear form) over F2
+# ---------------------------------------------------------------------------
+
+def _stack(parts: list[int], width: int) -> int:
+    """The sum of parts[e] << (e·width), combined in pairs so that each
+    round costs one pass over the result."""
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append(0)
+        parts = [a | b << width for a, b in zip(parts[::2], parts[1::2])]
+        width *= 2
+    return parts[0]
+
+
+@lru_cache(maxsize=4)
+def _degree_masks(r: int, d_max: int) -> tuple[int, ...]:
+    """For each j with 2^j <= d_max, the packed set of the exponent vectors in
+    r variables of total degree <= d_max - 2^j (slot base d_max + 1).
+
+    A vector of degree <= k over the digits 1..n is a digit e followed by one
+    of degree <= k - e over 1..n-1, so the masks of n digits are the masks of
+    n - 1 digits stacked in slots; no vector is listed."""
+    B = d_max + 1
+    sub, width = [1] * B, 1   # zero digits: the empty vector, degree 0 <= k
+    for _ in range(r - 1):
+        sub = [_stack(sub[k::-1], width) for k in range(B)]
+        width *= B
+    return tuple(_stack(sub[d_max - 2**j::-1], width) for j in range(d_max.bit_length()))
+
+
+def linear_unit_product(r: int, d_max: int, factors) -> GradedClass:
+    """The product of (1 + sum of v_(i+1) over i in S)^m over the (S, m) in
+    factors, S a set of indices in 0..r-1 and m >= 0, in F2[v1..vr] in
+    degrees <= d_max, as a class of unipotent_ring(r, max(d_max, 2^r - 1)).
+
+    A class is one Python int with a bit per exponent vector, at the ring's
+    own code sum e_i·B^(r-i) with slot base B = d_max + 1 (Kronecker
+    substitution; Harvey, J. Symb. Comp. 44, 2009), so multiplying by the
+    monomial v_i^k is a left shift by k·B^(r-i).  By the Frobenius,
+    (1 + l)^m is the product of the factors 1 + l^(2^j) = 1 + sum v_i^(2^j)
+    over the set bits j of m, and those with 2^j > d_max are 1.  Each factor
+    adds to x the shifted copies of x & M, M the vectors of degree
+    <= d_max - 2^j: no exponent then passes d_max, so no slot carries into
+    the next, and nothing above degree d_max appears."""
+    B = d_max + 1
+    masks = _degree_masks(r, d_max)
+    # x is as long as its largest code: multiply in first the factors that
+    # leave the first variables alone, and the small powers before the large
+    steps = sorted(((S, j) for S, m in factors for j in range(len(masks)) if m >> j & 1),
+                   key=lambda step: (-min(step[0], default=r), step[1]))
+    x = 1
+    for S, j in steps:
+        low = x & masks[j]
+        for i in S:
+            x ^= low << (B ** (r - 1 - i) << j)
+    return _unpack(x, r, d_max)
+
+
+def _unpack(x: int, r: int, d_max: int) -> GradedClass:
+    """The class of unipotent_ring(r, max(d_max, 2^r - 1)) whose monomials
+    are the set bits of x, read in slot base d_max + 1 and re-encoded in the
+    ring's base; the digits of all bits are split at once."""
     ring = unipotent_ring(r, max(d_max, 2**r - 1))
-    out = ring.one()
-    for a in range(1, q):
-        # t^i has canonical rank 2^i; pair against the basis via the trace
-        u = ring.one() + ring.from_monomials([tuple(int(j == i) for j in range(r))
-                                              for i in range(r) if F.trace[F.mul[a, 2**i]]])
-        out = out.times_power(u, mults[a])
-    return TotalSWC(out.truncate(d_max), "unipotent")
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    nz = np.flatnonzero(raw)
+    byte, bit = np.nonzero(np.unpackbits(raw[nz, None], axis=1, bitorder="little"))
+    rest = nz[byte] * 8 + bit
+    deg = np.zeros_like(rest)
+    code = np.zeros_like(rest)
+    for i in range(r):   # the last generator's digit first
+        rest, e = np.divmod(rest, d_max + 1)
+        deg += e
+        code += e * (ring.D + 1) ** i
+    order = np.argsort(deg, kind="stable")
+    degs, starts = np.unique(deg[order], return_index=True)
+    chunks = np.split(code[order], starts[1:])
+    return GradedClass(ring, {int(d): frozenset(c.tolist()) for d, c in zip(degs, chunks)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sl2swc.algebra import binom_mod2
 from sl2swc.characters import (
@@ -15,7 +18,13 @@ from sl2swc.characters import (
     symmetrize,
     trivial_rep,
 )
-from sl2swc.cohomology import restrict_genq_to_q8, restrict_q8_to_center, steenrod_sq
+from sl2swc.cohomology import (
+    quaternion8_ring,
+    restrict_genq_to_q8,
+    restrict_q8_to_center,
+    steenrod_sq,
+    unipotent_ring,
+)
 from sl2swc.groups import (
     build_gl2,
     build_sl2,
@@ -28,6 +37,8 @@ from sl2swc.oracle import (
     BadEmbedding,
     Mismatch,
     central_involution,
+    linear_unit_product,
+    quaternion_class,
     quaternion_profile,
     restricted_total_class,
     suite_gow,
@@ -213,6 +224,25 @@ def test_profile_rejects_an_embedding_in_another_group():
         quaternion_profile(trivial_rep(char_table(build_sl2(3))), emb)
 
 
+def test_degree_one_cubes_vanish_in_q8():
+    for D in range(3, 13):
+        ring = quaternion8_ring(D)
+        x, y = ring.gen_class("x"), ring.gen_class("y")
+        for ell in (x, y, x + y):
+            assert (ell * ell * ell).is_zero(), (D, ell)
+
+
+def test_quaternion_closed_form_matches_the_chained_powers():
+    ring = quaternion8_ring(32)
+    x, y, e = ring.gen_class("x"), ring.gen_class("y"), ring.gen_class("e")
+    one = ring.one()
+    for m1, m2, m3 in product(range(6), repeat=3):
+        low = one.times_power(one + x, m1).times_power(one + y, m2).times_power(one + x + y, m3)
+        for m4 in range(10):
+            want = low.times_power(one + e, m4)
+            assert quaternion_class(m1, m2, m3, m4, 32) == want, (m1, m2, m3, m4)
+
+
 # ---------------------------------------------------------------------------
 # unipotent oracle
 # ---------------------------------------------------------------------------
@@ -253,6 +283,54 @@ def test_unipotent_multiplicities_beyond_int64():
     assert unipotent_character_multiplicities(pi) == [15 * 10**20] * 4
 
 
+def _chained_unit_product(r, d_max, factors):
+    """The product of the (1 + sum of v_i over S)^m by a chain of times_power
+    in the set form of unipotent_ring, the reference for the packed kernel."""
+    ring = unipotent_ring(r, max(d_max, 2**r - 1))
+    out = ring.one()
+    for S, m in factors:
+        u = ring.one() + ring.from_monomials([tuple(int(j == i) for j in range(r)) for i in S])
+        out = out.times_power(u, m)
+    return out.truncate(d_max)
+
+
+@st.composite
+def _unit_products(draw):
+    r = draw(st.sampled_from(range(1, 5)))
+    d_max = draw(st.sampled_from(range(1, 41)))
+    wide = 2 ** (d_max - 1).bit_length()   # 2^ceil(log2 d_max)
+    mult = st.one_of(st.sampled_from([0, 1]), st.integers(0, wide), st.integers(wide, 4 * wide))
+    form = st.sets(st.integers(0, r - 1), min_size=1).map(sorted)
+    return r, d_max, draw(st.lists(st.tuples(form, mult), max_size=5))
+
+
+_ALL_FORMS_OF_RANK_4 = [[i for i in range(4) if a >> i & 1] for a in range(1, 16)]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_unit_products())
+# every nonzero form in 4 variables, multiplicities reaching every bit below 2^7
+@example(case=(4, 40, [(S, 9 * a) for a, S in enumerate(_ALL_FORMS_OF_RANK_4, 1)]))
+def test_packed_unit_product_matches_the_chained_powers(case):
+    r, d_max, factors = case
+    assert linear_unit_product(r, d_max, factors) == _chained_unit_product(r, d_max, factors)
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_unipotent_oracle_matches_the_chained_powers_on_every_oir(q):
+    t = char_table(build_sl2(q))
+    F = t.group.field
+    forms = [[i for i in range(F.r) if F.trace[F.mul[a, 2**i]]] for a in range(1, q)]
+    for lab, _ in oir_labels(t):
+        pi = rep_from_oir_blocks(t, {lab: 1})
+        mults = unipotent_character_multiplicities(pi)
+        want = _chained_unit_product(F.r, min(64, pi.degree()), zip(forms, mults[1:]))
+        got = swc_from_unipotent(pi, 64).cls
+        for d in range(65):
+            assert got.monomials(d) == want.monomials(d), (lab, d)
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # formula verification
 # ---------------------------------------------------------------------------
@@ -279,6 +357,33 @@ def test_verify_random_combinations_q7():
     for _ in range(20):
         pi = random_orthogonal_rep(t, rng, max_degree=400)
         verify_swc_formula(pi, 64)
+
+
+def test_oracles_do_not_reach_the_closed_form_route(monkeypatch):
+    from sl2swc import cohomology, swc
+
+    t8, t9 = char_table(build_sl2(8)), char_table(build_sl2(9))
+    rng = random.Random(8)
+    reps8 = [regular_rep(t8)] + [random_orthogonal_rep(t8, rng) for _ in range(3)]
+    reps9 = [regular_rep(t9)] + [random_orthogonal_rep(t9, rng) for _ in range(3)]
+    emb = find_quaternion(t9.group)
+
+    def classes():
+        return ([swc_from_unipotent(pi, 24).cls for pi in reps8],
+                [swc_from_quaternion(pi, emb, 64).cls for pi in reps9],
+                [swc_from_center(pi, 64).cls for pi in reps9])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle reached the closed-form route")
+
+    with monkeypatch.context() as patch:
+        for module, name in ((swc, "_power"), (cohomology, "dickson"),
+                             (cohomology, "dickson_expansion")):
+            patch.setattr(module, name, forbidden)
+        with pytest.raises(AssertionError, match="closed-form route"):
+            swc.total_swc_expanded(reps8[0], 24)
+        isolated = classes()
+    assert isolated == classes()
 
 
 def test_mismatch_is_detected():
