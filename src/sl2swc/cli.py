@@ -395,10 +395,10 @@ def _emit(payload: dict) -> None:
     _write_json(payload, sys.stdout)
 
 
-# A cold `table --group gl2` took 12 s and 94 MB at q = 11 and 45-47 s and
-# 232 MB at q = 13, half of it writing the JSON (one BLAS thread, 512 MiB of
-# address space, a shared 2-vCPU machine); GL(2,16) has 255 classes against
-# 168, so larger GL tables are refused up front.
+# A cold `table --group gl2` under 512 MiB of address space took 31 s and
+# 232 MB at q = 13 and 83 s and 420 MB at q = 16; at q = 17 it ran out of
+# memory allocating the 288^3 int64 structure constants (one BLAS thread, a
+# shared 2-vCPU machine), so larger GL tables are refused up front.
 GL_TABLE_CAP = 13
 
 
@@ -411,10 +411,10 @@ def cmd_table(args) -> int:
     return 0
 
 
-# Cold `swc --rep "S(ps(1))"` and `"S(cusp(1))"` under 512 MiB took 29 s and
-# 27 s at q = 19 but 114 s and 121 s at q = 23, mostly in conjugacy(GL(2,q))
-# (a shared 2-vCPU machine), so larger q is refused before any table is built.
-PS_CUSP_CAP = 19
+# Cold `swc --rep "S(ps(1)) + S(cusp(1))"` under 512 MiB took at most 8.3 s
+# and 129 MB at every odd q <= 27, but 78 s at q = 29 (one BLAS thread, a
+# shared 2-vCPU machine), so larger q is refused before any table is built.
+PS_CUSP_CAP = 27
 
 
 def cmd_swc(args) -> int:

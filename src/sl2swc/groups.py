@@ -14,13 +14,12 @@ per q, and codes are compared only between groups that share it.  All
 data is immutable once built; conjugacy and power tables are cached on the
 group object.
 
-`conjugacy` checks that the power map is well defined on classes: every
-element x has the order d of its class representative r, and class(x^k) =
-class(r^k) for 0 <= k < d.  Both sides are periodic in k with period d, and d
-divides the exponent, so this is the same condition as class(x^k) =
-class(r^k) for every k below the exponent; conversely that condition at k = d
-and at k = ord(x) forces the orders to agree.  The check costs the sum of the
-element orders in products instead of |G| times the exponent.
+`conjugacy` takes its classes as orbits under conjugation by a generating
+set T, which `_generators` certifies by reaching all of G from the identity.
+An orbit under T is an orbit under <T> = G, so these are the conjugacy
+classes.  Conjugation is an automorphism: for x = g^-1 r g, x^k = g^-1 r^k g,
+so class(x^k) = class(r^k) and ord x = ord r, and the power map is read off
+the class representatives alone.
 """
 
 from __future__ import annotations
@@ -267,58 +266,43 @@ class ConjugacyData:
 
 
 def conjugacy(G: Group) -> ConjugacyData:
-    """Orbit partition under conjugation, element orders and the power-class
-    table, with the power map checked to be well defined on classes."""
+    """Orbits under conjugation by `_generators(G)`, element orders and the
+    power-class table, each class represented by its least index.
+
+    Labels start as the indices and shrink to a fixpoint: each round takes
+    label[label], then the least label over each generator's conjugation.
+    A label stays in its element's orbit and at most its index, and at the
+    fixpoint it is constant on every orbit, so it is the orbit's least index.
+    """
     if G._conj is not None:
         return G._conj
-    n = len(G)
-    X = np.arange(n)
-    cls = np.full(n, -1)
-    sizes, reps = [], []
-    g = 0
-    while g < n:  # g is the first element in no class yet
-        in_orbit = np.zeros(n, dtype=bool)
-        in_orbit[G.mul_many(G.mul_many(X, g), G.inverses)] = True
-        orbit = np.flatnonzero(in_orbit)
-        if np.count_nonzero(cls[orbit] >= 0):
-            raise AssertionError(f"the conjugacy orbit of element {g} meets an earlier class")
-        cls[orbit] = len(reps)
-        sizes.append(len(orbit))
-        reps.append(g)
-        rest = np.flatnonzero(cls[g:] < 0)
-        g = g + int(rest[0]) if rest.size else n
-    if sum(sizes) != n:
-        raise AssertionError("class equation failed")
+    X = np.arange(len(G))
+    perms = [G.mul_many(G.mul_many(G.inverses[t], X), t) for t in _generators(G)]
+    label = X
+    while True:
+        new = label[label]
+        for p in perms:
+            new = np.minimum(new, new[p])
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps = np.flatnonzero(label == X)  # each class's least index, ascending
+    cls = np.searchsorted(reps, label)
+    sizes = np.bincount(cls)
 
-    # Raise every element to the powers k = 1, 2, ... until it reaches the
-    # identity; alive holds the elements of order > k, cur their k-th powers.
-    rep_idx = np.array(reps)
-    order = np.zeros(n, dtype=np.int64)
-    rows = [np.full(len(reps), cls[G.identity])]  # rows[k][c] = class of rep_c^k
-    alive, cur, rep_cur = X, X, rep_idx
-    k = 1
-    while alive.size:
-        if k > n:
-            raise AssertionError(f"element {alive[0]} has no order up to |G| = {n}")
-        rows.append(cls[rep_cur])
-        order[alive[cur == G.identity]] = k
-        keep = cur != G.identity
-        alive, cur = alive[keep], cur[keep]
-        bad = np.flatnonzero(cls[cur] != rows[k][cls[alive]])
-        if bad.size:
-            raise AssertionError(f"power map ill-defined at element {alive[bad[0]]}, k={k}")
-        cur = G.mul_many(cur, alive)
-        rep_cur = G.mul_many(rep_cur, rep_idx)
-        k += 1
-    bad = np.flatnonzero(order != order[rep_idx][cls])
-    if bad.size:
-        raise AssertionError(f"power map ill-defined: element {bad[0]} and its class "
-                             "representative differ in order")
-    orders = order[rep_idx].tolist()
+    # raise the representatives together: rows[k][c] = class of rep_c^k
+    order = np.zeros(len(reps), dtype=np.int64)
+    rows, cur = [], np.full(len(reps), G.identity)
+    while not order.all():
+        rows.append(cls[cur])
+        cur = G.mul_many(cur, reps)
+        order[(order == 0) & (cur == G.identity)] = len(rows)
+    rows = np.array(rows)
+    orders = order.tolist()
     exponent = reduce(lcm, orders, 1)
-    power = [[int(rows[k][c]) for k in range(d)] for c, d in enumerate(orders)]
+    power = [rows[:d, c].tolist() for c, d in enumerate(orders)]
 
-    data = ConjugacyData(G, cls.tolist(), reps, sizes, orders, exponent, power)
+    data = ConjugacyData(G, cls.tolist(), reps.tolist(), sizes.tolist(), orders, exponent, power)
     G._conj = data
     return data
 
@@ -344,12 +328,12 @@ def subgroup_from_indices(G: Group, indices, tag: str, gens=None) -> Subgroup:
     idxs = sorted(set(np.asarray(indices, dtype=np.int64).tolist()))
     sub = Group(f"{G.name}:{tag}", "sub", G.codes[idxs], G.arith, G.elem(G.identity),
                 q=G.q, field=G.field)  # raises unless inverse-closed
-    _require_closed(sub)
+    _generators(sub)  # raises unless closed under products
     return Subgroup(G, tuple(idxs), tag, sub, gens)
 
 
-def _require_closed(H: Group) -> None:
-    """Raise AssertionError unless H·H lies in H.
+def _generators(H: Group) -> list[int]:
+    """A generating set T of H; raise AssertionError unless H·H lies in H.
 
     <T> grows inside H one generator t at a time, each the first element of
     H not reached yet.  Every x·t (x in H) must lie in H; these products give
@@ -362,12 +346,13 @@ def _require_closed(H: Group) -> None:
     reached = np.zeros(n, dtype=bool)
     reached[H.identity] = True
     last = np.empty(n, dtype=np.int64)
-    perms = []
+    gens, perms = [], []
     while not reached.all():
         t = int(np.argmin(reached))
         image = H.locate(H.arith.mul(H.codes, H.codes[t]))
         if np.count_nonzero(image < 0):
             raise AssertionError(f"{H.name}: elements not closed under products")
+        gens.append(t)
         perms.append(image)
         frontier = np.flatnonzero(reached)
         while frontier.size:
@@ -377,6 +362,7 @@ def _require_closed(H: Group) -> None:
             last[fresh] = np.arange(fresh.size)
             frontier = fresh[last[fresh] == np.arange(fresh.size)]
             reached[frontier] = True
+    return gens
 
 
 def standard_subgroup(G: Group, tag: str) -> Subgroup:

@@ -183,7 +183,7 @@ def test_usage_errors(capsys, tmp_path):
     ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
     ("cohomology", "--group", "c2:6", "--max-degree", "257"),
-    # GL tables above GL_TABLE_CAP = 13 are refused: a cold GL(2,13) takes 45 s
+    # GL tables above GL_TABLE_CAP = 13 are refused: a cold GL(2,16) takes 83 s
     ("table", "--group", "gl2", "--q", "16"),
     ("table", "--group", "gl2", "--q", "81"),
 ], ids=" ".join)
@@ -193,10 +193,10 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"] == "UsageError"
 
 
-# ps(k) and cusp(k) above PS_CUSP_CAP = 19 are refused before any table is
-# built: cold, they take more than a minute at q = 23
-@pytest.mark.parametrize("q, rep", [("23", "S(ps(1))"), ("23", "cusp(1)"), ("81", "ps(1)"),
-                                    ("25", "reg - 2*S(S(cusp(3)))")])
+# ps(k) and cusp(k) above PS_CUSP_CAP = 27 are refused before any table is
+# built: cold, they take more than a minute at q = 29
+@pytest.mark.parametrize("q, rep", [("29", "S(ps(1))"), ("29", "cusp(1)"), ("81", "ps(1)"),
+                                    ("29", "reg - 2*S(S(cusp(3)))")])
 def test_ps_cusp_cap_refuses_before_any_build(capsys, monkeypatch, q, rep):
     monkeypatch.setattr(cli, "get_table", lambda *args: pytest.fail("a table was built"))
     code, out, err = _run(capsys, "swc", "--q", q, "--rep", rep)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -16,6 +18,7 @@ from sl2swc.groups import (
     TooLarge,
     UnsupportedTag,
     _build_matrix_group,
+    _generators,
     _matrix_codes,
     build_gl2,
     build_sl2,
@@ -154,8 +157,9 @@ def test_conjugacy_matches_brute_force(kind, param):
 
 
 def test_power_class_consistency_recomputed():
-    # the build checks this only up to each element's order; recheck every
-    # element through the full exponent with tuple products
+    # the build raises only the class representatives to powers; this is the
+    # per-element reference: every element through the full exponent, with
+    # tuple products
     for kind, param in REFERENCE_GROUPS:
         G = _group(kind, param)
         prod, one = _tuple_product(G)
@@ -168,6 +172,73 @@ def test_power_class_consistency_recomputed():
                 got = conj.class_of[index[cur]]
                 assert got == conj.power_class(conj.class_of[x], k), (G.name, x, k)
                 cur = prod(cur, e)
+
+
+@pytest.mark.parametrize("kind, param", REFERENCE_GROUPS,
+                         ids=[f"{k}-{p}" for k, p in REFERENCE_GROUPS])
+def test_generators_generate_the_group(kind, param):
+    # the closure of _generators(G) from the identity under tuple products
+    # reaches every element
+    G = _group(kind, param)
+    prod, one = _tuple_product(G)
+    gens = [G.elem(t) for t in _generators(G)]
+    reached, frontier = {one}, [one]
+    while frontier:
+        fresh = {prod(x, t) for x in frontier for t in gens} - reached
+        reached |= fresh
+        frontier = list(fresh)
+    assert reached == {G.elem(i) for i in range(len(G))}
+
+
+# SHA-256 of json.dumps([class_of, reps, sizes, orders, exponent, power]),
+# pinned from the build that conjugated every class representative by all of
+# G and raised every element through its powers
+CONJUGACY_DIGESTS = {
+    ("sl2", 2): "de8ce5d5e63b6daf9a95ed1e37b2d6046041c147e7b4fdf8081aece103c5aab9",
+    ("sl2", 3): "9e164011e8bbb59fd7029dfe30a6a6abff5a4297ba8380a9ffd964e30637b48d",
+    ("sl2", 4): "dd17ee27056e2623c21e22669433fb7be7b7ead31743b42d2afe7ddba8883fcd",
+    ("sl2", 5): "984fb08f16d4550ac1acb305c2552fdbe1ca3426a60bc2f7e930776bba300b19",
+    ("sl2", 7): "94a019ac65a4aeadddb37c171b104f4dd6e620366ca8a616061912d6cafdf7ba",
+    ("sl2", 8): "4564a19655e39df0a524d3d3ae6c450eea0543a7b06991b3ee06931eb4b8c56d",
+    ("sl2", 9): "7e27f0975e9d98df2cf262949e49366c56b76254b3f09a4dc1ecfa739fe3d966",
+    ("sl2", 11): "168555b2922c6e116fb74f28ed11e724a934c631bc6957351a5613f2a58f536d",
+    ("sl2", 13): "79012dfa8737e670aaee0e9e1a2a1679cdbbd528f23036ae2fda205336068daa",
+    ("sl2", 16): "cbd1348dee82bdb82abe1fef1d72fdac229a8e792b79a0d7433252262305b7ec",
+    ("sl2", 17): "339b25dadf5408bc9d4a889b7ded67e6e5b59437f2c70d983f11ee587906f8a1",
+    ("sl2", 19): "330272f41aaa9c02573b6f94f98140e0b614f846899becdaa9a0315ae7a8b12d",
+    ("sl2", 23): "e7176e823dc72e2eb0de635557c06281c0534344294692566f0bc3c70ffdb15d",
+    ("sl2", 25): "f5717e0297fe7ca9ec3e54ce21d2994dd571d6d34ac3b2a43e4adebf6ec52f44",
+    ("sl2", 27): "41c6d2db1b9b02a0770a93de60ec4c1456b88d4a42d77ea9fe342164d16f6013",
+    ("sl2", 29): "4747cea3334170385b41d7c1bc7aa46a780f8123b03c39b6b7bb3df37c7c3a31",
+    ("sl2", 31): "34c0ced6710481434c1c3e6fee526bdb9f06128b0364e9c2c58950c025cc9fa8",
+    ("sl2", 32): "a3d13d3a1297862d61fc9158912f972e433af107a1335ec9e244ff39fbaec4f5",
+    ("sl2", 37): "7697da056c4cf3862ac67873a1849f03235317a33d40e442511ad5a4a65a8a95",
+    ("sl2", 41): "dbc4e0250ba6b5d061fed5d68f44e5394342347c3152b53ca7cdc0444adfd981",
+    ("sl2", 43): "bb3b92714ae7a97e154dfa602babe07bace4913fc7ea109f7ed1b4e0a2f7dff2",
+    ("sl2", 47): "36aa6c84dd41c699c6074ece36c8ade704411c84663af88426b562bec34d4a17",
+    ("sl2", 49): "8a69d1ff4d372d851c6c0287242aeee776636adb0e4cf076e59bf8588617c755",
+    ("sl2", 81): "3c39f9f9fc000a89d0ee598dcee9b8b9e9e6f8a78ea6cf4e1da1a987afb299ea",
+    ("gl2", 2): "de8ce5d5e63b6daf9a95ed1e37b2d6046041c147e7b4fdf8081aece103c5aab9",
+    ("gl2", 3): "7c37a6db9e9c6c98ecb3b223282c2ab31b8097533d166a1f26f2cb0d75f1eb93",
+    ("gl2", 4): "17758a4265784a01e8b7e773569563fc8ccc85b89414d2b51d6e3a715c9ca441",
+    ("gl2", 5): "7d8f2b3a56a78664441c9a3eef96d3e9043d3463df8c589a885e8279ebc8d0f5",
+    ("gl2", 7): "dde87da390caaa5d2a03e2891d7125ca82f48e7db07390607822b5217885a4f5",
+    ("gl2", 8): "7442717bfa8532818cdc5e661c8300c46fcbdacaf6fb167a429675216117a6e3",
+    ("gl2", 9): "1b7fa7fc8f42602e2274755af1a8930d550e069df4a1c337231b21fa218c0bc2",
+    ("gl2", 11): "780f2f5f47461e58d743cc720794c2852cc682321a3b8164b7e7b99a281978ec",
+    ("gl2", 13): "18f52759ec596acea6a40d6e2de02ed247333c983f913cc33359399c5f5d8466",
+    ("gl2", 16): "3faafec97b0c382f5018ed3331a65fca57f121368616ee90baa242a5ebee15d7",
+    ("gl2", 17): "306fd4bc6f157e4a850e97d46f9ff0a876b105cb6a54f35841bbe1dddb8a3501",
+    ("gl2", 19): "f249024e850fce74388ebc91b120bc27c0dfb7709ad31d35ee11500da158d709",
+}
+
+
+@pytest.mark.parametrize("kind, q", CONJUGACY_DIGESTS, ids=[f"{k}-{q}" for k, q in CONJUGACY_DIGESTS])
+def test_conjugacy_digest(kind, q):
+    # an uncached build, so that the large groups are freed after the test
+    conj = conjugacy(_build_matrix_group(q, kind == "sl2"))
+    data = [conj.class_of, conj.reps, conj.sizes, conj.orders, conj.exponent, conj.power]
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == CONJUGACY_DIGESTS[kind, q]
 
 
 def test_structure_constants_match_brute_force():
