@@ -1,18 +1,17 @@
 """Exact Stiefel-Whitney classes of orthogonal representations of SL(2,q).
 
 Everything is computed with exact arithmetic: finite fields as numpy tables
-built from multiplication matrices, character values as cyclotomic integers,
-cohomology classes as per-degree sets of integer-coded monomials.  The
+built from multiplication matrices, the character value at a class of order
+o as an integer vector over Z/o read through its traces (eigenvalue spectra
+for the irreducible characters), cohomology classes as per-degree sets of
+integer-coded monomials.  The
 `oracle` module re-derives every class by brute force from restrictions to
 small subgroups, independently of the closed formulas in `swc`.
 """
 
 from .algebra import (
     CompositeP,
-    Cyclo,
     NotRationalInteger,
-    cyclo_make,
-    cyclo_to_integer,
     field_make,
 )
 from .characters import (

@@ -1,13 +1,15 @@
-"""Exact arithmetic foundations: finite fields GF(p^r) and cyclotomic integers Z[zeta_m].
+"""Exact arithmetic foundations: finite fields GF(p^r) and the cyclotomic
+polynomials Phi_m.
 
 A field is a set of numpy tables over the ranks 0..q-1 of its elements,
 built once from the matrices of multiplication by each element modulo a
 fixed irreducible.
-Cyclotomic integers are stored as the unique normal form modulo the m-th
-cyclotomic polynomial, which makes equality and integrality tests exact.
 Phi_m is built from Phi_n for the radical n of m by one exact division per
-prime, and a normal form is the remainder of one long division by the sparse
-monic Phi_m; no table of powers of zeta_m is kept.
+prime.  Its one use is `cyclo_make`, the normal form of an element of
+Z[zeta_m] modulo Phi_m: the remainder of one long division by the sparse
+monic Phi_m, no table of powers of zeta_m kept.  Character values are
+integer vectors read through their traces (see `characters`); the normal
+form only writes them in the coefficients of the v1 table format.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class ReducibleModulus(ValueError):
 
 
 class NotRationalInteger(Exception):
-    """Cyclotomic value expected to be a plain integer is not one."""
+    """A value expected to be a rational integer is not one."""
 
 
 def is_prime(n: int) -> bool:
@@ -128,7 +130,7 @@ class FieldTable:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic integers
+# Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
 def prime_factors(m: int) -> list[int]:
@@ -198,106 +200,9 @@ def euler_phi(m: int) -> int:
     return _sparse_phi(m)[0]
 
 
-class Cyclo:
-    """Element of Z[zeta_m] in normal form modulo the m-th cyclotomic polynomial."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: tuple[int, ...]):
-        self.m = m
-        self.coeffs = coeffs
-
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def integer(m: int, n: int) -> "Cyclo":
-        return Cyclo(m, (n,) + (0,) * (euler_phi(m) - 1))
-
-    @staticmethod
-    def root(m: int, k: int = 1) -> "Cyclo":
-        """zeta_m^k."""
-        return cyclo_make(m, [0] * (k % m) + [1])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other) -> "Cyclo":
-        if isinstance(other, int):
-            return Cyclo.integer(self.m, other)
-        if isinstance(other, Cyclo):
-            if other.m == self.m:
-                return other
-            raise ValueError(f"cyclotomic order mismatch: {self.m} vs {other.m}")
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Cyclo(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Cyclo(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyclo(self.m, tuple(other * a for a in self.coeffs))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        phi = len(self.coeffs)
-        acc = [0] * (2 * phi - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    if bj:
-                        acc[i + j] += ai * bj
-        return cyclo_make(self.m, acc)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == Cyclo.integer(self.m, other)
-        return isinstance(other, Cyclo) and self.m == other.m and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    # -- structure maps -----------------------------------------------------
-
-    def upcast(self, m2: int) -> "Cyclo":
-        """Reinterpret inside Z[zeta_{m2}] where m divides m2."""
-        if m2 == self.m:
-            return self
-        if m2 % self.m != 0:
-            raise ValueError(f"{self.m} does not divide {m2}")
-        return cyclo_make(m2, _stretch(self.coeffs, m2 // self.m))
-
-    def exact_div(self, n: int) -> "Cyclo":
-        if any(c % n for c in self.coeffs):
-            raise NotRationalInteger(f"coefficients {self.coeffs} not divisible by {n}")
-        return Cyclo(self.m, tuple(c // n for c in self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if i == 0:
-                    terms.append(str(c))
-                else:
-                    mon = f"zeta{self.m}" + (f"^{i}" if i > 1 else "")
-                    terms.append(mon if c == 1 else f"{c}*{mon}")
-        return "+".join(terms).replace("+-", "-")
-
-
-def cyclo_make(m: int, coeffs) -> Cyclo:
-    """Normal form of sum coeffs[k] * zeta_m^k (any length).
+def cyclo_make(m: int, coeffs) -> tuple[int, ...]:
+    """The coefficients of the normal form of sum coeffs[k] * zeta_m^k (any
+    length) in Z[zeta_m], the remainder modulo Phi_m.
 
     Indices fold by zeta^m = 1, and for even m also by zeta^(m/2) = -1, since
     Phi_m divides t^(m/2) + 1.  The normal form is the remainder of the folded
@@ -312,14 +217,7 @@ def cyclo_make(m: int, coeffs) -> Cyclo:
             vec[i] += -c if turns % 2 and h < m else c
     phi, terms = _sparse_phi(m)
     _long_divide(vec, phi, terms)
-    return Cyclo(m, tuple(vec[:phi]))
-
-
-def cyclo_to_integer(c: Cyclo) -> int:
-    """The integer n with normal form c, else NotRationalInteger."""
-    if any(c.coeffs[1:]):
-        raise NotRationalInteger(f"{c!r} is not a rational integer")
-    return c.coeffs[0]
+    return tuple(vec[:phi])
 
 
 def binom_mod2(n: int, k: int) -> int:

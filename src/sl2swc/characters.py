@@ -1,17 +1,25 @@
 """Class functions, exact character tables, Frobenius-Schur indicators,
 induction/restriction, symmetrization, and orthogonal decomposition.
 
+A character value at a class of order o is an integer vector w over Z/o
+standing for sum_t w[t] zeta_o^t: the eigenvalue spectrum for a table
+character, any integer representative for an induced value.  Sums, duals,
+restriction and induction act on the vectors, and every exact reading (an
+integer value, an inner product, an indicator, an equality) goes through one
+trace form, the Ramanujan sums of `_ramanujan`.
+
 Character tables are computed from scratch by the Burnside-Dixon class-matrix
 method: simultaneous eigenvectors of the class matrices are found modulo a
 prime l = 1 (mod exp(G)), which gives the table X mod l.  One routine,
 `_certified_table`, takes any such X to a checked table: it lifts each class
-to the eigenvalue multiplicities (spectra) of every character by discrete
-Fourier inversion over the power-class table, folds each distinct spectrum
-into Z[zeta_m] once, and certifies that the rows are the irreducible
-characters (row orthogonality in Z, read off the spectra through Ramanujan
-sums, and the class-algebra relations mod l).  `char_table` reaches it from
-Dixon's eigenvectors and `table_from_values` from stored values reduced mod
-l, so loading a cached table reruns the certificate of a cold build.
+to the spectra of every character by discrete Fourier inversion over the
+power-class table, and certifies that the rows are the irreducible
+characters (row orthogonality in Z, read off the spectra through the trace
+form, and the class-algebra relations mod l).  It also folds each distinct
+spectrum once into its normal form in Z[zeta_m], m = exp G, which orders the
+characters and is what the v1 table format stores.  `char_table` reaches it
+from Dixon's eigenvectors and `table_from_values` from stored values reduced
+mod l, so loading a cached table reruns the certificate of a cold build.
 
 The modular step works on int64 numpy arrays.  One kernel, `_nullspace_mod`,
 finds every eigenspace; each matrix Dixon's method splits by (first the
@@ -27,16 +35,14 @@ multiplies group elements once those are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .algebra import (
-    Cyclo,
     NotRationalInteger,
     cyclo_make,
-    cyclo_to_integer,
     euler_phi,
     lcm,
     prime_factors,
@@ -67,69 +73,56 @@ class BadConstructionParams(Exception):
 # ---------------------------------------------------------------------------
 
 class ClassFunction:
-    """Exact cyclotomic value per conjugacy class of a concrete group."""
+    """A class function of a concrete group, valued in the cyclotomic fields.
 
-    __slots__ = ("group", "conj", "m", "values")
+    At a class of order o, `values[c]` is an integer vector w of length o
+    that stands for sum_t w[t] zeta_o^t: for a table character the
+    eigenvalue spectrum, for an induced value any integer representative.
+    So a value is read only through its traces (`_ramanujan`), which do not
+    depend on the representative.  A vector is int64 only when every trace
+    of it stays in int64 (o·sum |w[t]| < 2^63, as for the spectra); sums,
+    multiples and inductions are taken in Python ints."""
 
-    def __init__(self, group: Group, conj: ConjugacyData, m: int, values):
+    __slots__ = ("group", "conj", "values")
+
+    def __init__(self, group: Group, conj: ConjugacyData, values):
         self.group = group
         self.conj = conj
-        self.m = m
         self.values = tuple(values)
 
     def int_at(self, c: int) -> int:
-        return cyclo_to_integer(self.values[c])
+        return _rational(self.values[c])
 
     def degree(self) -> int:
         return self.int_at(self.conj.class_of[self.group.identity])
 
     def dual(self) -> "ClassFunction":
-        vals = [self.values[self.conj.inverse_class(c)] for c in range(self.conj.nclasses())]
-        return ClassFunction(self.group, self.conj, self.m, vals)
+        """chi(c^-1), the complex conjugate of chi(c): t -> -t."""
+        return ClassFunction(self.group, self.conj,
+                             [w[-np.arange(len(w)) % len(w)] for w in self.values])
 
-    def align(self, m2: int) -> "ClassFunction":
-        if m2 == self.m:
-            return self
-        return ClassFunction(self.group, self.conj, m2, [v.upcast(m2) for v in self.values])
-
-    def inner(self, other: "ClassFunction") -> Cyclo:
-        """(1/|G|) sum |C| a(C) b(C^-1); exact, b a virtual character."""
+    def inner(self, other: "ClassFunction") -> int:
+        """<self, other>, or NotRationalInteger; see `_inner_rows`."""
         _same_group(self, other)
-        m = lcm(self.m, other.m)
-        a, b = self.align(m), other.align(m)
-        total = Cyclo.integer(m, 0)
-        for c in range(self.conj.nclasses()):
-            bc = b.values[self.conj.inverse_class(c)]
-            if bc.is_zero() or a.values[c].is_zero():
-                continue
-            total = total + a.values[c] * bc * self.conj.sizes[c]
-        return total.exact_div(len(self.group))
-
-    def inner_int(self, other: "ClassFunction") -> int:
-        return cyclo_to_integer(self.inner(other))
-
-    def _pointwise(self, other, op):
-        _same_group(self, other)
-        m = lcm(self.m, other.m)
-        a, b = self.align(m), other.align(m)
-        return ClassFunction(self.group, self.conj, m,
-                             [op(x, y) for x, y in zip(a.values, b.values)])
+        return _inner_rows(self.conj, len(self.group), [w[None] for w in self.values], other)[0]
 
     def __add__(self, other):
-        return self._pointwise(other, lambda x, y: x + y)
+        _same_group(self, other)
+        return ClassFunction(self.group, self.conj,
+                             [_exact(a) + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        return self._pointwise(other, lambda x, y: x - y)
+        return self + other.scaled(-1)
 
     def scaled(self, n: int) -> "ClassFunction":
-        return ClassFunction(self.group, self.conj, self.m, [v * n for v in self.values])
+        return ClassFunction(self.group, self.conj, [_exact(w) * n for w in self.values])
 
     def __eq__(self, other):
+        """Equal values at every class: each difference x stands for 0, Kx = 0."""
         if not isinstance(other, ClassFunction) or self.group is not other.group:
             return False
-        m = lcm(self.m, other.m)
-        a, b = self.align(m), other.align(m)
-        return a.values == b.values
+        return not any((_ramanujan(len(a)) @ (_exact(a) - b)).any()
+                       for a, b in zip(self.values, other.values))
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, deg {self.degree()})"
@@ -140,13 +133,80 @@ def _same_group(a: ClassFunction, b: ClassFunction) -> None:
         raise ValueError(f"class functions of {a.group.name} and {b.group.name}")
 
 
+def _exact(w):
+    """w in Python ints, so that sums and products of it cannot overflow."""
+    return np.asarray(w, dtype=object)
+
+
+@lru_cache(maxsize=None)
+def _ramanujan(o: int):
+    """K[t][u] = c_o(t - u) = Tr zeta_o^(t-u), the Ramanujan sum, by von
+    Sterneck's formula c_o(j) = mu(h)·phi(o) / phi(h), h = o / gcd(j, o)
+    (Hardy-Wright 16.6).
+
+    So the trace form of Q(zeta_o) over Q on integer vectors is
+    Tr(a·conj b) = a^T K b, the sum over the embeddings sigma of
+    sigma(a)·conj sigma(b).  K is positive semidefinite, and x^T K x, the sum
+    of |sigma(x)|^2, is zero, or equally Kx = 0, exactly when x stands for 0."""
+    c = []
+    for j in range(o):
+        h = o // gcd(j, o)
+        primes = prime_factors(h)
+        mobius = (-1) ** len(primes) if prod(primes) == h else 0
+        c.append(mobius * euler_phi(o) // euler_phi(h))
+    t = np.arange(o)
+    return np.array(c, dtype=np.int64)[(t[:, None] - t) % o]
+
+
+def _rational(w) -> int:
+    """The integer r that w stands for, or NotRationalInteger.
+
+    y = Kw holds y[u] = Tr(w·zeta_o^-u), so r = y[0] / phi(o), and w stands
+    for r exactly when x = w - r has Kx = 0, that is y = r·K[0]."""
+    K = _ramanujan(len(w))
+    y = (K @ w).tolist()
+    r, rest = divmod(y[0], int(K[0, 0]))
+    if rest or y != [r * k for k in K[0].tolist()]:
+        raise NotRationalInteger(f"the value {list(w)} is not a rational integer")
+    return r
+
+
+def _inner_rows(conj: ConjugacyData, n: int, rows, b: ClassFunction) -> list[int]:
+    """<a_i, b> for the class functions a_i whose vectors at the class c are
+    the rows of rows[c]: the class sum of Tr(a_i(c)·conj b(c)) = a^T K b."""
+    return _class_sum(conj, n, [A @ (_ramanujan(o) @ _exact(w))
+                                for A, w, o in zip(rows, b.values, conj.orders)])
+
+
+def _class_sum(conj: ConjugacyData, n: int, traces) -> list[int]:
+    """|G|^-1 sum_c |C_c| traces[c] / phi(o_c), entry by entry, each trace
+    that of a value at c over Q(zeta_o), o the order of c; NotRationalInteger
+    unless every sum is an integer.
+
+    On class functions that commute with the Galois action, as characters and
+    their restrictions and inductions do, this is |G|^-1 sum_c |C_c| x(c):
+    the classes of a Galois orbit of c carry the phi(o) conjugates of x(c)
+    equally often, so their values sum to the orbit's share of the trace."""
+    phis = [euler_phi(o) for o in conj.orders]
+    L = reduce(lcm, phis)
+    total = sum(t * (size * (L // phi)) for t, size, phi in zip(traces, conj.sizes, phis))
+    out = []
+    for t in np.atleast_1d(total).tolist():
+        val, rest = divmod(t, L * n)
+        if rest:
+            raise NotRationalInteger(f"the class sum {t}/{L * n} is not an integer")
+        out.append(val)
+    return out
+
+
 def fs_indicator(chi: ClassFunction) -> int:
-    """|G|^-1 sum over classes of |C| chi(class of c^2), via the power table."""
+    """|G|^-1 sum over classes of |C| chi(c^2).  At c of order o, chi(c^2) is
+    the vector w of chi(c) read at zeta_o^2, whose trace is
+    sum_t w[t] c_o(2t)."""
     conj = chi.conj
-    total = Cyclo.integer(chi.m, 0)
-    for c in range(conj.nclasses()):
-        total = total + chi.values[conj.power_class(c, 2)] * conj.sizes[c]
-    val = cyclo_to_integer(total.exact_div(len(chi.group)))
+    val, = _class_sum(conj, len(chi.group),
+                      [_ramanujan(o)[0, 2 * np.arange(o) % o] @ _exact(w)
+                       for w, o in zip(chi.values, conj.orders)])
     if val not in (-1, 0, 1):
         raise NotIndicator(f"indicator sum {val}; input not irreducible")
     return val
@@ -306,6 +366,11 @@ def _root_of_unity(m, l):
 
 @dataclass
 class CharacterTable:
+    """The irreducible characters of G, m = exp G.  `spectra[c]` holds the
+    eigenvalue spectra of all characters at the class c, one row each, and
+    `chars[a].values[c]` is its row a; `coeffs[a][c]` is chi_a(c) as its
+    coefficients in Z[zeta_m] modulo Phi_m, which order the characters and
+    which the v1 table format stores."""
     group: Group
     conj: ConjugacyData
     m: int
@@ -314,14 +379,16 @@ class CharacterTable:
     fs: tuple[int, ...]
     dual: tuple[int, ...]
     omega_minus1: tuple[int, ...] | None   # central character at -1 (odd q only)
+    spectra: tuple[np.ndarray, ...]
+    coeffs: tuple[tuple[tuple[int, ...], ...], ...]
 
     def nchars(self) -> int:
         return len(self.chars)
 
     def trivial_index(self) -> int:
-        one = Cyclo.integer(self.m, 1)
+        """The character whose every eigenvalue is 1."""
         for i, chi in enumerate(self.chars):
-            if all(v == one for v in chi.values):
+            if self.degrees[i] == 1 and all(w[0] == 1 for w in chi.values):
                 return i
         raise AssertionError("no trivial character")
 
@@ -355,11 +422,12 @@ def char_table(G: Group) -> CharacterTable:
 
 def table_from_values(G: Group, conj: ConjugacyData, values) -> CharacterTable:
     """The certified table whose characters have the given values, each a
-    coefficient list in Z[zeta_m], m = exp G, as `CharacterTable` stores
-    them: they are reduced mod l at zeta_m -> z and go through
+    coefficient list in Z[zeta_m], m = exp G, as `CharacterTable.coeffs`
+    holds them: they are reduced mod l at zeta_m -> z and go through
     `_certified_table` as Dixon's table does.  The table returned holds the
-    values lifted from those residues, so a caller that compares them with
-    its own rejects any value that is not the fold of its own spectrum."""
+    folds of the spectra lifted from those residues, so a caller that
+    compares them with its own rejects any value that is not the fold of its
+    own spectrum."""
     m = conj.exponent
     l = _modulus(G, conj)
     z = _root_of_unity(m, l)
@@ -408,9 +476,10 @@ def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> Charac
     d_inv = np.array([pow(int(x), -1, l) for x in d], dtype=np.int64)
     _check_class_algebra(struct, X * np.array(conj.sizes) % l * d_inv[:, None] % l, l)
 
-    # fold each distinct spectrum once: sum_t mu[t] zeta_o^t in Z[zeta_m]
+    # fold each distinct spectrum once into sum_t mu[t] zeta_o^t in Z[zeta_m]:
+    # the v1 coefficients, which order the characters by (degree, values)
     folded = {}
-    values = []
+    cols = []
     for o, mu in zip(conj.orders, spectra):
         col = []
         for row in mu.tolist():
@@ -420,10 +489,11 @@ def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> Charac
                 vec[:: m // o] = row
                 v = folded[(o, *row)] = cyclo_make(m, vec)
             col.append(v)
-        values.append(col)
-    chars = sorted((ClassFunction(G, conj, m, col) for col in zip(*values)),
-                   key=lambda chi: (chi.degree(), tuple(v.coeffs for v in chi.values)))
-    return table_from_characters(G, conj, m, tuple(chars))
+        cols.append(col)
+    rows = list(zip(*cols))
+    order = sorted(range(s), key=lambda a: (int(d[a]), rows[a]))
+    return table_from_spectra(G, conj, tuple(mu[order] for mu in spectra),
+                              tuple(rows[a] for a in order))
 
 
 def _spectra(conj: ConjugacyData, X, l: int) -> list:
@@ -438,21 +508,6 @@ def _spectra(conj: ConjugacyData, X, l: int) -> list:
         ks = np.arange(o)
         out.append(X[:, conj.power[c]] @ zp[np.outer(ks, -ks) % o] % l * pow(o, -1, l) % l)
     return out
-
-
-@lru_cache(maxsize=None)
-def _ramanujan(o: int):
-    """K[t][u] = c_o(t - u) = Tr zeta_o^(t-u), the Ramanujan sum, by von
-    Sterneck's formula c_o(j) = mu(h)·phi(o) / phi(h), h = o / gcd(j, o)
-    (Hardy-Wright 16.6)."""
-    c = []
-    for j in range(o):
-        h = o // gcd(j, o)
-        primes = prime_factors(h)
-        mobius = (-1) ** len(primes) if prod(primes) == h else 0
-        c.append(mobius * euler_phi(o) // euler_phi(h))
-    t = np.arange(o)
-    return np.array(c, dtype=np.int64)[(t[:, None] - t) % o]
 
 
 def _check_spectra(conj: ConjugacyData, spectra, d, n: int) -> None:
@@ -507,16 +562,21 @@ def _check_class_algebra(struct, omega, l: int) -> None:
             raise LiftFailure(f"a character fails the class-algebra relations at class {i}")
 
 
-def table_from_characters(G: Group, conj: ConjugacyData, m: int,
-                          chars: tuple[ClassFunction, ...]) -> CharacterTable:
-    """The table of the irreducible characters `chars`, with what their values
-    determine: the degrees (values at the identity), the Frobenius-Schur
-    indicators, the dual of each character (found by its values) and, for
-    SL(2,q) with q odd, the central character at -1."""
+def table_from_spectra(G: Group, conj: ConjugacyData, spectra, coeffs) -> CharacterTable:
+    """The table of the irreducible characters with the given spectra, with
+    what their values determine: the degrees (values at the identity), the
+    Frobenius-Schur indicators, the dual of each character (found by its
+    spectra, which the dual has reversed) and, for SL(2,q) with q odd, the
+    central character at -1."""
+    chars = tuple(ClassFunction(G, conj, [mu[a] for mu in spectra]) for a in range(len(coeffs)))
     degrees = tuple(chi.degree() for chi in chars)
     fs = tuple(fs_indicator(chi) for chi in chars)
-    by_values = {chi.values: i for i, chi in enumerate(chars)}
-    dual = tuple(by_values[chi.dual().values] for chi in chars)
+
+    def key(chi):
+        return b"".join(w.tobytes() for w in chi.values)
+
+    by_values = {key(chi): i for i, chi in enumerate(chars)}
+    dual = tuple(by_values[key(chi.dual())] for chi in chars)
 
     omega = None
     if G.kind == "sl2" and G.field.p != 2:
@@ -525,7 +585,8 @@ def table_from_characters(G: Group, conj: ConjugacyData, m: int,
         if any(o not in (-1, 1) for o in omega):
             raise AssertionError("central character at -1 is not a sign")
 
-    return CharacterTable(G, conj, m, chars, degrees, fs, dual, omega)
+    return CharacterTable(G, conj, conj.exponent, chars, degrees, fs, dual, omega,
+                          spectra, coeffs)
 
 
 def structure_constants(G: Group, conj: ConjugacyData) -> np.ndarray:
@@ -555,31 +616,31 @@ def _fusion(K: Group, G: Group) -> list[int]:
 
 
 def induce(H: Subgroup, chi: ClassFunction, G: Group) -> ClassFunction:
-    """chi_Ind(g) = |G| / (|H| |g^G|) · sum |c| chi(c) over the classes c of H
-    that fuse into the class g^G.
+    """chi_Ind(g) = sum of |C_G(g)| / |C_H(c)| · chi(c) over the classes c of H
+    that fuse into the class g^G, with |C_G(g)| / |C_H(c)| the integer
+    |G|·|c| / (|H|·|g^G|).
 
     This is the definition |H|^-1 sum over x in G with x^-1 g x in H of
-    chi(x^-1 g x): each h in H ∩ g^G equals x^-1 g x for |G| / |g^G| of the x."""
+    chi(x^-1 g x): each h in H ∩ g^G equals x^-1 g x for |G| / |g^G| of the x.
+    An element keeps its order in G, so the vectors of c and g have one length."""
     if H.parent is not G or chi.group is not H.group:
         raise ValueError(f"cannot induce a class function of {chi.group.name} "
                          f"through {H.group.name} to {G.name}")
     conj_g = conjugacy(G)
     conj_h = conjugacy(H.group)
-    m = lcm(chi.m, conj_g.exponent)
-    chi = chi.align(m)
-    sums = [Cyclo.integer(m, 0)] * conj_g.nclasses()
+    values = [np.zeros(o, dtype=object) for o in conj_g.orders]
     for c, gc in enumerate(_fusion(H.group, G)):
-        sums[gc] = sums[gc] + chi.values[c] * conj_h.sizes[c]
-    values = [(v * (len(G) // size)).exact_div(len(H.group))
-              for v, size in zip(sums, conj_g.sizes)]
-    return ClassFunction(G, conj_g, m, values)
+        weight, rest = divmod(len(G) * conj_h.sizes[c], len(H.group) * conj_g.sizes[gc])
+        if rest:
+            raise AssertionError(f"|C_G| / |C_H| is not an integer at class {c}")
+        values[gc] += _exact(chi.values[c]) * weight
+    return ClassFunction(G, conj_g, values)
 
 
 def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
     """Restriction along the inclusion of K in chi's group, given by equal
     element codes; ValueError as for `_fusion`."""
-    vals = [chi.values[c] for c in _fusion(K, chi.group)]
-    return ClassFunction(K, conjugacy(K), chi.m, vals)
+    return ClassFunction(K, conjugacy(K), [chi.values[c] for c in _fusion(K, chi.group)])
 
 
 # ---------------------------------------------------------------------------
@@ -600,31 +661,31 @@ class VirtualRep:
         self.mults = tuple(mults)
         if len(self.mults) != table.nchars():
             raise ValueError(f"{len(self.mults)} multiplicities for {table.nchars()} characters")
-        self._values: dict[int, Cyclo] = {}
+        self._values: dict[int, np.ndarray] = {}
 
-    def value_at(self, c: int) -> Cyclo:
-        """sum_i n_i chi_i(c) in Z[zeta_m], m = exp G."""
+    def value_at(self, c: int) -> np.ndarray:
+        """sum_i n_i mu_i(c), the spectra at c weighted by the multiplicities:
+        the vector of pi at c (see `ClassFunction`)."""
         v = self._values.get(c)
         if v is None:
-            acc = list(Cyclo.integer(self.table.m, 0).coeffs)
-            for chi, n in zip(self.table.chars, self.mults):
-                if n:
-                    for k, a in enumerate(chi.values[c].coeffs):
-                        if a:
-                            acc[k] += n * a
-            v = self._values[c] = Cyclo(self.table.m, tuple(acc))
+            # each entry, and so each trace over the order o <= exp G, is at
+            # most sum |n_i| d_i times o: int64 while that fits
+            bound = sum(abs(n) * d for n, d in zip(self.mults, self.table.degrees))
+            exact = bound * self.table.m >= 2 ** 63
+            n = np.array(self.mults, dtype=object if exact else np.int64)
+            v = self._values[c] = n @ self.table.spectra[c]
         return v
 
     def character(self) -> ClassFunction:
         conj = self.table.conj
-        return ClassFunction(self.table.group, conj, self.table.m,
+        return ClassFunction(self.table.group, conj,
                              [self.value_at(c) for c in range(conj.nclasses())])
 
     def degree(self) -> int:
         return sum(n * d for n, d in zip(self.mults, self.table.degrees))
 
     def int_at(self, c: int) -> int:
-        return cyclo_to_integer(self.value_at(c))
+        return _rational(self.value_at(c))
 
     def is_genuine(self) -> bool:
         return all(n >= 0 for n in self.mults)
@@ -748,12 +809,13 @@ def rep_from_oir_blocks(table: CharacterTable, blocks: dict[tuple, int]) -> Virt
 
 
 def rep_from_class_function(table: CharacterTable, cf: ClassFunction) -> VirtualRep:
-    """Decompose an exact virtual character over the table, with verification."""
+    """Decompose an exact virtual character over the table: n_i = <chi_i, cf>,
+    and then cf - sum n_i chi_i must vanish, a zero trace norm at every class
+    (NotRationalInteger otherwise)."""
     if cf.group is not table.group:
         raise ValueError(f"a class function of {cf.group.name} for the table of "
                          f"{table.group.name}")
-    mults = [cf.inner_int(chi) for chi in table.chars]
-    rep = VirtualRep(table, mults)
+    rep = VirtualRep(table, _inner_rows(table.conj, len(table.group), table.spectra, cf))
     if not rep.character() == cf:
         raise NotRationalInteger("class function is not a virtual character of the table")
     return rep
@@ -790,6 +852,17 @@ def random_genuine_rep(table, rng, max_degree=200) -> VirtualRep:
 # Principal series and cuspidal constructions
 # ---------------------------------------------------------------------------
 
+def _root(o: int, m: int, e: int) -> np.ndarray:
+    """zeta_m^e at an element of order o, where it is an o-th root of unity:
+    the vector of length o that is 1 at t = e·o/m."""
+    t, rest = divmod(e * o, m)
+    if rest:
+        raise AssertionError(f"zeta_{m}^{e} is no root of unity of order {o}")
+    w = np.zeros(o, dtype=np.int64)
+    w[t % o] = 1
+    return w
+
+
 def _logs(mult, one, elems, n: int) -> dict:
     """{g^j: j for 0 <= j < n}, g the first of `elems` of order n, the powers
     taken with `mult` from `one`."""
@@ -825,8 +898,9 @@ def principal_series(q: int, k: int) -> ClassFunction:
         raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q - 1")
     step = m // (q - 1)
     conj_b = conjugacy(B.group)
-    vals = [Cyclo.root(m, step * k * dlog[B.group.elem(r)[0]]) for r in conj_b.reps]
-    chi = ClassFunction(B.group, conj_b, m, vals)
+    vals = [_root(o, m, step * k * dlog[B.group.elem(r)[0]])
+            for r, o in zip(conj_b.reps, conj_b.orders)]
+    chi = ClassFunction(B.group, conj_b, vals)
     out = induce(B, chi, Gt)
     if out.degree() != q + 1:
         raise AssertionError(f"principal series of degree {out.degree()}, not q + 1")
@@ -861,17 +935,17 @@ def cuspidal(q: int, k: int) -> ClassFunction:
     dlog_te = _logs(Te.group.mult, Te.group.identity, range(len(Te.group)), q * q - 1)
 
     conj_te = conjugacy(Te.group)
-    vals_te = [Cyclo.root(m, step * k * dlog_te[r]) for r in conj_te.reps]
-    chi_te = ClassFunction(Te.group, conj_te, m, vals_te)
+    vals_te = [_root(o, m, step * k * dlog_te[r]) for r, o in zip(conj_te.reps, conj_te.orders)]
+    chi_te = ClassFunction(Te.group, conj_te, vals_te)
 
     conj_zn = conjugacy(ZN.group)
     vals_zn = []
-    for r in conj_zn.reps:
+    for r, o in zip(conj_zn.reps, conj_zn.orders):
         s_, x, _, _ = ZN.group.elem(r)
         tr = int(F.trace[F.mul[x, F.inv[s_]]])  # k, and so e, may pass int64
         e = step * k * dlog_te[Te.group.find((s_, 0, 0, s_))] + (m // p) * tr
-        vals_zn.append(Cyclo.root(m, e))
-    chi_zn = ClassFunction(ZN.group, conj_zn, m, vals_zn)
+        vals_zn.append(_root(o, m, e))
+    chi_zn = ClassFunction(ZN.group, conj_zn, vals_zn)
 
     out = induce(ZN, chi_zn, Gt) - induce(Te, chi_te, Gt)
     if out.degree() != q - 1:

@@ -249,7 +249,7 @@ def serialize_table(table: CharacterTable) -> dict:
         "fs": list(table.fs),
         "dual": list(table.dual),
         "omega_minus1": list(table.omega_minus1) if table.omega_minus1 else None,
-        "values": [[list(v.coeffs) for v in chi.values] for chi in table.chars],
+        "values": [[list(v) for v in row] for row in table.coeffs],
     }
     payload["digest"] = _digest(payload)
     return payload
@@ -411,10 +411,11 @@ def cmd_table(args) -> int:
     return 0
 
 
-# Cold `swc --rep "S(ps(1)) + S(cusp(1))"` under 512 MiB took at most 8.3 s
-# and 129 MB at every odd q <= 27, but 78 s at q = 29 (one BLAS thread, a
-# shared 2-vCPU machine), so larger q is refused before any table is built.
-PS_CUSP_CAP = 27
+# Cold `swc --rep "S(ps(1)) + S(cusp(1))"` under 512 MiB took at most 20 s
+# and 337 MB at every odd q <= 37, but ran out of memory building GL(2,41)
+# (one BLAS thread, a shared 2-vCPU machine), so larger q is refused before
+# any table is built.
+PS_CUSP_CAP = 37
 
 
 def cmd_swc(args) -> int:
@@ -506,12 +507,12 @@ class _Parser(argparse.ArgumentParser):
 def prime_power(text: str) -> int:
     """A field order q: a prime power between 2 and SIZE_CAP."""
     q = int(text)
+    if q > SIZE_CAP:   # before factoring: trial division runs up to sqrt(q)
+        raise argparse.ArgumentTypeError(f"q={q} exceeds cap {SIZE_CAP}")
     try:
         factor_prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"q={q} is not a prime power") from None
-    if q > SIZE_CAP:
-        raise argparse.ArgumentTypeError(f"q={q} exceeds cap {SIZE_CAP}")
     return q
 
 

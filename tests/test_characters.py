@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from sl2swc.algebra import Cyclo, cyclo_to_integer, smallest_prime_in_progression
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl2swc.algebra import NotRationalInteger, smallest_prime_in_progression
 from sl2swc.characters import (
     BadConstructionParams,
     ClassFunction,
@@ -52,6 +55,7 @@ from sl2swc.groups import (
     standard_subgroup,
     subgroup_from_indices,
 )
+from zeta_ref import integer, lift, product_sum
 
 
 def _single(table, i):
@@ -86,7 +90,7 @@ def test_regular_character_decomposition():
     t = char_table(build_sl2(3))
     reg = regular_rep(t).character()
     for i, chi in enumerate(t.chars):
-        assert reg.inner_int(chi) == t.degrees[i]
+        assert reg.inner(chi) == t.degrees[i]
 
 
 @pytest.mark.parametrize("q,kind", [(2, "sl2"), (3, "sl2"), (4, "sl2"), (5, "sl2"),
@@ -98,23 +102,22 @@ def test_orthogonality(q, kind):
     # row orthogonality, exact
     for a in range(t.nchars()):
         for b in range(a, t.nchars()):
-            got = t.chars[a].inner_int(t.chars[b])
+            got = t.chars[a].inner(t.chars[b])
             assert got == (1 if a == b else 0)
-    # column orthogonality, exact
+    # column orthogonality, exact in Z[zeta_m] on the serialized coefficients
     conj = t.conj
     for c1 in range(conj.nclasses()):
         for c2 in range(c1, conj.nclasses()):
-            tot = sum((chi.values[c1] * chi.values[conj.inverse_class(c2)] for chi in t.chars),
-                      Cyclo.integer(t.m, 0))
-            assert cyclo_to_integer(tot) == (len(G) // conj.sizes[c1] if c1 == c2 else 0)
+            c3 = conj.inverse_class(c2)
+            tot = product_sum(t.m, [(row[c1], row[c3]) for row in t.coeffs])
+            assert tot == integer(t.m, len(G) // conj.sizes[c1] if c1 == c2 else 0)
 
 
 def _residues(t):
     """The table mod l: each value evaluated at zeta_m -> z, as the cache load does."""
     l = _modulus(t.group, t.conj)
     z = _root_of_unity(t.m, l)
-    X = [[sum(a * pow(z, i, l) for i, a in enumerate(v.coeffs)) % l for v in chi.values]
-         for chi in t.chars]
+    X = [[sum(a * pow(z, i, l) for i, a in enumerate(v)) % l for v in row] for row in t.coeffs]
     return l, np.array(X, dtype=np.int64)
 
 
@@ -150,7 +153,7 @@ def test_certificate_rejects_a_moved_eigenvalue():
     G, conj = t.group, t.conj
     l = _modulus(G, conj)
     struct = structure_constants(G, conj)
-    assert _certified_table(G, conj, l, struct, X).chars == t.chars
+    assert _certified_table(G, conj, l, struct, X).coeffs == t.coeffs
     c = conj.class_of[minus_one(G)]
     X_bad = X.copy()
     X_bad[:, c] = (bad[c][:, 0] - bad[c][:, 1]) % l
@@ -292,8 +295,8 @@ def test_frobenius_reciprocity():
     for chi in tb.chars[:3]:
         ind = induce(B, chi, G)
         for psi in tg.chars:
-            lhs = ind.inner_int(psi)
-            rhs = restrict(psi, B.group).inner_int(chi)
+            lhs = ind.inner(psi)
+            rhs = restrict(psi, B.group).inner(chi)
             assert lhs == rhs
 
 
@@ -302,19 +305,20 @@ def _induce_by_definition(H, chi, G):
     over all of G: counts[c] is the number of x with x^-1 g x in the class c
     of H."""
     conj_g, conj_h = conjugacy(G), conjugacy(H.group)
-    m = math.lcm(chi.m, conj_g.exponent)
-    chi = chi.align(m)
     X = np.arange(len(G))
     h_cls = np.asarray(conj_h.class_of)
     values = []
-    for g in conj_g.reps:
+    for g, o in zip(conj_g.reps, conj_g.orders):
         y = H.group.locate(G.codes[G.mul_many(G.inverses, G.mul_many(g, X))])
         counts = np.bincount(h_cls[y[y >= 0]], minlength=conj_h.nclasses()).tolist()
-        total = Cyclo.integer(m, 0)
+        total = np.zeros(o, dtype=object)
         for c, n in enumerate(counts):
-            total = total + chi.values[c] * n
-        values.append(total.exact_div(len(H.group)))
-    return ClassFunction(G, conj_g, m, values)
+            if n:
+                total += chi.values[c].astype(object) * n
+        if any(x % len(H.group) for x in total):
+            raise AssertionError("a sum over G is not divisible by |H|")
+        values.append(total // len(H.group))
+    return ClassFunction(G, conj_g, values)
 
 
 INDUCE_CASES = [("gl2", q, tag) for q in (3, 5) for tag in ("Z", "N", "ZN", "T", "B", "Te")] \
@@ -461,8 +465,8 @@ def test_psc_degrees_and_indicators(q):
     pi1 = principal_series_sl(q, 1)
     pi2 = cuspidal_sl(q, 1)
     # restrictions are irreducible and symplectic
-    assert pi1.character().inner_int(pi1.character()) == 1
-    assert pi2.character().inner_int(pi2.character()) == 1
+    assert pi1.character().inner(pi1.character()) == 1
+    assert pi2.character().inner(pi2.character()) == 1
     assert fs_indicator(pi1.character()) == -1
     assert fs_indicator(pi2.character()) == -1
 
@@ -470,7 +474,7 @@ def test_psc_degrees_and_indicators(q):
 def test_ps_restriction_stays_irreducible():
     G = build_sl2(5)
     cf = restrict(principal_series(5, 1), G)
-    assert cf.inner_int(cf) == 1
+    assert cf.inner(cf) == 1
     assert cf.dual() == cf
 
 
@@ -506,6 +510,33 @@ def test_cusp_independent_of_additive_character():
     assert sum(abs(m) for m in pi.mults) == 1
 
 
+# The constituents X_i (numbered in table order) of ps(k) and cusp(k)
+# restricted to SL(2,q), for k = 1, 3, 5, 7: one index for an irreducible
+# restriction, a tuple for a sum of two, None where the exponent is refused.
+# Pinned from the build that summed values as normal forms in Z[zeta_m].
+PS_CUSP = {
+    3: {"ps": (None, None, None, None), "cusp": (6, 6, 6, 6)},
+    5: {"ps": (9, 9, 9, 9), "cusp": (6, (2, 3), 6, 6)},
+    7: {"ps": (11, None, 11, 11), "cusp": (6, 7, 7, 6)},
+    9: {"ps": (12, 13, 13, 12), "cusp": (8, 9, (2, 3), 9)},
+    11: {"ps": (15, 13, None, 13), "cusp": (8, 9, 7, 7)},
+    13: {"ps": (15, 14, 16, 16), "cusp": (6, 10, 8, (2, 3))},
+}
+
+
+@pytest.mark.parametrize("q", sorted(PS_CUSP))
+def test_ps_and_cusp_constituents_are_pinned(q):
+    for kind, build in (("ps", principal_series_sl), ("cusp", cuspidal_sl)):
+        for k, want in zip((1, 3, 5, 7), PS_CUSP[q][kind]):
+            if want is None:
+                with pytest.raises(BadConstructionParams):
+                    build(q, k)
+                continue
+            mults = build(q, k).mults
+            want = (want,) if isinstance(want, int) else want
+            assert mults == tuple(int(i + 1 in want) for i in range(len(mults))), (kind, k)
+
+
 def test_rep_from_class_function_roundtrip():
     t = char_table(build_sl2(5))
     rng = random.Random(42)
@@ -517,7 +548,7 @@ def test_rep_from_class_function_roundtrip():
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
 def test_value_at_is_the_summed_character(q):
-    # reference: sum_i n_i chi_i(c) over the whole table, in Z[zeta_m]
+    # reference: sum_i n_i chi_i(c) over the serialized coefficients, in Z[zeta_m]
     t = char_table(build_sl2(q))
     rng = random.Random(q)
     reps = [regular_rep(t), regular_rep(t) - trivial_rep(t).scaled(3)]
@@ -526,11 +557,62 @@ def test_value_at_is_the_summed_character(q):
         whole = pi.character()
         fresh = VirtualRep(t, pi.mults)  # asked class by class, never whole
         for c in range(t.conj.nclasses()):
-            want = Cyclo.integer(t.m, 0)
-            for chi, n in zip(t.chars, pi.mults):
-                want = want + chi.values[c] * n
-            assert fresh.value_at(c) == want == whole.values[c]
-            assert pi.value_at(c) == want
+            want = product_sum(t.m, [(row[c], (n,)) for row, n in zip(t.coeffs, pi.mults)])
+            assert lift(t.m, fresh.value_at(c)) == want == lift(t.m, whole.values[c])
+            assert lift(t.m, pi.value_at(c)) == want
+
+
+def test_int_at_rejects_an_irrational_value():
+    # a degree-3 character of SL(2,5) (of A5) is (1 +- sqrt 5) / 2 at order 5
+    t = char_table(build_sl2(5))
+    chi = t.chars[t.degrees.index(3)]
+    c = t.conj.orders.index(5)
+    with pytest.raises(NotRationalInteger):
+        chi.int_at(c)
+    with pytest.raises(NotRationalInteger):
+        _single(t, t.degrees.index(3)).int_at(c)
+    # the difference of the two is +-sqrt 5 there, and i at an order-4 class:
+    # both have trace 0, so only the check of the whole vector refuses them
+    a, b = (i for i, d in enumerate(t.degrees) if d == 3)
+    with pytest.raises(NotRationalInteger):
+        (t.chars[a] - t.chars[b]).int_at(c)
+    with pytest.raises(NotRationalInteger):
+        ClassFunction(t.group, t.conj, [np.eye(1, o, 1 % o, dtype=np.int64)[0]
+                                        for o in t.conj.orders]).int_at(t.conj.orders.index(4))
+    assert (t.chars[a] - t.chars[b]).int_at(t.conj.orders.index(4)) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 4, 5, 7, 8, 9]), st.randoms(use_true_random=False))
+def test_inner_of_virtual_characters_is_the_dot_product(q, rng):
+    t = char_table(build_sl2(q))
+    a = [rng.randrange(-3, 4) for _ in range(t.nchars())]
+    b = [rng.randrange(-3, 4) for _ in range(t.nchars())]
+    want = sum(x * y for x, y in zip(a, b))
+    assert VirtualRep(t, a).character().inner(VirtualRep(t, b).character()) == want
+    assert rep_from_class_function(t, VirtualRep(t, a).character()).mults == tuple(a)
+
+
+def test_rep_from_class_function_rejects_a_non_character():
+    # 1 at the identity and 0 elsewhere has <delta, chi> = chi(1) / |G|
+    t = char_table(build_sl2(5))
+    delta = ClassFunction(t.group, t.conj, [np.eye(1, o, dtype=np.int64)[0] * (o == 1)
+                                            for o in t.conj.orders])
+    assert delta.scaled(len(t.group)) == regular_rep(t).character()
+    with pytest.raises(NotRationalInteger):
+        rep_from_class_function(t, delta)
+
+
+def test_equality_reads_values_not_representatives():
+    # 1 + zeta_3 + zeta_3^2 = 0: the vector (1, 1, 1) stands for 0 at order 3
+    t = char_table(build_sl2(5))
+    chi = t.chars[-1]
+    c = t.conj.orders.index(3)
+    moved = list(chi.values)
+    moved[c] = moved[c] + 1
+    assert ClassFunction(t.group, t.conj, moved) == chi
+    moved[c] = moved[c] + np.array([1, 0, 0])
+    assert ClassFunction(t.group, t.conj, moved) != chi
 
 
 # ---------------------------------------------------------------------------

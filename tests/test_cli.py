@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,10 +196,24 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"] == "UsageError"
 
 
-# ps(k) and cusp(k) above PS_CUSP_CAP = 27 are refused before any table is
-# built: cold, they take more than a minute at q = 29
-@pytest.mark.parametrize("q, rep", [("29", "S(ps(1))"), ("29", "cusp(1)"), ("81", "ps(1)"),
-                                    ("29", "reg - 2*S(S(cusp(3)))")])
+# --q is checked against SIZE_CAP before it is factored: trial division of the
+# prime 2^61 - 1 would run for hours
+@pytest.mark.parametrize("argv", [("table",), ("swc", "--rep", "triv"),
+                                  ("verify", "--suite", "theorem")], ids=lambda a: a[0])
+def test_a_huge_prime_is_refused_at_once(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "sl2swc.cli", argv[0], "--q",
+                           str(2 ** 61 - 1), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds cap 81" in json.loads(proc.stderr)["detail"]
+
+
+# ps(k) and cusp(k) above PS_CUSP_CAP = 37 are refused before any table is
+# built: cold, GL(2,41) runs out of 512 MiB
+@pytest.mark.parametrize("q, rep", [("41", "S(ps(1))"), ("41", "cusp(1)"), ("81", "ps(1)"),
+                                    ("41", "reg - 2*S(S(cusp(3)))")])
 def test_ps_cusp_cap_refuses_before_any_build(capsys, monkeypatch, q, rep):
     monkeypatch.setattr(cli, "get_table", lambda *args: pytest.fail("a table was built"))
     code, out, err = _run(capsys, "swc", "--q", q, "--rep", rep)
