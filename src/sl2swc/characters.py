@@ -34,6 +34,7 @@ multiplies group elements once those are built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
@@ -650,18 +651,20 @@ def restrict(chi: ClassFunction, K: Group) -> ClassFunction:
 class VirtualRep:
     """Integer combination of the irreducible characters of a fixed table.
 
-    Its value at a class is summed when first asked for and kept, so a
-    caller that reads a few classes, as the oracles do, never sums the whole
-    character."""
+    Its value at a class is summed when first asked for and kept, and so is
+    the integer read from it, so a caller that reads a few classes, as the
+    oracles do, never sums the whole character and reads each value once."""
 
-    __slots__ = ("table", "mults", "_values")
+    __slots__ = ("table", "mults", "_degree", "_values", "_ints")
 
     def __init__(self, table: CharacterTable, mults):
         self.table = table
         self.mults = tuple(mults)
         if len(self.mults) != table.nchars():
             raise ValueError(f"{len(self.mults)} multiplicities for {table.nchars()} characters")
+        self._degree = sum(n * d for n, d in zip(self.mults, table.degrees))
         self._values: dict[int, np.ndarray] = {}
+        self._ints: dict[int, int] = {}
 
     def value_at(self, c: int) -> np.ndarray:
         """sum_i n_i mu_i(c), the spectra at c weighted by the multiplicities:
@@ -682,10 +685,13 @@ class VirtualRep:
                              [self.value_at(c) for c in range(conj.nclasses())])
 
     def degree(self) -> int:
-        return sum(n * d for n, d in zip(self.mults, self.table.degrees))
+        return self._degree
 
     def int_at(self, c: int) -> int:
-        return _rational(self.value_at(c))
+        r = self._ints.get(c)
+        if r is None:
+            r = self._ints[c] = _rational(self.value_at(c))
+        return r
 
     def is_genuine(self) -> bool:
         return all(n >= 0 for n in self.mults)
@@ -822,17 +828,24 @@ def rep_from_class_function(table: CharacterTable, cf: ClassFunction) -> Virtual
 
 
 def random_orthogonal_rep(table, rng, max_degree=2000) -> VirtualRep:
-    """Seeded random genuine orthogonal combination of OIR blocks."""
+    """Seeded random genuine orthogonal combination of OIR blocks: uniform
+    draws until the first that would pass max_degree.
+
+    The draws come in batches that cannot pass max_degree, as many as the
+    largest block fits into what is left, and one at a time once none fits.
+    rng.choice makes the same calls on rng as rng.randrange(len(labels)), so
+    the stream, and the representation, do not depend on the batching."""
     labels = oir_labels(table)
-    blocks: dict[tuple, int] = {}
+    top = max(d for _, d in labels)
+    blocks: Counter = Counter()
     deg = 0
     while True:
-        lab, d = labels[rng.randrange(len(labels))]
-        if deg + d > max_degree:
-            break
-        blocks[lab] = blocks.get(lab, 0) + 1
-        deg += d
-    return rep_from_oir_blocks(table, blocks)
+        batch = [rng.choice(labels) for _ in range(max(1, (max_degree - deg) // top))]
+        if deg + batch[-1][1] > max_degree:   # only a batch of one can pass
+            return rep_from_oir_blocks(table, blocks)
+        labs, degs = zip(*batch)
+        blocks.update(labs)
+        deg += sum(degs)
 
 
 def random_genuine_rep(table, rng, max_degree=200) -> VirtualRep:

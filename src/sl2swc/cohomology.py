@@ -50,6 +50,8 @@ def _bits(mask: int):
 
 _ONE = frozenset((0,))
 
+STRING_MEMO = 1 << 12   # monomial strings kept per ring (Ring._code_string)
+
 
 def _add_products(acc: set, c1, c2) -> None:
     """acc += c1 * c2 over F2, on the monomial codes of two components."""
@@ -80,6 +82,8 @@ class Ring:
         self.relations = tuple(rels)
         # presented rings: degree -> (basis, normal form of every monomial code)
         self._deg_cache: dict[int, tuple[list, dict[int, tuple[int, ...]]]] = {}
+        # code -> monomial_string, filled as codes are printed (_code_string)
+        self._strings: dict[int, str] = {}
 
     # -- monomial codes -------------------------------------------------------
 
@@ -215,6 +219,19 @@ class Ring:
                 comps.setdefault(d, set()).symmetric_difference_update((self._code(e),))
         return GradedClass(self, {d: self._normal(d, c) for d, c in comps.items()})
 
+    def _code_string(self, code: int) -> str:
+        """monomial_string of the monomial with this code.  The first
+        STRING_MEMO codes printed keep their strings: the classes of one
+        small ring, as in the oracle suites, repeat their monomials, while a
+        class of tens of thousands of them is printed once and would only
+        hold memory."""
+        s = self._strings.get(code)
+        if s is None:
+            s = self.monomial_string(self._exponents(code))
+            if len(self._strings) < STRING_MEMO:
+                self._strings[code] = s
+        return s
+
     def monomial_string(self, expvec) -> str:
         parts = []
         for name, e in zip(self.names, expvec):
@@ -342,7 +359,8 @@ class GradedClass:
         return [self.ring._exponents(c) for c in sorted(self.component(d), reverse=True)]
 
     def monomial_strings(self, d: int):
-        return [self.ring.monomial_string(m) for m in self.monomials(d)]
+        """monomial_string of each monomial of degree d, largest first."""
+        return [self.ring._code_string(c) for c in sorted(self.component(d), reverse=True)]
 
     def to_dict(self) -> dict[str, list[str]]:
         return {str(d): self.monomial_strings(d) for d in self.support_degrees()}
@@ -476,11 +494,14 @@ class RestrictionMap:
     def __call__(self, a: GradedClass) -> GradedClass:
         if a.ring is not self.src:
             raise RingMismatch("class is not in the source ring")
-        out = self.dst.zero()
+        # each degree of the image is summed in place: images are in normal
+        # form, and so is their sum
+        acc: dict[int, set] = {}
         for d in a.support_degrees():
             for mon in a.monomials(d):
-                out = out + self._image_of_monomial(mon)
-        return out
+                for e, c in self._image_of_monomial(mon).comps.items():
+                    acc.setdefault(e, set()).symmetric_difference_update(c)
+        return GradedClass(self.dst, {e: frozenset(c) for e, c in acc.items()})
 
 
 @lru_cache(maxsize=None)

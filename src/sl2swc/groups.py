@@ -71,7 +71,8 @@ class Group:
         self._search[:-1] = codes
         self._search[-1] = np.iinfo(codes.dtype).max
         self.identity = self.find(identity_elem)
-        self.inverses = self.locate(arith.inv(codes))
+        # a matrix of determinant 1 inverts to its adjugate
+        self.inverses = self.locate(arith.adjugate(codes) if kind == "sl2" else arith.inv(codes))
         if np.count_nonzero(self.inverses < 0):
             raise AssertionError(f"{name}: elements not closed under inverses")
         self.q = q
@@ -148,6 +149,17 @@ class _MatrixCodes:
         e, f, g, h = self.entries(y)
         return self.code(add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
                          add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]])
+
+    def adjugate(self, x):
+        """(d, -b, -c, a) for (a, b, c, d), the inverse when ad - bc = 1,
+        summed into the code one entry at a time: the entry arrays of a
+        large group are not all alive at once."""
+        q, neg = self.q, self.F.neg
+        out = x % q * (q * q * q)
+        out += neg[x // (q * q) % q] * (q * q)
+        out += neg[x // q % q] * q
+        out += x // (q * q * q)
+        return out
 
     def inv(self, x):
         mul, neg = self.F.mul, self.F.neg
@@ -318,6 +330,8 @@ class Subgroup:
     tag: str
     group: Group = field(repr=False)
     gens: tuple[int, ...] | None = None   # parent indices, when found by search
+    # what an oracle reads of this embedding, built on its first use
+    _frame: object = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.indices)
@@ -429,9 +443,10 @@ def _canonical_irreducible_quadratic(F: FieldTable) -> tuple[int, int]:
     raise AssertionError("no irreducible quadratic found")
 
 
+@lru_cache(maxsize=None)
 def minus_one(G: Group) -> int:
     """Index of the scalar matrix -1 in SL(2,q) or GL(2,q); the identity when
-    q is even."""
+    q is even.  Found once per group."""
     m1 = G.field.neg[1]
     return G.find((m1, 0, 0, m1))
 

@@ -13,6 +13,16 @@ oracle reads pi only at the classes of the subgroup it restricts to, where pi
 takes rational integer values: the Q8 multiplicities are integer inner
 products of pi's values at Q8's five classes with Q8's own rational table.
 
+What does not depend on pi is built once and kept.  Per embedding, on its
+first use (_q8_frame): the check of its relations, the parent index of each
+Q8 class representative, Q8's rational table rows weighted by class size at
+the inverse classes, and the place of the order-2 class.  Per group: the
+central involution, and for even q the unitriangular elements, the signs
+(-1)^Tr(ax) and the linear forms of w1 (_unipotent_frame).  What stays per
+case is what reads pi: its integer values at those classes (each read once,
+see VirtualRep.int_at), the small integer products against the frames, the
+divisibility and balance checks, and the product of units.
+
 The suites record every failing case, a Mismatch with its diff and any other
 exception with its type and message, and give each failure an `expr`:
 pi's multiplicities as an `swc --rep` expression that replays the case.
@@ -23,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +90,10 @@ class RestrictionProfile:
     mults: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def central_involution(G: Group) -> int:
     """Index of the unique central element of order 2, the representative of
-    the one class of size 1 and order 2."""
+    the one class of size 1 and order 2; found once per group."""
     conj = conjugacy(G)
     found = [r for r, size, o in zip(conj.reps, conj.sizes, conj.orders)
              if size == 1 and o == 2]
@@ -134,6 +146,41 @@ def _check_embedding(emb: Subgroup):
         raise BadEmbedding("embedding does not span 8 elements")
 
 
+class _Q8Frame(NamedTuple):
+    """What quaternion_profile reads of an embedding, whatever pi is.
+
+    `at` holds the parent index of each Q8 class representative, `rows` the
+    row |C| psi(C^-1) over Q8's classes C of each of Q8's characters psi, in
+    the order trivial, the order-2 characters labeled (1, -1), (-1, 1) and
+    (-1, -1) by their values at (x, y), and the 2-dimensional one; `z` is the
+    position of the class of x^2 = -1, Q8's only element of order 2."""
+
+    at: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    z: int
+
+
+def _q8_frame(emb: Subgroup) -> _Q8Frame:
+    """The frame of the embedding, built once it has passed _check_embedding:
+    a bad embedding is refused on every call."""
+    if emb._frame is None:
+        _check_embedding(emb)
+        at = emb.indices  # at[i] is the index in G of element i of K
+        qt = char_table(emb.group)
+        conj = qt.conj
+        cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
+        by_key = {}
+        for i, chi in enumerate(qt.chars):
+            key = "rho" if qt.degrees[i] == 2 else (chi.int_at(cx), chi.int_at(cy))
+            by_key[key] = [size * chi.int_at(conj.inverse_class(c))
+                           for c, size in enumerate(conj.sizes)]
+        emb._frame = _Q8Frame(
+            tuple(at[r] for r in conj.reps),
+            tuple(tuple(by_key[k]) for k in ((1, 1), (1, -1), (-1, 1), (-1, -1), "rho")),
+            conj.orders.index(2))
+    return emb._frame
+
+
 def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     """(m0, m1, m2, m3, m4): multiplicities of the trivial, the three order-2
     characters labeled by the generators, and the 4-dimensional block, in the
@@ -143,49 +190,28 @@ def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:
     inside Q8, so any character takes rational integer values on it.  The
     restriction is therefore five integers, pi at the class of each Q8 class
     representative, and each multiplicity is the integer sum
-    |C| res(C) psi(C^-1) / 8 against Q8's own rational table."""
-    _check_embedding(emb)
+    |C| res(C) psi(C^-1) / 8 against Q8's own rational table, whose rows
+    weighted by class size the embedding's frame holds (_q8_frame)."""
+    frame = _q8_frame(emb)
     G = pi.table.group
-    K = emb.group
     if emb.parent is not G:
-        raise ValueError(f"{K.name} is not contained in {G.name}")
-    at = emb.indices  # at[i] is the index in G of element i of K
-    qt = char_table(K)
-    conj = qt.conj
-    res = [pi.int_at(pi.table.conj.class_of[at[r]]) for r in conj.reps]
-
-    def multiplicity(psi) -> int:
-        tot = sum(size * v * psi.int_at(conj.inverse_class(c))
-                  for c, (size, v) in enumerate(zip(conj.sizes, res)))
+        raise ValueError(f"{emb.group.name} is not contained in {G.name}")
+    class_of = pi.table.conj.class_of
+    res = [pi.int_at(class_of[g]) for g in frame.at]
+    mults = []
+    for row in frame.rows:
+        tot = sum(w * v for w, v in zip(row, res))
         if tot % 8:
             raise AssertionError(f"inner product sum {tot} is not divisible by 8")
-        return tot // 8
-
-    cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
-    chi1 = chi2 = chi3 = triv = rho = None
-    for i, chi in enumerate(qt.chars):
-        if qt.degrees[i] == 2:
-            rho = i
-            continue
-        vx, vy = chi.int_at(cx), chi.int_at(cy)
-        if (vx, vy) == (1, 1):
-            triv = i
-        elif (vx, vy) == (1, -1):
-            chi1 = i
-        elif (vx, vy) == (-1, 1):
-            chi2 = i
-        else:
-            chi3 = i
-    m0, m1, m2, m3, k = (multiplicity(qt.chars[i]) for i in (triv, chi1, chi2, chi3, rho))
+        mults.append(tot // 8)
+    m0, m1, m2, m3, k = mults
     if k % 2:
         raise BadEmbedding(f"2-dimensional constituent multiplicity {k} is odd "
                            "(input not orthogonal)")
     m4 = k // 2
-    # x^2 = -1 is Q8's only element of order 2
-    chi_z = res[conj.orders.index(2)]
     if m0 + m1 + m2 + m3 + 4 * m4 != pi.degree():
         raise AssertionError("degree balance failed")
-    if m0 + m1 + m2 + m3 - 4 * m4 != chi_z:
+    if m0 + m1 + m2 + m3 - 4 * m4 != res[frame.z]:
         raise AssertionError("central balance failed")
     return RestrictionProfile("Q8", (m0, m1, m2, m3, m4))
 
@@ -213,10 +239,21 @@ def quaternion_class(m1: int, m2: int, m3: int, m4: int, D: int) -> GradedClass:
     """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 in H*(Q8) truncated at D, in
     closed form: the degree-1 units' product (see _quaternion_low_part, which
     depends on each m mod 4 only) times the Lucas series (1+e)^m4, the sum of
-    the e^k with C(m4, k) odd."""
+    the e^k with C(m4, k) odd.
+
+    H*(Q8) = F2[x,y]/(r1, r2) tensor F2[e], so a normal-form monomial of x, y
+    times e^k is in normal form, and the class is written as its codes
+    a(D+1)^2 + b(D+1) + k directly."""
     low = _quaternion_low_part(m1 % 4, m2 % 4, m3 % 4)
-    return quaternion8_ring(D).from_monomials(
-        (a, b, k) for k in range(D // 4 + 1) if binom_mod2(m4, k) for a, b, _ in low)
+    ring = quaternion8_ring(D)
+    B = D + 1
+    comps: dict[int, list[int]] = {}
+    for k in range(D // 4 + 1):
+        if binom_mod2(m4, k):
+            for a, b, _ in low:
+                if a + b + 4 * k <= D:
+                    comps.setdefault(a + b + 4 * k, []).append((a * B + b) * B + k)
+    return GradedClass(ring, {d: frozenset(c) for d, c in comps.items()})
 
 
 def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
@@ -227,22 +264,42 @@ def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
     return TotalSWC(quaternion_class(m1, m2, m3, m4, min(D, pi.degree())), "quaternion8")
 
 
+class _UnipotentFrame(NamedTuple):
+    """What the unitriangular oracle reads of SL(2,q), q = 2^r, whatever pi
+    is: the index of each (1, x, 0, 1), the signs (-1)^Tr(ax) as Python ints
+    (the character values may pass int64), and for each a != 0 the basis
+    indices i with Tr(a t^i) = 1, the linear form that w1 of the character a
+    restricts to."""
+
+    unip: tuple[int, ...]
+    signs: tuple[tuple[int, ...], ...]
+    forms: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _unipotent_frame(G: Group) -> _UnipotentFrame:
+    F = G.field
+    unip = G.locate([G.arith.code(1, x, 0, 1) for x in range(G.q)])  # (1, x, 0, 1)
+    # t^i has canonical rank 2^i; pair against the basis via the trace
+    return _UnipotentFrame(
+        tuple(unip.tolist()),
+        tuple(map(tuple, (1 - 2 * F.trace[F.mul]).tolist())),
+        tuple(tuple(i for i in range(F.r) if F.trace[F.mul[a, 2**i]]) for a in range(1, F.q)))
+
+
 def unipotent_character_multiplicities(pi: VirtualRep) -> list[int]:
     """Multiplicity of each additive character (indexed by a in F_q) in the
     restriction to the unitriangular subgroup; exact integer arithmetic."""
     G = pi.table.group
     if G.kind != "sl2" or G.field.p != 2:
         raise WrongParity(f"the unitriangular oracle needs SL(2,q) with q even, not {G.name}")
-    F = G.field
     q = G.q
-    conj = pi.table.conj
-    unip = G.locate([G.arith.code(1, x, 0, 1) for x in range(q)])  # (1, x, 0, 1)
-    chi_at = [pi.int_at(conj.class_of[i]) for i in unip.tolist()]
-    # signs[a][x] = (-1)^Tr(ax) as Python ints: the character values may pass int64
-    signs = (1 - 2 * F.trace[F.mul]).tolist()
+    frame = _unipotent_frame(G)
+    class_of = pi.table.conj.class_of
+    chi_at = [pi.int_at(class_of[i]) for i in frame.unip]
     out = []
-    for a in range(q):
-        tot = sum(c * s for c, s in zip(chi_at, signs[a]))
+    for signs in frame.signs:
+        tot = sum(c * s for c, s in zip(chi_at, signs))
         if tot % q:
             raise AssertionError(f"character sum {tot} is not divisible by q={q}")
         out.append(tot // q)
@@ -256,13 +313,12 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     read off through the trace pairing against the polynomial basis, and
     multiplied out by the packed kernel (see linear_unit_product)."""
     _require_genuine(pi)
-    F = pi.table.group.field
     mults = unipotent_character_multiplicities(pi)
     if min(mults) < 0:
         raise AssertionError(f"negative additive character multiplicity in {mults}")
-    # t^i has canonical rank 2^i; pair against the basis via the trace
-    forms = [[i for i in range(F.r) if F.trace[F.mul[a, 2**i]]] for a in range(1, F.q)]
-    cls = linear_unit_product(F.r, min(D, pi.degree()), zip(forms, mults[1:]))
+    forms = _unipotent_frame(pi.table.group).forms
+    cls = linear_unit_product(pi.table.group.field.r, min(D, pi.degree()),
+                              zip(forms, mults[1:]))
     return TotalSWC(cls, "unipotent")
 
 

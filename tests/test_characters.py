@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -38,6 +39,7 @@ from sl2swc.characters import (
     principal_series,
     principal_series_sl,
     random_genuine_rep,
+    random_orthogonal_rep,
     regular_rep,
     rep_from_class_function,
     restrict,
@@ -719,3 +721,33 @@ def test_the_class_matrices_finish_what_the_combination_leaves(build, q, parts):
     combination, *_ = _dixon_matrices(structure_constants(G, conj), l)
     assert len(_split([np.eye(s, dtype=np.int64)], combination, l)) == parts < s
     assert len(char_table(G).chars) == s
+
+
+# sha256 prefixes of the draws below, pinned before the draws came in batches
+RANDOM_REP_DIGESTS = {8: "8a04b7d3de15c2f0", 9: "4614ae345aacab0e",
+                      16: "b13774b971084fd3", 25: "4a5511c84e2763b9"}
+
+
+@pytest.mark.parametrize("q", sorted(RANDOM_REP_DIGESTS))
+def test_random_reps_are_pinned(q):
+    # the seeded suites replay their cases from these draws: the same seed
+    # must give the same representations, and leave rng in the same state
+    t = char_table(build_sl2(q))
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(10):
+            for pi in (random_orthogonal_rep(t, rng), random_orthogonal_rep(t, rng, max_degree=300),
+                       random_genuine_rep(t, rng), random_genuine_rep(t, rng, max_degree=60)):
+                h.update(repr(pi.mults).encode())
+        h.update(repr(rng.random()).encode())
+    assert h.hexdigest()[:16] == RANDOM_REP_DIGESTS[q]
+
+
+def test_random_orthogonal_rep_stops_at_the_first_draw_past_the_bound():
+    t = char_table(build_sl2(9))
+    for seed in range(20):
+        pi = random_orthogonal_rep(t, random.Random(seed), max_degree=100)
+        assert pi.degree() <= 100 and is_orthogonal_virtual(pi)
+        assert pi.degree() + 2 * max(t.degrees) > 100   # the last draw did not fit
+    assert random_orthogonal_rep(t, random.Random(0), max_degree=0).degree() == 0

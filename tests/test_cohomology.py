@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from sl2swc.cohomology import (
+    STRING_MEMO,
     InhomogeneousRelation,
     RestrictionMap,
     Ring,
@@ -414,3 +415,73 @@ def test_presented_ring_axioms(name):
         # every component is written in the degree's basis
         for d in (a * b).support_degrees():
             assert set((a * b).monomials(d)) <= set(ring.basis(d))
+
+
+# ---------------------------------------------------------------------------
+# Faster kernels against their references
+# ---------------------------------------------------------------------------
+
+def _restriction_by_sums(f, a):
+    """f(a) as the sum of the images of a's monomials, one class sum at a
+    time: the reference for RestrictionMap.__call__'s in-place sums."""
+    out = f.dst.zero()
+    for d in a.support_degrees():
+        for mon in a.monomials(d):
+            out = out + f._image_of_monomial(mon)
+    return out
+
+
+@pytest.mark.parametrize("r, D", [(3, 24), (4, 64)])
+def test_restriction_matches_the_sum_of_images_on_random_classes(r, D):
+    f = dickson_expansion(r, D)
+    rng = random.Random(f"{r}-{D}")
+    for n in (0, 1, 3, 8, 20):
+        a = f.src.from_monomials(_random_monomials(f.src, rng, n))
+        assert f(a) == _restriction_by_sums(f, a)
+
+
+def test_restriction_matches_the_sum_of_images_on_sl2_16_totals():
+    from sl2swc.characters import char_table, oir_labels, rep_from_oir_blocks
+    from sl2swc.groups import build_sl2
+    from sl2swc.swc import _power, unipotent_multiplicities
+
+    t = char_table(build_sl2(16))
+    f = dickson_expansion(4, 64)
+    for lab, _ in oir_labels(t):
+        _, m = unipotent_multiplicities(rep_from_oir_blocks(t, {lab: 1}))
+        total = _power(f.src, m)
+        assert f(total) == _restriction_by_sums(f, total), lab
+
+
+@pytest.mark.parametrize("name", sorted({**FREE_RINGS, **PRESENTED_RINGS}))
+def test_monomial_strings_format_each_code(name):
+    ring = {**FREE_RINGS, **PRESENTED_RINGS}[name]()
+    rng = random.Random(name)
+    for _ in range(20):
+        a = ring.from_monomials(_random_monomials(ring, rng, 6))
+        for d in a.support_degrees():
+            want = [ring.monomial_string(ring._exponents(c))
+                    for c in sorted(a.component(d), reverse=True)]
+            assert a.monomial_strings(d) == want
+
+
+def test_monomial_string_memo_holds_only_the_printed_codes():
+    # a ring truncated at a huge degree: the memo grows with the codes
+    # printed, never with D
+    ring = center_ring(10**9)
+    a = ring.from_monomials([(0,), (7,), (10**9,)])
+    assert a.to_dict() == {"0": ["1"], "7": ["v^7"], str(10**9): [f"v^{10**9}"]}
+    assert len(ring._strings) == 3
+    a.to_dict()
+    assert len(ring._strings) == 3
+
+
+def test_monomial_string_memo_stops_at_its_cap():
+    ring = poly_ring(("a", "b"), 100)   # 5151 monomials
+    a = ring.from_monomials((i, j) for i in range(101) for j in range(101 - i))
+    assert len(a.comps) == 101 and ring.dim(100) == 101
+    for _ in range(2):
+        for d in a.support_degrees():
+            want = [ring.monomial_string(m) for m in a.monomials(d)]
+            assert a.monomial_strings(d) == want
+        assert len(ring._strings) == STRING_MEMO < 5151

@@ -56,6 +56,16 @@ def test_sl2_81_build_fits_in_64_mib():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49])
+def test_sl2_inverses_are_the_general_inverses(q):
+    # SL(2,q) inverts through the adjugate (d, -b, -c, a); the general
+    # inverse multiplies it by det^-1
+    G = _build_matrix_group(q, True)
+    assert np.array_equal(G.codes[G.inverses], G.arith.inv(G.codes))
+    assert np.array_equal(G.arith.adjugate(G.codes), G.arith.inv(G.codes))
+    assert (G.mul_many(np.arange(len(G)), G.inverses) == G.identity).all()
+
+
 def test_class_counts():
     assert conjugacy(build_sl2(2)).nclasses() == 3
     assert conjugacy(build_sl2(3)).nclasses() == 7

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -36,6 +37,8 @@ from sl2swc.groups import (
 from sl2swc.oracle import (
     BadEmbedding,
     Mismatch,
+    _check_embedding,
+    _quaternion_low_part,
     central_involution,
     linear_unit_product,
     quaternion_class,
@@ -148,6 +151,33 @@ def test_bad_embedding():
         quaternion_profile(regular_rep(t), fake)   # no generators attached
 
 
+def test_bad_embedding_is_refused_on_every_call():
+    t = char_table(build_sl2(5))
+    G = t.group
+    emb = find_quaternion(G)
+    x, _ = emb.gens
+    fakes = [subgroup_from_indices(G, emb.indices, "Q8"),              # no generators
+             subgroup_from_indices(G, emb.indices, "Q8", gens=(x, x))]  # y x y^-1 = x
+    for fake in fakes:
+        for _ in range(3):
+            with pytest.raises(BadEmbedding):
+                quaternion_profile(regular_rep(t), fake)
+    assert quaternion_profile(trivial_rep(t), emb).mults == (1, 0, 0, 0, 0)
+
+
+def test_embedding_is_checked_once(monkeypatch):
+    from sl2swc import oracle
+
+    t = char_table(build_sl2(7))
+    emb = quaternion_embeddings(t.group, 3)[-1]
+    checks = []
+    check = oracle._check_embedding
+    monkeypatch.setattr(oracle, "_check_embedding", lambda e: checks.append(e) or check(e))
+    for lab, _ in oir_labels(t):
+        quaternion_profile(rep_from_oir_blocks(t, {lab: 1}), emb)
+    assert checks == [emb]
+
+
 def test_irreducible_orthogonal_has_no_quaternionic_block():
     t = char_table(build_sl2(5))
     emb = find_quaternion(t.group)
@@ -241,6 +271,94 @@ def test_quaternion_closed_form_matches_the_chained_powers():
         for m4 in range(10):
             want = low.times_power(one + e, m4)
             assert quaternion_class(m1, m2, m3, m4, 32) == want, (m1, m2, m3, m4)
+
+
+@lru_cache(maxsize=None)
+def _quaternion_class_by_monomials(low, m4, D):
+    """quaternion_class's reference: the sum of the monomials (a, b, k) over
+    (a, b) in the low part and the k with C(m4, k) odd, in normal form."""
+    return quaternion8_ring(D).from_monomials(
+        (a, b, k) for k in range(D // 4 + 1) if binom_mod2(m4, k) for a, b, _ in low)
+
+
+@pytest.mark.parametrize("m1", range(4))
+def test_quaternion_class_matches_from_monomials(m1):
+    for m2, m3 in product(range(4), repeat=2):
+        low = _quaternion_low_part(m1, m2, m3)
+        for D in range(65):
+            for m4 in range(41):
+                want = _quaternion_class_by_monomials(low, m4, D)
+                assert quaternion_class(m1, m2, m3, m4, D) == want, (m2, m3, m4, D)
+
+
+def _profile_per_call(pi, emb):
+    """The profile read as a call that shares nothing between calls: the
+    embedding checked, Q8's table read and its characters told apart for
+    every pi.  The reference for quaternion_profile's per-embedding frame."""
+    _check_embedding(emb)
+    G = pi.table.group
+    K = emb.group
+    if emb.parent is not G:
+        raise ValueError(f"{K.name} is not contained in {G.name}")
+    at = emb.indices
+    qt = char_table(K)
+    conj = qt.conj
+    res = [pi.int_at(pi.table.conj.class_of[at[r]]) for r in conj.reps]
+
+    def multiplicity(psi):
+        tot = sum(size * v * psi.int_at(conj.inverse_class(c))
+                  for c, (size, v) in enumerate(zip(conj.sizes, res)))
+        if tot % 8:
+            raise AssertionError(f"inner product sum {tot} is not divisible by 8")
+        return tot // 8
+
+    cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
+    chi1 = chi2 = chi3 = triv = rho = None
+    for i, chi in enumerate(qt.chars):
+        if qt.degrees[i] == 2:
+            rho = i
+            continue
+        vx, vy = chi.int_at(cx), chi.int_at(cy)
+        if (vx, vy) == (1, 1):
+            triv = i
+        elif (vx, vy) == (1, -1):
+            chi1 = i
+        elif (vx, vy) == (-1, 1):
+            chi2 = i
+        else:
+            chi3 = i
+    m0, m1, m2, m3, k = (multiplicity(qt.chars[i]) for i in (triv, chi1, chi2, chi3, rho))
+    if k % 2:
+        raise BadEmbedding(f"2-dimensional constituent multiplicity {k} is odd "
+                           "(input not orthogonal)")
+    m4 = k // 2
+    chi_z = res[conj.orders.index(2)]
+    if m0 + m1 + m2 + m3 + 4 * m4 != pi.degree():
+        raise AssertionError("degree balance failed")
+    if m0 + m1 + m2 + m3 - 4 * m4 != chi_z:
+        raise AssertionError("central balance failed")
+    return m0, m1, m2, m3, m4
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_profile_frame_matches_the_per_call_profile(q):
+    t = char_table(build_sl2(q))
+    rng = random.Random(100 + q)
+    reps = [rep_from_oir_blocks(t, {lab: 1}) for lab, _ in oir_labels(t)]
+    reps += [random_orthogonal_rep(t, rng, max_degree=300) for _ in range(10)]
+    reps += [random_genuine_rep(t, rng, max_degree=300) for _ in range(10)]
+    reps += [regular_rep(t), regular_rep(t).scaled(10**20)]
+    for emb in quaternion_embeddings(t.group, 3):
+        for pi in reps:
+            got = _outcome(lambda: quaternion_profile(pi, emb).mults)
+            assert got == _outcome(_profile_per_call, pi, emb), (emb.gens, pi)
 
 
 # ---------------------------------------------------------------------------
