@@ -10,22 +10,23 @@ trace form, the Ramanujan sums of `_ramanujan`.
 
 Character tables are computed from scratch by the Burnside-Dixon class-matrix
 method: simultaneous eigenvectors of the class matrices are found modulo a
-prime l = 1 (mod exp(G)), which gives the table X mod l.  One routine,
-`_certified_table`, takes any such X to a checked table: it lifts each class
-to the spectra of every character by discrete Fourier inversion over the
-power-class table, and certifies that the rows are the irreducible
-characters (row orthogonality in Z, read off the spectra through the trace
-form, and the class-algebra relations mod l).  It also folds each distinct
-spectrum once into its normal form in Z[zeta_m], m = exp G, which orders the
-characters and is what the v1 table format stores.  `char_table` reaches it
-from Dixon's eigenvectors and `table_from_values` from stored values reduced
-mod l, so loading a cached table reruns the certificate of a cold build.
+prime l = 1 (mod exp(G)), which gives the table X mod l.  `_certified_table`
+takes that X to a checked table: it lifts each class to the spectra of every
+character by discrete Fourier inversion over the power-class table, and
+certifies that the rows are the irreducible characters (row orthogonality in
+Z, read off the spectra through the trace form, and the class-algebra
+relations mod l).  It also folds each distinct spectrum once into its normal
+form in Z[zeta_m], m = exp G, which orders the characters and is what the v1
+table format stores.
 
-The modular step works on int64 numpy arrays.  One kernel, `_nullspace_mod`,
-finds every eigenspace; each matrix Dixon's method splits by (first the
-combination sum 3^i M_i, then the class matrices M_i) gets one characteristic
-polynomial; the lift is one matrix product per class.  `_check_int64` proves
-that no sum of products leaves int64.
+The modular step works on int64 numpy arrays.  Dixon's method splits the
+class algebra itself, as equal-degree splitting does (Cantor-Zassenhaus):
+each round takes a seeded random combination M of the class matrices and
+cuts every space by the quadratic character of M's eigenvalues, read off
+M^((l-1)/2), with one null-space kernel, `_nullspace_mod`; no characteristic
+polynomial is formed and no root is searched for.  The lift is one matrix
+product per class.  `_check_int64` proves that no sum of products leaves
+int64.
 
 Induction and restriction read subgroup classes through one fusion map,
 `_fusion`, taken from the conjugacy data of both groups, so neither
@@ -34,6 +35,7 @@ multiplies group elements once those are built.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -222,10 +224,10 @@ def _check_int64(terms: int, l: int) -> None:
 
     The modular step reduces every operand mod l, so an entry of a product
     sums at most `terms` products of residues below l: s of them in Dixon's
-    matrix products and the class-algebra check, o in the lift at a class of
-    order o.  `_modulus` checks max(s, largest element order) before anything
-    is allocated; at q = 81, s = 85 and l < 2^24, so the sums stay below
-    85·2^48 < 2^55."""
+    combinations sum_i w_i M_i, their powers and the class-algebra check, o
+    in the lift at a class of order o.  `_modulus` checks max(s, largest
+    element order) before anything is allocated; at q = 81, s = 85 and
+    l < 2^24, so the sums stay below 85·2^48 < 2^55."""
     if terms * (l - 1) ** 2 >= 2 ** 63:
         raise LiftFailure(f"{terms} products mod {l} overflow int64")
 
@@ -239,17 +241,6 @@ def _modulus(G: Group, conj: ConjugacyData) -> int:
     l = smallest_prime_in_progression(conj.exponent, 1, bound)
     _check_int64(max(conj.nclasses(), *conj.orders), l)
     return l
-
-
-def _dot_mod(A, v, l):
-    """A·v mod l for residues below l, summed in int64 chunks of at most
-    (2^63 - 1) // (l - 1)^2 terms: a whole row of phi(m) terms can leave int64
-    (phi(m)·(l - 1)^2 passes 2^63 near q = 79)."""
-    step = (2 ** 63 - 1) // (l - 1) ** 2
-    out = np.zeros(A.shape[:-1], dtype=np.int64)
-    for i in range(0, A.shape[-1], step):
-        out = (out + A[..., i:i + step] @ v[i:i + step] % l) % l
-    return out
 
 
 def _nullspace_mod(A, l):
@@ -274,60 +265,47 @@ def _nullspace_mod(A, l):
     return W[r:, u:]
 
 
-def _charpoly_mod(A, l):
-    """Faddeev-LeVerrier; returns coefficients low power first, monic."""
-    A = np.asarray(A, dtype=np.int64) % l
-    t = len(A)
-    M = A.copy()
-    cs = [1]
-    for k in range(1, t + 1):
-        ck = -int(np.trace(M)) * pow(k, -1, l) % l
-        cs.append(ck)
-        if k < t:
-            M[np.diag_indices(t)] += ck
-            M = A @ (M % l) % l
-    return cs[::-1]
-
-
-def _roots_mod(poly, l):
-    xs = np.arange(l, dtype=np.int64)
-    acc = np.full(l, poly[-1] % l, dtype=np.int64)
-    for c in reversed(poly[:-1]):
-        acc = (acc * xs + c) % l
-    return sorted(int(x) for x in np.nonzero(acc == 0)[0])
+def _power_mod(M, e: int, l: int):
+    """M^e mod l by repeated squaring, for a square matrix of residues."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % l
+        M = M @ M % l
+        e >>= 1
+    return out
 
 
 def _split(spaces, M, l):
-    """Each space V (independent rows, invariant under v -> v·M) cut into its
-    parts V ∩ ker(M - λ), for λ among the roots of M's characteristic
-    polynomial; the part for λ is N·V with N the left null space of V·M - λV."""
-    roots = _roots_mod(_charpoly_mod(M, l), l)
+    """Each space V (independent rows, invariant under v -> v·M) cut into the
+    parts where the eigenvalue λ of M is a nonzero square, a non-square and
+    0 mod l: λ^((l-1)/2) = ε for ε = 1, -1, 0, so with P = M^((l-1)/2) the
+    part for ε is N·V, N the left null space of V·P - εV.  M is
+    diagonalizable with eigenvalues in F_l (the class algebra is split
+    semisimple), so the three parts make up V."""
+    P = _power_mod(M, (l - 1) // 2, l)
     out = []
     for V in spaces:
         if len(V) == 1:
             out.append(V)
             continue
-        VM = V @ M % l
+        VP = V @ P % l
         got = 0
-        for lam in roots:
-            N = _nullspace_mod(VM - lam * V, l)
+        for eps in (1, -1, 0):
+            N = _nullspace_mod(VP - eps * V, l)
             if len(N):
                 out.append(N @ V % l)
                 got += len(N)
-                if got == len(V):
-                    break
         if got != len(V):
             raise LiftFailure("eigenspace dimensions did not add up")
     return out
 
 
-def _dixon_matrices(struct, l):
-    """The matrices Dixon's method splits by, acting on rows: first the
-    combination sum_i 3^i M_i, which separates most characters at once, then
-    each class matrix M_i, which together always separate them."""
-    mats = np.transpose(np.asarray(struct, dtype=np.int64) % l, (0, 2, 1))
-    weights = np.array([pow(3, i, l) for i in range(len(mats))], dtype=np.int64)
-    return [np.tensordot(weights, mats, axes=1) % l, *mats]
+# Dixon's method splits by at most this many random combinations: two
+# characters share the quadratic character of a combination's eigenvalue
+# with chance below 1/2, so some two of s characters are still together
+# after r rounds with chance below s^2·2^-r
+DIXON_ROUNDS = 64
 
 
 def _dixon_eigenvectors(struct, s, id_class, l):
@@ -335,12 +313,18 @@ def _dixon_eigenvectors(struct, s, id_class, l):
 
     A central character omega of the class algebra satisfies
     omega_i·omega = M_i omega with M_i[j][k] = struct[i][j][k], so as a row
-    it is a common eigenvector of the transposes."""
+    it is a common eigenvector of the transposes.  Each round splits by a
+    combination sum_i w_i M_i with weights drawn from a seeded stream; the
+    class matrix of the identity class is I, so its weight shifts the
+    combination at random."""
+    mats = np.transpose(np.asarray(struct, dtype=np.int64) % l, (0, 2, 1))
+    rng = random.Random(0)
     spaces = [np.eye(s, dtype=np.int64)]
-    for M in _dixon_matrices(struct, l):
+    for _ in range(DIXON_ROUNDS):
         if all(len(V) == 1 for V in spaces):
             break
-        spaces = _split(spaces, M, l)
+        w = np.array([rng.randrange(l) for _ in range(s)], dtype=np.int64)
+        spaces = _split(spaces, np.tensordot(w, mats, axes=1) % l, l)
     if not all(len(V) == 1 for V in spaces):
         raise LiftFailure("class matrices failed to separate characters")
     W = np.concatenate(spaces)
@@ -421,26 +405,11 @@ def char_table(G: Group) -> CharacterTable:
     return G._char_table
 
 
-def table_from_values(G: Group, conj: ConjugacyData, values) -> CharacterTable:
-    """The certified table whose characters have the given values, each a
-    coefficient list in Z[zeta_m], m = exp G, as `CharacterTable.coeffs`
-    holds them: they are reduced mod l at zeta_m -> z and go through
-    `_certified_table` as Dixon's table does.  The table returned holds the
-    folds of the spectra lifted from those residues, so a caller that
-    compares them with its own rejects any value that is not the fold of its
-    own spectrum."""
-    m = conj.exponent
-    l = _modulus(G, conj)
-    z = _root_of_unity(m, l)
-    zp = np.array([pow(z, i, l) for i in range(euler_phi(m))], dtype=np.int64)
-    X = np.array([_dot_mod(np.array(row, dtype=np.int64) % l, zp, l) for row in values])
-    return _certified_table(G, conj, l, structure_constants(G, conj), X)
-
-
 def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> CharacterTable:
     """The table of the characters chi_a with chi_a(c) = X[a][c] (mod l),
     each lifted through its spectra, or LiftFailure unless the rows of X are
-    exactly the irreducible characters.
+    exactly the irreducible characters.  Its one caller is `char_table`,
+    and it trusts nothing about how Dixon's method found X.
 
     The checks: there are s rows for s classes; every degree d_a, the entry
     of X[a] at the identity class, lies in 0 < d_a < l/2; the spectra pass

@@ -29,11 +29,10 @@ from .characters import (
     principal_series_sl,
     regular_rep,
     symmetrize,
-    table_from_values,
     trivial_rep,
 )
 from .cohomology import dickson, dickson_ring, genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring
-from .groups import SIZE_CAP, build_gl2, build_sl2, conjugacy
+from .groups import SIZE_CAP, build_gl2, build_sl2
 from .oracle import run_suite
 from .swc import TRUNCATION_CAP, swc_report
 
@@ -268,28 +267,14 @@ def _digest(payload: dict) -> str:
 
 
 def table_from_payload(payload: dict) -> CharacterTable:
-    """Rebuild group + conjugacy deterministically and rerun the certificate
-    of a cold build on the cached values: `characters.table_from_values`
-    reduces them mod l and lifts, folds and certifies them as `char_table`
-    does.  The payload must then be what that table serializes to, so a
-    stored value that is not the fold of its own spectrum is rejected, and
-    the fields the values determine (degrees, indicators, duals, central
-    characters) are derived again, not read, since anyone can recompute the
-    digest."""
-    G = (build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"])
-    if G._char_table is not None:
-        return G._char_table
-    conj = conjugacy(G)
-    if (_class_reps(G, conj) != payload["class_reps"]
-            or list(conj.sizes) != payload["class_sizes"]):
-        raise ValueError("cached class data does not match the rebuilt group")
-    if payload["exponent"] != conj.exponent:
-        raise ValueError("cached exponent does not match the rebuilt group")
-    table = table_from_values(G, conj, payload["values"])
+    """The table of the group the payload names, built and certified as a
+    cold build is (`char_table`), provided the payload is what it serializes
+    to on every key but the digest.  So nothing in the file is trusted: the
+    digest guards against accidents only, and anyone can recompute it."""
+    table = char_table((build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"]))
     differ = [k for k, v in serialize_table(table).items() if k != "digest" and payload[k] != v]
     if differ:
         raise ValueError(f"cached {', '.join(differ)} differ from the rebuilt table")
-    G._char_table = table
     return table
 
 
@@ -313,10 +298,12 @@ _PAYLOAD_KEYS = frozenset({
 })
 
 
-def load_cached_table(cache_dir: Path, kind: str, q: int):
+def load_cached_table(cache_dir: Path, kind: str, q: int, *, into: dict | None = None):
     """The cached table of the `kind` group over F_q, or None when there is
     none.  A file that cannot be used is reported as one JSON line on stderr
-    and treated as absent, so the caller rebuilds the table."""
+    and treated as absent, so the caller rebuilds the table.  On a hit,
+    `into`, when given, receives the file's payload, which the load has
+    found to be what the table serializes to."""
     path = cache_path(cache_dir, kind, q)
     if not path.exists():
         return None
@@ -329,6 +316,9 @@ def load_cached_table(cache_dir: Path, kind: str, q: int):
     missing = sorted(_PAYLOAD_KEYS - payload.keys())
     if missing:
         return _reject(path, f"missing keys: {', '.join(missing)}")
+    unknown = sorted(payload.keys() - _PAYLOAD_KEYS)
+    if unknown:
+        return _reject(path, f"unknown keys: {', '.join(unknown)}")
     if payload["version"] != TABLE_VERSION or payload["schema"] != SCHEMA:
         return _reject(path, "schema or version differs")
     if payload["digest"] != _digest(payload):
@@ -337,11 +327,14 @@ def load_cached_table(cache_dir: Path, kind: str, q: int):
         return _reject(path, f"holds the {payload['group']} table for q={payload['q']}, "
                              f"not the {kind} table for q={q}")
     try:
-        return table_from_payload(payload)
+        table = table_from_payload(payload)
     except MemoryError:
         raise
     except Exception as e:
         return _reject(path, f"{type(e).__name__}: {e}")
+    if into is not None:
+        into.update(payload)
+    return table
 
 
 def _reject(path: Path, reason: str) -> None:
@@ -376,14 +369,20 @@ def store_table(cache_dir: Path, table: CharacterTable) -> dict:
     return payload
 
 
-def get_table(kind: str, q: int, cache_dir: Path | None) -> CharacterTable:
+def get_table(kind: str, q: int, cache_dir: Path | None, *,
+              into: dict | None = None) -> CharacterTable:
+    """The table, read from or written to `cache_dir` unless that is None;
+    `into`, when given, receives the serialization that was read or
+    written, so a caller that prints it need not serialize the table again."""
     if cache_dir is not None:
-        cached = load_cached_table(cache_dir, kind, q)
+        cached = load_cached_table(cache_dir, kind, q, into=into)
         if cached is not None:
             return cached
     table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
     if cache_dir is not None:
-        store_table(cache_dir, table)
+        payload = store_table(cache_dir, table)
+        if into is not None:
+            into.update(payload)
     return table
 
 
@@ -395,10 +394,12 @@ def _emit(payload: dict) -> None:
     _write_json(payload, sys.stdout)
 
 
-# A cold `table --group gl2` under 512 MiB of address space took 31 s and
-# 232 MB at q = 13 and 83 s and 420 MB at q = 16; at q = 17 it ran out of
-# memory allocating the 288^3 int64 structure constants (one BLAS thread, a
-# shared 2-vCPU machine), so larger GL tables are refused up front.
+# Under 512 MiB of address space (one BLAS thread, a shared 2-vCPU machine),
+# `table --group gl2` took 19-21 s and 244 MB cold and 15 s and 375 MB warm
+# at q = 13.  At q = 16 a cold run took 23-27 s and 421 MB, but a warm one ran
+# out of memory building the table next to the parsed file, and at q = 17 the
+# 288^3 int64 structure constants do not fit, so larger GL tables are refused
+# up front.
 GL_TABLE_CAP = 13
 
 
@@ -406,8 +407,9 @@ def cmd_table(args) -> int:
     if args.group == "gl2" and args.q > GL_TABLE_CAP:
         raise UsageError(f"table --group gl2 needs q <= {GL_TABLE_CAP}, not {args.q}")
     cache_dir = cache_directory(args.cache_dir)
-    table = get_table(args.group, args.q, cache_dir)
-    _emit(serialize_table(table))
+    payload: dict = {}
+    get_table(args.group, args.q, cache_dir, into=payload)
+    _emit(payload)
     return 0
 
 

@@ -268,9 +268,6 @@ class GradedClass:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def is_one(self) -> bool:
-        return self.comps == {0: _ONE}
-
     def has_constant_term(self) -> bool:
         return 0 in self.comps
 

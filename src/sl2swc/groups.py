@@ -115,11 +115,6 @@ class Group:
     def inv(self, i: int) -> int:
         return int(self.inverses[i])
 
-    def elem_order(self, i: int) -> int:
-        """Order of element i, read from the conjugacy data."""
-        conj = conjugacy(self)
-        return conj.orders[conj.class_of[i]]
-
     def __repr__(self):
         return f"Group({self.name}, order {len(self)})"
 
@@ -266,9 +261,6 @@ class ConjugacyData:
 
     def nclasses(self) -> int:
         return len(self.reps)
-
-    def power_class(self, c: int, k: int) -> int:
-        return self.power[c][k % self.orders[c]]
 
     def inverse_class(self, c: int) -> int:
         return self.power[c][-1]

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2swc.algebra import NotRationalInteger, smallest_prime_in_progression
+from sl2swc.algebra import NotRationalInteger
 from sl2swc.characters import (
     BadConstructionParams,
     ClassFunction,
@@ -18,14 +20,12 @@ from sl2swc.characters import (
     NotOrthogonal,
     VirtualRep,
     _certified_table,
-    _charpoly_mod,
     _check_class_algebra,
     _check_int64,
     _check_spectra,
-    _dixon_matrices,
-    _dot_mod,
     _modulus,
     _nullspace_mod,
+    _power_mod,
     _root_of_unity,
     _spectra,
     _split,
@@ -212,16 +212,6 @@ def test_certificate_rejects_a_degree_above_half_of_l():
         _certified_table(G, conj, l, structure_constants(G, conj), X)
     with pytest.raises(LiftFailure, match="8 characters for 9 classes"):
         _certified_table(G, conj, l, structure_constants(G, conj), X[1:])
-
-
-def test_dot_mod_sums_in_chunks_that_fit_int64():
-    # at l = 2^31 - 1 only two products fit in an int64 sum
-    l = 2 ** 31 - 1
-    rng = random.Random(0)
-    A = np.array([[rng.randrange(l) for _ in range(37)] for _ in range(5)], dtype=np.int64)
-    v = np.array([rng.randrange(l) for _ in range(37)], dtype=np.int64)
-    want = [sum(int(a) * int(b) for a, b in zip(row, v)) % l for row in A]
-    assert _dot_mod(A, v, l).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -658,34 +648,54 @@ def test_nullspace_mod_is_the_left_kernel(p, A):
     assert span == kernel and len(kernel) == p ** len(N)
 
 
-def _det_mod(M, p):
-    t = len(M)
-    total = 0
-    for perm in itertools.permutations(range(t)):
-        inversions = sum(perm[i] > perm[j] for i in range(t) for j in range(i + 1, t))
-        term = (-1) ** inversions
-        for i in range(t):
-            term *= int(M[i][perm[i]])
-        total += term
-    return total % p
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_charpoly_mod_against_brute_force(seed):
+def test_power_mod_against_repeated_products(seed):
     rng = random.Random(seed)
     p = 7
-    t = rng.randrange(1, 6)   # t < p, so the values at the p points fix the polynomial
+    t = rng.randrange(1, 6)
     A = np.array([[rng.randrange(p) for _ in range(t)] for _ in range(t)], dtype=np.int64)
-    poly = _charpoly_mod(A, p)
-    assert len(poly) == t + 1 and poly[-1] == 1
-    for lam in range(p):
-        value = sum(c * lam ** k for k, c in enumerate(poly)) % p
-        assert value == _det_mod(lam * np.eye(t, dtype=np.int64) - A, p)
-    # Cayley-Hamilton: p(A) = 0
-    acc = np.zeros((t, t), dtype=np.int64)
-    for c in reversed(poly):
-        acc = (acc @ A + c * np.eye(t, dtype=np.int64)) % p
-    assert not acc.any()
+    want = np.eye(t, dtype=np.int64)
+    for e in range(20):
+        assert (_power_mod(A, e, p) == want).all(), e
+        want = want @ A % p
+
+
+def _rank_mod(A, l):
+    return len(A) - len(_nullspace_mod(A, l))
+
+
+def _same_span(A, B, l):
+    return len(A) == len(B) == _rank_mod(np.concatenate([A, B]), l)
+
+
+def test_split_by_the_quadratic_character_of_the_eigenvalues():
+    # M = S^-1 diag(lam) S mod 13, so the rows of S are its left eigenvectors:
+    # the eigenvalues 1, 4, 12, 3 are squares, 2, 7 non-squares, and 0 twice
+    l = 13
+    lam = [1, 4, 12, 2, 7, 0, 0, 3]
+    t = len(lam)
+    rng = random.Random(1)
+    S, S_inv = np.eye(t, dtype=np.int64), np.eye(t, dtype=np.int64)
+    for _ in range(40):   # row operations, and their inverses on the other side
+        i, j = rng.sample(range(t), 2)
+        k = rng.randrange(1, l)
+        S[j] = (S[j] + k * S[i]) % l
+        S_inv[:, i] = (S_inv[:, i] - k * S_inv[:, j]) % l
+    assert (S @ S_inv % l == np.eye(t, dtype=np.int64)).all()
+    M = S_inv @ np.diag(lam) % l @ S % l
+
+    parts = _split([np.eye(t, dtype=np.int64)], M, l)
+    want = [[0, 1, 2, 7], [3, 4], [5, 6]]   # squares, non-squares, 0
+    assert len(parts) == 3
+    for V, rows in zip(parts, want):
+        assert _same_span(V, S[rows], l)
+
+    # each space is cut on its own; a space inside one part, or of
+    # dimension 1, stays whole
+    parts = _split([S[[0, 3, 5]], S[[1, 2]], S[[4]]], M, l)
+    assert [len(V) for V in parts] == [1, 1, 1, 2, 1]
+    for V, rows in zip(parts, [[0], [3], [5], [1, 2], [4]]):
+        assert _same_span(V, S[rows], l)
 
 
 def test_int64_bound():
@@ -708,19 +718,49 @@ def test_int64_guard_runs_before_the_structure_constants(monkeypatch):
         char_table(build_sl2.__wrapped__(3))   # a fresh group, no cached table
 
 
-@pytest.mark.parametrize("build,q,parts", [(build_sl2, 3, 6), (build_gl2, 9, 79)],
+@pytest.mark.parametrize("build,q", [(build_sl2, 3), (build_gl2, 9)],
                          ids=["SL(2,3)", "GL(2,9)"])
-def test_the_class_matrices_finish_what_the_combination_leaves(build, q, parts):
-    # the combination sum 3^i M_i has a repeated eigenvalue on these groups, so
-    # their tables exercise the split by the single class matrices
+def test_a_repeated_eigenvalue_leaves_its_space_whole(build, q):
+    # the combination sum 3^i M_i has a repeated eigenvalue on these groups:
+    # no split by it, shifted or not, can cut that eigenspace, and the
+    # random combinations of char_table separate the characters all the same
     G = build(q)
-    conj = conjugacy(G)
-    n, s = len(G), conj.nclasses()
-    l = smallest_prime_in_progression(conj.exponent, 1,
-                                      2 * (math.isqrt(n) + 1) * max(conj.sizes))
-    combination, *_ = _dixon_matrices(structure_constants(G, conj), l)
-    assert len(_split([np.eye(s, dtype=np.int64)], combination, l)) == parts < s
-    assert len(char_table(G).chars) == s
+    t = char_table(G)
+    conj = t.conj
+    s = conj.nclasses()
+    l, X = _residues(t)
+    omega = X * np.array(conj.sizes) % l
+    omega = omega * np.array([pow(int(d), -1, l) for d in t.degrees])[:, None] % l
+    weights = np.array([pow(3, i, l) for i in range(s)], dtype=np.int64)
+    eigenvalues = omega @ weights % l
+    lam, mult = Counter(eigenvalues.tolist()).most_common(1)[0]
+    assert mult > 1
+    mats = np.transpose(structure_constants(G, conj) % l, (0, 2, 1))
+    M = np.tensordot(weights, mats, axes=1) % l
+    E = _nullspace_mod(M - lam * np.eye(s, dtype=np.int64), l)
+    assert len(E) == mult
+    for shift in (0, 1, 2, l - lam):
+        parts = _split([E], (M + shift * np.eye(s, dtype=np.int64)) % l, l)
+        assert len(parts) == 1 and _same_span(parts[0], E, l)
+    assert len(t.chars) == s
+
+
+def test_dixon_gives_up_after_its_rounds(monkeypatch):
+    # one round cuts a space into at most three parts, too few for 9 classes
+    from sl2swc import characters
+
+    monkeypatch.setattr(characters, "DIXON_ROUNDS", 1)
+    with pytest.raises(LiftFailure, match="failed to separate"):
+        char_table(build_sl2.__wrapped__(5))   # a fresh group, no cached table
+
+
+def test_sl2_49_table_is_pinned():
+    # sha256 of the coefficients of char_table(build_sl2(49)), taken when
+    # Dixon's method still split by characteristic polynomials
+    t = char_table(build_sl2(49))
+    blob = json.dumps([[list(v) for v in row] for row in t.coeffs]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bed11d410d9307cd3d67999fea0e9043b84d6ed7541d295c3990bd82abde3815")
 
 
 # sha256 prefixes of the draws below, pinned before the draws came in batches

@@ -380,7 +380,8 @@ def _other_table(group, q):
     (_digest_valid({"schema": cli.SCHEMA, "version": cli.TABLE_VERSION}), "missing keys"),
     (_other_table("sl2", 5), "q=5"),
     (_other_table("gl2", 3), "gl2 table"),
-], ids=["list", "missing-keys", "other-q", "other-group"])
+    (_digest_valid({**_other_table("sl2", 3), "note": "extra"}), "unknown keys: note"),
+], ids=["list", "missing-keys", "other-q", "other-group", "unknown-key"])
 def test_cache_rejects_unusable_payload(capsys, tmp_path, bad, why):
     fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
     code, fresh, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(fresh_dir))
@@ -423,9 +424,9 @@ def test_cache_rejects_fields_the_values_contradict(capsys, tmp_path, field, i, 
 
 
 def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
-    # one character's values copied over another's lift to no character: the
-    # load's certificate raises LiftFailure, which rejects the file like any
-    # other unusable one
+    # one character's values copied over another's are no table: the load
+    # builds the table and finds the values differ, which rejects the file
+    # like any other unusable one
     fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
     code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
     assert code == 0 and err == ""
@@ -439,7 +440,7 @@ def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
     assert code == 0 and out == fresh
     note = json.loads(err)
     assert note["cache"] == "rejected" and note["path"] == str(path)
-    assert note["reason"].startswith("LiftFailure: ")
+    assert note["reason"] == "ValueError: cached values differ from the rebuilt table"
     assert json.loads(path.read_text()) == json.loads(fresh)
 
 
@@ -468,22 +469,58 @@ def test_cache_rejects_tampered_values(capsys, tmp_path):
     def tamper(values):
         values[1][0][0] += 1
 
-    assert _tampered_load(capsys, tmp_path, tamper)["reason"].startswith("LiftFailure: ")
+    assert _tampered_load(capsys, tmp_path, tamper)["reason"] == (
+        "ValueError: cached values differ from the rebuilt table")
 
 
 def test_cache_rejects_a_value_moved_by_a_multiple_of_l(capsys, tmp_path):
-    # the residues mod l are unchanged, so the certificate passes, but the
-    # value is not the fold of its own spectrum
+    # the residues mod l are unchanged, but the value is not the fold of its
+    # own spectrum
     from sl2swc.characters import _modulus
+    from sl2swc.groups import conjugacy
 
     G = build_sl2(5)
-    l = _modulus(G, cli.conjugacy(G))
+    l = _modulus(G, conjugacy(G))
 
     def tamper(values):
         values[3][2][1] += l
 
     assert _tampered_load(capsys, tmp_path, tamper)["reason"] == (
         "ValueError: cached values differ from the rebuilt table")
+
+
+def test_cache_load_compares_a_table_the_process_already_holds(capsys, tmp_path):
+    # the group, and so its table, outlive a load in one process: the file is
+    # compared with that table all the same
+    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
+    assert code == 0 and err == ""
+    char_table(build_sl2(5))
+    doc = json.loads(fresh)
+    doc["values"][1][0][0] += 1
+    path = cli.cache_path(bad_dir, "sl2", 5)
+    bad_dir.mkdir()
+    path.write_text(json.dumps(_digest_valid(doc)))
+    assert load_cached_table(bad_dir, "sl2", 5) is None
+    note = json.loads(capsys.readouterr().err)
+    assert note["reason"] == "ValueError: cached values differ from the rebuilt table"
+    assert serialize_table(load_cached_table(fresh_dir, "sl2", 5)) == json.loads(fresh)
+
+
+def test_table_serializes_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return serialize_table(table)
+
+    monkeypatch.setattr(cli, "serialize_table", counted)
+    build_sl2.cache_clear()   # fresh groups: no table is held yet
+    code, cold, _ = _run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    build_sl2.cache_clear()
+    code, warm, err = _run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0 and err == "" and warm == cold and len(calls) == 2
 
 
 def test_swc_syntax_error_builds_no_table(capsys, tmp_path):

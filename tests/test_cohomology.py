@@ -297,7 +297,7 @@ def test_series_inverse():
     S = sl2_odd_ring(20)
     u = S.one() + S.gen_class("e")
     w = _series_inverse(u)
-    assert (u * w).is_one()
+    assert u * w == S.one()
     # all-ones series
     assert all(w.component(4 * i) for i in range(6))
     assert u.pow_int(-1) == w
