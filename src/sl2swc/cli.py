@@ -307,6 +307,9 @@ def load_cached_table(cache_dir: Path, kind: str, q: int, *, into: dict | None =
     path = cache_path(cache_dir, kind, q)
     if not path.exists():
         return None
+    # every path rebuilds the table, so it is built before the file is read:
+    # its structure constants are gone before the parsed file is held
+    char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError) as e:
@@ -395,12 +398,11 @@ def _emit(payload: dict) -> None:
 
 
 # Under 512 MiB of address space (one BLAS thread, a shared 2-vCPU machine),
-# `table --group gl2` took 19-21 s and 244 MB cold and 15 s and 375 MB warm
-# at q = 13.  At q = 16 a cold run took 23-27 s and 421 MB, but a warm one ran
-# out of memory building the table next to the parsed file, and at q = 17 the
-# 288^3 int64 structure constants do not fit, so larger GL tables are refused
-# up front.
-GL_TABLE_CAP = 13
+# `table --group gl2 --q 16` took 24-31 s cold and 24-35 s warm, at 421 MB
+# either way: a warm load builds the table before it parses the file, so the
+# 255^3 structure constants are freed by then.  At q = 17 the 288^3 int64
+# structure constants do not fit, so larger GL tables are refused up front.
+GL_TABLE_CAP = 16
 
 
 def cmd_table(args) -> int:

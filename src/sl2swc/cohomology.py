@@ -50,8 +50,6 @@ def _bits(mask: int):
 
 _ONE = frozenset((0,))
 
-STRING_MEMO = 1 << 12   # monomial strings kept per ring (Ring._code_string)
-
 
 def _add_products(acc: set, c1, c2) -> None:
     """acc += c1 * c2 over F2, on the monomial codes of two components."""
@@ -82,8 +80,6 @@ class Ring:
         self.relations = tuple(rels)
         # presented rings: degree -> (basis, normal form of every monomial code)
         self._deg_cache: dict[int, tuple[list, dict[int, tuple[int, ...]]]] = {}
-        # code -> monomial_string, filled as codes are printed (_code_string)
-        self._strings: dict[int, str] = {}
 
     # -- monomial codes -------------------------------------------------------
 
@@ -92,13 +88,6 @@ class Ring:
 
     def _code(self, expvec) -> int:
         return sum(e * w for e, w in zip(expvec, self._weights))
-
-    def _exponents(self, code: int) -> tuple[int, ...]:
-        out = []
-        for w in self._weights:
-            e, code = divmod(code, w)
-            out.append(e)
-        return tuple(out)
 
     # -- per-degree data ----------------------------------------------------
 
@@ -219,19 +208,6 @@ class Ring:
                 comps.setdefault(d, set()).symmetric_difference_update((self._code(e),))
         return GradedClass(self, {d: self._normal(d, c) for d, c in comps.items()})
 
-    def _code_string(self, code: int) -> str:
-        """monomial_string of the monomial with this code.  The first
-        STRING_MEMO codes printed keep their strings: the classes of one
-        small ring, as in the oracle suites, repeat their monomials, while a
-        class of tens of thousands of them is printed once and would only
-        hold memory."""
-        s = self._strings.get(code)
-        if s is None:
-            s = self.monomial_string(self._exponents(code))
-            if len(self._strings) < STRING_MEMO:
-                self._strings[code] = s
-        return s
-
     def monomial_string(self, expvec) -> str:
         parts = []
         for name, e in zip(self.names, expvec):
@@ -351,13 +327,25 @@ class GradedClass:
         return GradedClass(self.ring, {d: c for d, c in self.comps.items()
                                        if d_min <= d <= d_max})
 
+    def _exponent_columns(self, d: int) -> list[list[int]]:
+        """For each generator, its exponent in each degree-d monomial, largest
+        monomial first: the codes are sorted once and decoded a digit at a time."""
+        codes = sorted(self.component(d), reverse=True)
+        base = self.ring.D + 1
+        return [[c // w % base for c in codes] for w in self.ring._weights]
+
     def monomials(self, d: int):
         """Exponent vectors of the degree-d component, largest first."""
-        return [self.ring._exponents(c) for c in sorted(self.component(d), reverse=True)]
+        return list(zip(*self._exponent_columns(d)))
 
     def monomial_strings(self, d: int):
-        """monomial_string of each monomial of degree d, largest first."""
-        return [self.ring._code_string(c) for c in sorted(self.component(d), reverse=True)]
+        """monomial_string of each monomial of degree d, largest first; each
+        generator's distinct exponents are formatted once, as "*x" or "*x^e"."""
+        powers = []
+        for name, column in zip(self.ring.names, self._exponent_columns(d)):
+            text = {e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}" for e in set(column)}
+            powers.append([text[e] for e in column])
+        return [s[1:] or "1" for s in map("".join, zip(*powers))]
 
     def to_dict(self) -> dict[str, list[str]]:
         return {str(d): self.monomial_strings(d) for d in self.support_degrees()}

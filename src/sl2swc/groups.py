@@ -177,13 +177,16 @@ def _matrix_codes(q: int) -> _MatrixCodes:
 
 def _matrix_group_codes(arith: _MatrixCodes, want_sl: bool) -> np.ndarray:
     """Increasing codes of the matrices with det = 1 (want_sl) or det != 0:
-    one block a*q^3 + n per first entry a, n coding (b, c, d), so the
-    entry arrays over all (b, c, d) are freed before the group is built."""
-    q = arith.q
-    _, b, c, d = arith.entries(np.arange(q ** 3))
+    one block a*q^3 + n per first entry a, n coding (b, c, d).  ad - bc sees n
+    only through the pair (d, -bc), kept as one index per n (n // q = b*q + c
+    indexes mul[b, c]), so each a reads its q x q table of determinants there."""
+    q, F = arith.q, arith.F
+    n = np.arange(q ** 3)
+    pair = n % q * q + F.neg[F.mul.ravel()[n // q]]
+    del n
     blocks = []
     for a in range(q):
-        det = arith.det(a, b, c, d)
+        det = F.add[F.mul[a]].ravel()[pair]   # add[mul[a, d], -bc]
         blocks.append(a * q ** 3 + np.flatnonzero(det == 1 if want_sl else det != 0))
     return np.concatenate(blocks)
 

@@ -423,7 +423,8 @@ def verify_swc_formula(pi: VirtualRep, D: int, emb: Subgroup | None = None) -> d
     Odd q: the image of (1+e)^r in H*(Z) must equal the center oracle, and the
     quaternion oracle must restrict to the same class.  Even q: the expansion
     of (1+D)^m must equal the unipotent oracle, and all nontrivial additive
-    character multiplicities must coincide.  Raises Mismatch on failure.
+    character multiplicities must coincide.  Raises Mismatch on failure; the
+    oracle class checked against is returned as a class, not formatted.
     """
     G = pi.table.group
     q = G.q
@@ -442,7 +443,7 @@ def verify_swc_formula(pi: VirtualRep, D: int, emb: Subgroup | None = None) -> d
         return {
             "q": q, "parity": "odd", "degree": deg,
             "r": quaternionic_multiplicity(pi),
-            "common_center_image": oz.cls.to_dict(),
+            "common_center_image": oz.cls,
         }
     expanded = total_swc_expanded(pi, d_eff)
     on = swc_from_unipotent(pi, d_eff)
@@ -455,7 +456,7 @@ def verify_swc_formula(pi: VirtualRep, D: int, emb: Subgroup | None = None) -> d
     ell, m = unipotent_multiplicities(pi)
     return {
         "q": q, "parity": "even", "degree": deg, "ell": ell, "m": m,
-        "expanded": on.cls.to_dict(),
+        "expanded": on.cls,
     }
 
 

@@ -186,8 +186,8 @@ def test_usage_errors(capsys, tmp_path):
     ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
     ("cohomology", "--group", "c2:6", "--max-degree", "257"),
-    # GL tables above GL_TABLE_CAP = 13 are refused: a cold GL(2,16) takes 83 s
-    ("table", "--group", "gl2", "--q", "16"),
+    # GL tables above GL_TABLE_CAP = 16 are refused: GL(2,17) runs out of memory
+    ("table", "--group", "gl2", "--q", "17"),
     ("table", "--group", "gl2", "--q", "81"),
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(capsys, argv):

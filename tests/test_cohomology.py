@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from sl2swc.cohomology import (
-    STRING_MEMO,
     InhomogeneousRelation,
     RestrictionMap,
     Ring,
@@ -453,6 +452,19 @@ def test_restriction_matches_the_sum_of_images_on_sl2_16_totals():
         assert f(total) == _restriction_by_sums(f, total), lab
 
 
+DECODED_RINGS = {**FREE_RINGS, **PRESENTED_RINGS, "center_1e9": lambda: center_ring(10**9)}
+
+
+@pytest.mark.parametrize("name", sorted(DECODED_RINGS))
+def test_monomials_decode_the_codes_of_each_degree(name):
+    ring = DECODED_RINGS[name]()
+    rng = random.Random(name)
+    for _ in range(20):
+        a = ring.from_monomials(_random_monomials(ring, rng, 6))
+        for d in a.support_degrees():
+            assert [ring._code(m) for m in a.monomials(d)] == sorted(a.component(d), reverse=True)
+
+
 @pytest.mark.parametrize("name", sorted({**FREE_RINGS, **PRESENTED_RINGS}))
 def test_monomial_strings_format_each_code(name):
     ring = {**FREE_RINGS, **PRESENTED_RINGS}[name]()
@@ -460,28 +472,21 @@ def test_monomial_strings_format_each_code(name):
     for _ in range(20):
         a = ring.from_monomials(_random_monomials(ring, rng, 6))
         for d in a.support_degrees():
-            want = [ring.monomial_string(ring._exponents(c))
-                    for c in sorted(a.component(d), reverse=True)]
+            want = [ring.monomial_string(m) for m in a.monomials(d)]
             assert a.monomial_strings(d) == want
 
 
-def test_monomial_string_memo_holds_only_the_printed_codes():
-    # a ring truncated at a huge degree: the memo grows with the codes
-    # printed, never with D
+def test_monomial_strings_of_a_ring_truncated_at_a_huge_degree():
+    # formatting keeps no state that grows with D
     ring = center_ring(10**9)
     a = ring.from_monomials([(0,), (7,), (10**9,)])
     assert a.to_dict() == {"0": ["1"], "7": ["v^7"], str(10**9): [f"v^{10**9}"]}
-    assert len(ring._strings) == 3
-    a.to_dict()
-    assert len(ring._strings) == 3
 
 
-def test_monomial_string_memo_stops_at_its_cap():
+def test_monomial_strings_of_every_monomial_of_a_two_generator_ring():
     ring = poly_ring(("a", "b"), 100)   # 5151 monomials
     a = ring.from_monomials((i, j) for i in range(101) for j in range(101 - i))
     assert len(a.comps) == 101 and ring.dim(100) == 101
-    for _ in range(2):
-        for d in a.support_degrees():
-            want = [ring.monomial_string(m) for m in a.monomials(d)]
-            assert a.monomial_strings(d) == want
-        assert len(ring._strings) == STRING_MEMO < 5151
+    for d in a.support_degrees():
+        want = [ring.monomial_string(m) for m in a.monomials(d)]
+        assert a.monomial_strings(d) == want

@@ -5,7 +5,9 @@ SL(2,16) and SL(2,17) table digests from the code before the group layer
 moved to numpy index arrays, and the SL(2,19), SL(2,25), SL(2,27), GL(2,7)
 and GL(2,9) table digests from the code before Dixon's method moved to numpy
 arrays, and the SL(2,23), SL(2,31) and SL(2,32) table digests from the code
-before orthogonality was checked in Z on eigenvalue spectra; a refactor that
+before orthogonality was checked in Z on eigenvalue spectra, and the
+`swc --rep reg` digests at q = 16 and q = 32 from the code before monomials
+were formatted a degree at a time; a refactor that
 changes no behaviour must leave every one of them unchanged."""
 
 import hashlib

@@ -44,6 +44,7 @@ from sl2swc.oracle import (
     quaternion_class,
     quaternion_profile,
     restricted_total_class,
+    run_suite,
     suite_gow,
     suite_obstruction,
     suite_theorem,
@@ -459,7 +460,7 @@ def test_unipotent_oracle_matches_the_chained_powers_on_every_oir(q):
 def test_verify_regular_sl23():
     t = char_table(build_sl2(3))
     out = verify_swc_formula(regular_rep(t), 64)
-    assert out["common_center_image"] == {
+    assert out["common_center_image"].to_dict() == {
         "0": ["1"], "4": ["v^4"], "8": ["v^8"], "12": ["v^12"]
     }
 
@@ -701,3 +702,14 @@ def test_suites_pass_smoke():
     assert suite_wu(2, trials=10).ok()
     rep = suite_obstruction(3, n_max=128)
     assert rep.ok() and rep.cases == 128
+
+
+def test_theorem_suite_formats_no_class_of_a_passing_case(monkeypatch):
+    from sl2swc.cohomology import GradedClass
+
+    def no_formatting(self, d):
+        raise AssertionError("a passing case formatted a class")
+
+    monkeypatch.setattr(GradedClass, "monomial_strings", no_formatting)
+    (rep,) = run_suite("theorem", 8, 5)
+    assert rep.ok() and rep.cases == rep.passes > 5

@@ -318,7 +318,7 @@ def test_odd_total_is_the_lucas_series(q):
 def test_regular_q16_report_matches_oracle():
     reg = regular_rep(char_table(build_sl2(16)))
     report = swc_report(reg, 32)
-    assert report.total_expanded == verify_swc_formula(reg, 32)["expanded"]
+    assert report.total_expanded == verify_swc_formula(reg, 32)["expanded"].to_dict()
 
 
 def _cli_in_512_mib(*args, timeout=300):
