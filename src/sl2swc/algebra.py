@@ -5,17 +5,13 @@ A field is a set of numpy tables over the ranks 0..q-1 of its elements,
 built once from the matrices of multiplication by each element modulo a
 fixed irreducible.
 Phi_m is built from Phi_n for the radical n of m by one exact division per
-prime.  Its one use is `cyclo_make`, the normal form of an element of
-Z[zeta_m] modulo Phi_m: the remainder of one long division by the sparse
-monic Phi_m, no table of powers of zeta_m kept.  Character values are
-integer vectors read through their traces (see `characters`); the normal
-form only writes them in the coefficients of the v1 table format.
+prime.  Its one use is `power_rows`: the powers of zeta_m modulo Phi_m, in
+which the v1 table format writes character values (see `characters`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -155,17 +151,6 @@ def _stretch(poly, k: int) -> list[int]:
     return out
 
 
-def _long_divide(vec: list[int], deg: int, terms) -> None:
-    """Divide vec in place by the monic t^deg + sum c t^i over (i, c) in terms,
-    leaving the remainder in vec[:deg] and the quotient in vec[deg:]."""
-    for k in range(len(vec) - 1, deg - 1, -1):
-        c = vec[k]
-        if c:
-            off = k - deg
-            for i, a in terms:
-                vec[off + i] -= c * a
-
-
 def _lower_terms(poly) -> tuple[tuple[int, int], ...]:
     """The (i, c) with c = poly[i] nonzero, below the leading term."""
     return tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
@@ -179,9 +164,12 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     poly, n = [-1, 1], 1
     for p in prime_factors(m):
-        num = _stretch(poly, p)
-        deg = len(poly) - 1
-        _long_divide(num, deg, _lower_terms(poly))
+        # long division by the monic Phi_n: quotient in num[deg:]
+        num, deg, terms = _stretch(poly, p), len(poly) - 1, _lower_terms(poly)
+        for k in range(len(num) - 1, deg - 1, -1):
+            if c := num[k]:
+                for i, a in terms:
+                    num[k - deg + i] -= c * a
         if any(num[:deg]):
             raise AssertionError("cyclotomic division was not exact")
         poly, n = num[deg:], n * p
@@ -200,24 +188,36 @@ def euler_phi(m: int) -> int:
     return _sparse_phi(m)[0]
 
 
-def cyclo_make(m: int, coeffs) -> tuple[int, ...]:
-    """The coefficients of the normal form of sum coeffs[k] * zeta_m^k (any
-    length) in Z[zeta_m], the remainder modulo Phi_m.
+def power_rows(m: int, ks) -> np.ndarray:
+    """Row i: the coefficients of zeta_m^ks[i] (0 <= ks[i] < m) modulo Phi_m.
 
-    Indices fold by zeta^m = 1, and for even m also by zeta^(m/2) = -1, since
-    Phi_m divides t^(m/2) + 1.  The normal form is the remainder of the folded
-    vector on long division by the monic Phi_m, which touches only its
-    nonzero terms.
-    """
-    h = m // 2 if m % 2 == 0 else m
-    vec = [0] * h
-    for k, c in enumerate(coeffs):
-        if c:
-            turns, i = divmod(k, h)
-            vec[i] += -c if turns % 2 and h < m else c
+    One int64 pass of x^(k+1) = x·x^k mod Phi_m: x^k is the reversed window
+    buf[k:k+phi], so x moves the window, and the coefficient c = buf[k] that
+    leaves it is reduced by subtracting c times Phi_m's nonzero lower terms.
+    For even m the pass stops below m/2, as Phi_m divides t^(m/2) + 1.  No
+    step raises an entry by more than |c|·max|Phi_m|: OverflowError unless
+    those raises sum to less than 2^63, so every entry is exact."""
     phi, terms = _sparse_phi(m)
-    _long_divide(vec, phi, terms)
-    return tuple(vec[:phi])
+    h = m // 2 if m % 2 == 0 else m
+    ks = np.asarray(ks, dtype=np.int64)
+    want = set((ks % h).tolist())
+    at = phi - np.array([i for i, _ in terms])
+    coef = np.array([c for _, c in terms], dtype=np.int64)
+    top = int(np.abs(coef).max())
+    buf = np.zeros(max(want, default=0) + phi, dtype=np.int64)
+    buf[phi - 1] = bound = 1
+    kept = {0: buf[phi - 1::-1].copy()}
+    for k in range(max(want, default=0)):
+        if c := int(buf[k]):
+            buf[k:k + phi + 1][at] -= c * coef
+            bound += abs(c) * top
+        if k + 1 in want:
+            kept[k + 1] = buf[k + phi:k:-1].copy()
+    if bound >= 2 ** 63:
+        raise OverflowError(f"the powers of zeta_{m} leave int64")
+    out = np.array([kept[k] for k in (ks % h).tolist()], dtype=np.int64).reshape(len(ks), phi)
+    out[ks >= h] *= -1
+    return out
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -247,7 +247,3 @@ def smallest_prime_in_progression(mod: int, residue: int, lower: int) -> int:
     while p <= lower or not is_prime(p):
         p += mod
     return p
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b

@@ -39,15 +39,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from .algebra import (
     NotRationalInteger,
-    cyclo_make,
     euler_phi,
-    lcm,
+    power_rows,
     prime_factors,
     smallest_prime_in_progression,
 )
@@ -446,24 +445,32 @@ def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> Charac
     d_inv = np.array([pow(int(x), -1, l) for x in d], dtype=np.int64)
     _check_class_algebra(struct, X * np.array(conj.sizes) % l * d_inv[:, None] % l, l)
 
-    # fold each distinct spectrum once into sum_t mu[t] zeta_o^t in Z[zeta_m]:
-    # the v1 coefficients, which order the characters by (degree, values)
-    folded = {}
-    cols = []
-    for o, mu in zip(conj.orders, spectra):
-        col = []
-        for row in mu.tolist():
-            v = folded.get((o, *row))
-            if v is None:
-                vec = [0] * m
-                vec[:: m // o] = row
-                v = folded[(o, *row)] = cyclo_make(m, vec)
-            col.append(v)
-        cols.append(col)
-    rows = list(zip(*cols))
+    # the v1 coefficients order the characters by (degree, values)
+    rows = list(zip(*_fold(m, conj.orders, spectra)))
     order = sorted(range(s), key=lambda a: (int(d[a]), rows[a]))
     return table_from_spectra(G, conj, tuple(mu[order] for mu in spectra),
                               tuple(rows[a] for a in order))
+
+
+def _fold(m: int, orders, spectra) -> list[list[tuple[int, ...]]]:
+    """cols[c][a] = sum_t mu[t] zeta_o^t modulo Phi_m, mu = spectra[c][a] and
+    o = orders[c]: each distinct (o, mu) once, as mu·R_o with the rows
+    R_o[t] = zeta_m^(t·m/o) of one `power_rows` pass, its tuple shared where
+    it recurs.  LiftFailure unless sum|mu|·max|R_o| < 2^63, which keeps every
+    product exact in int64."""
+    distinct: dict[int, dict] = {}
+    for o, mu in zip(orders, spectra):
+        distinct.setdefault(o, {}).update(dict.fromkeys(map(tuple, mu.tolist())))
+    ks = sorted({t * (m // o) for o in distinct for t in range(o)})
+    rows = dict(zip(ks, power_rows(m, ks)))
+    for o, folded in distinct.items():
+        R = np.array([rows[t * (m // o)] for t in range(o)])
+        if max(sum(map(abs, mu)) for mu in folded) * int(np.abs(R).max()) >= 2 ** 63:
+            raise LiftFailure(f"a spectrum of order {o} folds outside int64")
+        for mu in folded:
+            folded[mu] = tuple((np.array(mu, dtype=np.int64) @ R).tolist())
+    return [[distinct[o][mu] for mu in map(tuple, spectrum.tolist())]
+            for o, spectrum in zip(orders, spectra)]
 
 
 def _spectra(conj: ConjugacyData, X, l: int) -> list:

@@ -9,10 +9,10 @@ failure, 2 usage error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 from itertools import islice
@@ -230,9 +230,17 @@ TABLE_VERSION = 1
 
 
 def serialize_table(table: CharacterTable) -> dict:
+    payload = _table_body(table)
+    return {**payload, "digest": _digest(payload)}
+
+
+def _table_body(table: CharacterTable) -> dict:
+    """The serialization without its digest."""
     G = table.group
     conj = table.conj
-    payload = {
+    # one list per distinct value, shared as the table shares its tuples
+    lists = {id(v): list(v) for v in {id(v): v for row in table.coeffs for v in row}.values()}
+    return {
         "schema": SCHEMA,
         "kind": "character_table",
         "version": TABLE_VERSION,
@@ -241,26 +249,20 @@ def serialize_table(table: CharacterTable) -> dict:
         "order": len(G),
         "exponent": table.m,
         "num_classes": conj.nclasses(),
-        "class_reps": _class_reps(G, conj),
+        # each class representative as its four entries' coefficient lists
+        "class_reps": [[list(G.field.digits[e]) for e in G.elem(r)] for r in conj.reps],
         "class_sizes": list(conj.sizes),
         "class_orders": list(conj.orders),
         "degrees": list(table.degrees),
         "fs": list(table.fs),
         "dual": list(table.dual),
         "omega_minus1": list(table.omega_minus1) if table.omega_minus1 else None,
-        "values": [[list(v) for v in row] for row in table.coeffs],
+        "values": [[lists[id(v)] for v in row] for row in table.coeffs],
     }
-    payload["digest"] = _digest(payload)
-    return payload
-
-
-def _class_reps(G, conj) -> list:
-    """Each class representative as its four entries' coefficient lists."""
-    digits = G.field.digits
-    return [[list(digits[entry]) for entry in G.elem(r)] for r in conj.reps]
 
 
 def _digest(payload: dict) -> str:
+    import hashlib  # here: only a process that reads or writes a table file maps OpenSSL
     body = {k: v for k, v in payload.items() if k != "digest"}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -272,19 +274,14 @@ def table_from_payload(payload: dict) -> CharacterTable:
     to on every key but the digest.  So nothing in the file is trusted: the
     digest guards against accidents only, and anyone can recompute it."""
     table = char_table((build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"]))
-    differ = [k for k, v in serialize_table(table).items() if k != "digest" and payload[k] != v]
+    differ = [k for k, v in _table_body(table).items() if payload[k] != v]
     if differ:
         raise ValueError(f"cached {', '.join(differ)} differ from the rebuilt table")
     return table
 
 
 def cache_directory(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "sl2swc"
+    return Path(flag_value or os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "sl2swc")
 
 
 def cache_path(cache_dir: Path, kind: str, q: int) -> Path:
@@ -298,12 +295,12 @@ _PAYLOAD_KEYS = frozenset({
 })
 
 
-def load_cached_table(cache_dir: Path, kind: str, q: int, *, into: dict | None = None):
+def load_cached_table(cache_dir: Path, kind: str, q: int, *, out=None):
     """The cached table of the `kind` group over F_q, or None when there is
     none.  A file that cannot be used is reported as one JSON line on stderr
     and treated as absent, so the caller rebuilds the table.  On a hit,
-    `into`, when given, receives the file's payload, which the load has
-    found to be what the table serializes to."""
+    `out`, when given, receives the file's payload as JSON, which the load
+    has found to be what the table serializes to."""
     path = cache_path(cache_dir, kind, q)
     if not path.exists():
         return None
@@ -335,8 +332,8 @@ def load_cached_table(cache_dir: Path, kind: str, q: int, *, into: dict | None =
         raise
     except Exception as e:
         return _reject(path, f"{type(e).__name__}: {e}")
-    if into is not None:
-        into.update(payload)
+    if out is not None:
+        _write_json(payload, out)
     return table
 
 
@@ -356,15 +353,21 @@ def _write_json(payload: dict, fh) -> None:
     fh.write("\n")
 
 
-def store_table(cache_dir: Path, table: CharacterTable) -> dict:
+def store_table(cache_dir: Path, table: CharacterTable, *, out=None) -> dict:
+    """Write the table's file; `out`, when given, receives its text once it
+    is in place, so the table is encoded once."""
     payload = serialize_table(table)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_path(cache_dir, table.group.kind, table.group.q)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".table-", suffix=".json")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w+") as fh:
             _write_json(payload, fh)
-        os.replace(tmp, path)  # atomic on POSIX
+            fh.flush()
+            os.replace(tmp, path)  # atomic on POSIX
+            if out is not None:
+                fh.seek(0)
+                shutil.copyfileobj(fh, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -372,20 +375,16 @@ def store_table(cache_dir: Path, table: CharacterTable) -> dict:
     return payload
 
 
-def get_table(kind: str, q: int, cache_dir: Path | None, *,
-              into: dict | None = None) -> CharacterTable:
+def get_table(kind: str, q: int, cache_dir: Path | None, *, out=None) -> CharacterTable:
     """The table, read from or written to `cache_dir` unless that is None;
-    `into`, when given, receives the serialization that was read or
-    written, so a caller that prints it need not serialize the table again."""
+    `out`, given with a cache directory, receives the table's JSON as the file holds it."""
     if cache_dir is not None:
-        cached = load_cached_table(cache_dir, kind, q, into=into)
+        cached = load_cached_table(cache_dir, kind, q, out=out)
         if cached is not None:
             return cached
     table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
     if cache_dir is not None:
-        payload = store_table(cache_dir, table)
-        if into is not None:
-            into.update(payload)
+        store_table(cache_dir, table, out=out)
     return table
 
 
@@ -408,10 +407,7 @@ GL_TABLE_CAP = 16
 def cmd_table(args) -> int:
     if args.group == "gl2" and args.q > GL_TABLE_CAP:
         raise UsageError(f"table --group gl2 needs q <= {GL_TABLE_CAP}, not {args.q}")
-    cache_dir = cache_directory(args.cache_dir)
-    payload: dict = {}
-    get_table(args.group, args.q, cache_dir, into=payload)
-    _emit(payload)
+    get_table(args.group, args.q, cache_directory(args.cache_dir), out=sys.stdout)
     return 0
 
 

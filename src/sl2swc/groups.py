@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from math import lcm
 
 import numpy as np
 
-from .algebra import FieldTable, factor_prime_power, field_make, lcm
+from .algebra import FieldTable, factor_prime_power, field_make
 
 SIZE_CAP = 81
 

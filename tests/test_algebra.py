@@ -17,12 +17,12 @@ from sl2swc.algebra import (
     FieldTable,
     ReducibleModulus,
     binom_mod2,
-    cyclo_make,
     cyclotomic_polynomial,
     factor_prime_power,
     field_make,
     is_prime,
     ord2,
+    power_rows,
     prime_factors,
 )
 
@@ -224,21 +224,45 @@ def _times(a, b):
     return out
 
 
+def _normal(m, coeffs):
+    """The normal form of sum coeffs[k] zeta_m^k (any length), read through
+    the power rows: the coefficients folded by zeta^m = 1, times the rows of
+    zeta_m^0, ..., zeta_m^(m-1)."""
+    folded = [0] * m
+    for k, c in enumerate(coeffs):
+        folded[k % m] += c
+    return tuple((np.array(folded, dtype=np.int64) @ power_rows(m, range(m))).tolist())
+
+
 def test_cyclo_examples():
     # the normal forms of zeta_4^2, zeta_3 + zeta_3^2 and zeta_8 · zeta_8^7
-    assert cyclo_make(4, [0, 0, 1]) == (-1, 0)
-    assert cyclo_make(3, [0, 1, 1]) == (-1, 0)
-    assert cyclo_make(8, _times([0, 1], [0] * 7 + [1])) == (1, 0, 0, 0)
-    assert cyclo_make(3, [0, -1, -1]) == (1, 0)
+    assert power_rows(4, [2]).tolist() == [[-1, 0]]
+    assert _normal(3, [0, 1, 1]) == (-1, 0)
+    assert _normal(8, _times([0, 1], [0] * 7 + [1])) == (1, 0, 0, 0)
+    assert _normal(3, [0, -1, -1]) == (1, 0)
+    # rows come in the order asked for, repeats included
+    assert power_rows(6, [5, 0, 3, 5]).tolist() == [[1, -1], [1, 0], [-1, 0], [1, -1]]
+    assert power_rows(5, []).shape == (0, 4)
 
 
 def test_m_equal_one_is_the_integers():
     # Z[zeta_1] = Z: phi(1) = 1 and Phi_1 = t - 1, so zeta_1 = 1
-    assert cyclo_make(1, [-7]) == (-7,)
-    assert cyclo_make(1, [3, -5, 4]) == (2,)
-    assert cyclo_make(1, []) == (0,)
+    assert power_rows(1, [0, 0]).tolist() == [[1], [1]]
+    assert _normal(1, [-7]) == (-7,)
+    assert _normal(1, [3, -5, 4]) == (2,)
+    assert _normal(1, []) == (0,)
     for n in (-3, 0, 1, 12):
-        assert cyclo_make(1, [n, 0, n]) == (2 * n,)
+        assert _normal(1, [n, 0, n]) == (2 * n,)
+
+
+def test_power_rows_refuse_to_leave_int64(monkeypatch):
+    # a monic t - c with c = 2^62 would make zeta^2 = 2^124
+    from sl2swc import algebra
+
+    monkeypatch.setattr(algebra, "_sparse_phi", lambda m: (1, ((0, -2 ** 62),)))
+    assert power_rows(3, [1]).tolist() == [[2 ** 62]]
+    with pytest.raises(OverflowError):
+        power_rows(3, [2])
 
 
 def evalf(m: int, coeffs) -> complex:
@@ -252,10 +276,10 @@ def test_cyclo_random_numeric_agreement():
     rng = random.Random(42)
     for _ in range(1000):
         m = rng.randrange(1, 25)
-        a = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
-        b = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
-        assert abs(evalf(m, cyclo_make(m, _times(a, b))) - evalf(m, a) * evalf(m, b)) < 1e-6
-        assert abs(evalf(m, cyclo_make(m, [x + y for x, y in zip(a, b)]))
+        a = _normal(m, [rng.randrange(-9, 10) for _ in range(m)])
+        b = _normal(m, [rng.randrange(-9, 10) for _ in range(m)])
+        assert abs(evalf(m, _normal(m, _times(a, b))) - evalf(m, a) * evalf(m, b)) < 1e-6
+        assert abs(evalf(m, _normal(m, [x + y for x, y in zip(a, b)]))
                    - (evalf(m, a) + evalf(m, b))) < 1e-6
 
 
@@ -264,7 +288,7 @@ def test_roundtrip_evaluation():
     for _ in range(100):
         m = rng.randrange(2, 20)
         vec = [rng.randrange(-4, 5) for _ in range(m)]
-        assert abs(evalf(m, cyclo_make(m, vec)) - evalf(m, vec)) < 1e-9
+        assert abs(evalf(m, _normal(m, vec)) - evalf(m, vec)) < 1e-9
 
 
 def test_binom_mod2_and_ord2():
@@ -410,38 +434,38 @@ def test_cyclotomic_polynomials_at_sl2_exponents():
 @pytest.mark.parametrize("m", list(range(1, 131)) + [510, 660, 2448])
 def test_normal_forms_match_the_power_row_reduction(m):
     assert cyclotomic_polynomial(m) == _ref_cyclotomic(m)
+    assert [tuple(row) for row in power_rows(m, range(m)).tolist()] == _ref_rows(m)[:m]
     rng = random.Random(m)
     for length in (1, m, m + 1, 2 * m + 3, 3 * m):
         dense = [rng.randrange(-9, 10) for _ in range(length)]
         sparse = [rng.randrange(-3, 4) if rng.random() < 0.05 else 0 for _ in range(length)]
         for vec in (dense, sparse):
-            assert cyclo_make(m, vec) == _ref_make(m, vec)
-    a = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
-    b = cyclo_make(m, [rng.randrange(-9, 10) for _ in range(m)])
-    assert cyclo_make(m, _times(a, b)) == _ref_mul(m, a, b)
+            assert _normal(m, vec) == _ref_make(m, vec)
+    a = _normal(m, [rng.randrange(-9, 10) for _ in range(m)])
+    b = _normal(m, [rng.randrange(-9, 10) for _ in range(m)])
+    assert _normal(m, _times(a, b)) == _ref_mul(m, a, b)
     half = _ref_make(m, [0] * (m // 2) + [1])
-    assert cyclo_make(m, _times(a, half)) == _ref_mul(m, a, half)
+    assert _normal(m, _times(a, half)) == _ref_mul(m, a, half)
 
 
 def test_cyclo_at_exp_sl2_81_fits_in_512_mib():
-    # the fold of a character table at m = exp SL(2,81): with zeta = zeta_m,
-    # (sum_k k zeta^k)(zeta - 1) = m, so x = zeta sum_k k zeta^k has
-    # x zeta - x = m zeta; and at order 82, sum_t zeta_82^t = 0 and
+    # the power rows of a character table at m = exp SL(2,81): with
+    # zeta = zeta_m, (sum_k k zeta^k)(zeta - 1) = m, so x = sum_k k zeta^k,
+    # summed over rows taken in blocks, has x zeta - x = m, where x zeta reads
+    # the rows of zeta^1 .. zeta^phi; and at order 82, sum_t zeta_82^t = 0 and
     # zeta_82^41 = -1
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from sl2swc.algebra import cyclo_make\n"
-            "m = 9840\n"
-            "x = cyclo_make(m, [0, *range(m)])\n"
-            "shifted = [0, *x]\n"
-            "for i, a in enumerate(x):\n"
-            "    shifted[i] -= a\n"
-            "ok = cyclo_make(m, shifted) == cyclo_make(m, [0, m])\n"
-            "spectrum = [0] * m\n"
-            "spectrum[:: m // 82] = [1] * 82\n"
-            "ok &= not any(cyclo_make(m, spectrum))\n"
-            "ok &= cyclo_make(m, [0] * (41 * m // 82) + [1]) == cyclo_make(m, [-1])\n"
-            "print(ok)\n")
+            "import numpy as np\n"
+            "from sl2swc.algebra import euler_phi, power_rows\n"
+            "m, phi = 9840, euler_phi(9840)\n"
+            "x = sum(np.arange(a, a + 984) @ power_rows(m, range(a, a + 984))\n"
+            "        for a in range(0, m, 984))\n"
+            "one = power_rows(m, [0])[0]\n"
+            "ok = (x @ power_rows(m, range(1, phi + 1)) - x == m * one).all()\n"
+            "R = power_rows(m, range(0, m, m // 82))\n"
+            "ok &= not R.sum(axis=0).any() and (R[41] == -one).all()\n"
+            "print(bool(ok))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -763,6 +763,42 @@ def test_sl2_49_table_is_pinned():
         "bed11d410d9307cd3d67999fea0e9043b84d6ed7541d295c3990bd82abde3815")
 
 
+def test_sl2_29_table_is_pinned():
+    # sha256 of the coefficients of char_table(build_sl2(29)), taken when each
+    # spectrum was folded by a long division by Phi_12180 (912 nonzero terms,
+    # the most of any exponent up to q = 32)
+    t = char_table(build_sl2(29))
+    blob = json.dumps([[list(v) for v in row] for row in t.coeffs]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "d31abeca0bfcff0b8d2fc58a982b096be4bae7eb998eab5983189709716d7bf1")
+
+
+@pytest.mark.parametrize("kind, q", [("sl2", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17,
+                                                         19, 23, 25, 27, 29, 31, 32)]
+                         + [("gl2", q) for q in (2, 3, 4, 5, 7)])
+def test_folds_match_the_reference_lift(kind, q):
+    # each distinct (order, spectrum), folded through the power rows, against
+    # a long division by Phi_m
+    t = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
+    seen = {}
+    for c, (o, mu) in enumerate(zip(t.conj.orders, t.spectra)):
+        for a, row in enumerate(mu.tolist()):
+            key = (o, tuple(row))
+            if key not in seen:
+                seen[key] = lift(t.m, row)
+            assert t.coeffs[a][c] == seen[key]
+    assert len(seen) > t.nchars()
+
+
+def test_fold_refuses_a_product_outside_int64():
+    # R_2 holds zeta_2^0 = 1 and zeta_2^1 = -1 in Z[zeta_2] = Z
+    from sl2swc.characters import _fold
+
+    assert _fold(2, [2], [np.array([[2 ** 62, 2 ** 62 - 1]])]) == [[(1,)]]
+    with pytest.raises(LiftFailure, match="outside int64"):
+        _fold(2, [2], [np.array([[2 ** 62, 2 ** 62]])])
+
+
 # sha256 prefixes of the draws below, pinned before the draws came in batches
 RANDOM_REP_DIGESTS = {8: "8a04b7d3de15c2f0", 9: "4614ae345aacab0e",
                       16: "b13774b971084fd3", 25: "4a5511c84e2763b9"}

@@ -508,19 +508,88 @@ def test_cache_load_compares_a_table_the_process_already_holds(capsys, tmp_path)
 
 
 def test_table_serializes_once(capsys, monkeypatch, tmp_path):
+    # a cold table is serialized for its file, a warm one for the comparison
+    # with the file, and neither a second time for stdout
     calls = []
+    body = cli._table_body
 
     def counted(table):
         calls.append(table)
-        return serialize_table(table)
+        return body(table)
 
-    monkeypatch.setattr(cli, "serialize_table", counted)
+    monkeypatch.setattr(cli, "_table_body", counted)
     build_sl2.cache_clear()   # fresh groups: no table is held yet
     code, cold, _ = _run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
     assert code == 0 and len(calls) == 1
     build_sl2.cache_clear()
     code, warm, err = _run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
     assert code == 0 and err == "" and warm == cold and len(calls) == 2
+
+
+def test_a_warm_load_hashes_the_file_once(monkeypatch, tmp_path):
+    # the file's digest is checked; the rebuilt table is compared without one
+    store_table(tmp_path, char_table(build_sl2(5)))
+    calls = []
+    digest = cli._digest
+
+    def counted(payload):
+        calls.append(payload)
+        return digest(payload)
+
+    monkeypatch.setattr(cli, "_digest", counted)
+    build_sl2.cache_clear()
+    assert load_cached_table(tmp_path, "sl2", 5) is not None
+    assert len(calls) == 1
+
+
+def test_a_cold_table_is_encoded_once(capsys, monkeypatch, tmp_path):
+    # stdout is the file's text, copied after the rename
+    calls = []
+    write_json = cli._write_json
+
+    def counted(payload, fh):
+        calls.append(payload)
+        write_json(payload, fh)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    build_sl2.cache_clear()
+    code, out, err = _run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0 and err == "" and len(calls) == 1
+    assert out == cli.cache_path(tmp_path, "sl2", 7).read_text()
+    assert out == json.dumps(serialize_table(char_table(build_sl2(7))),
+                             indent=2, sort_keys=True) + "\n"
+
+
+def test_a_failed_store_prints_nothing_and_leaves_no_file(capsys, monkeypatch, tmp_path):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "OSError", "detail": "replace refused"}
+    assert list(tmp_path.iterdir()) == []
+
+
+# OpenSSL's libcrypto comes in with hashlib's _hashlib: only a command that
+# reads or writes a table file may map it
+@pytest.mark.parametrize("argv, hashed", [
+    (("verify", "--q", "3", "--suite", "theorem", "--trials", "1"), False),
+    (("dickson", "--rank", "2"), False),
+    (("cohomology", "--group", "Q8", "--max-degree", "4"), False),
+    (("table", "--q", "3"), True),
+], ids=lambda a: a[0] if isinstance(a, tuple) else None)
+def test_only_a_table_file_loads_hashlib(tmp_path, argv, hashed):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "SL2SWC_CACHE": str(tmp_path)}
+    code = ("import sys\n"
+            "from sl2swc.cli import run\n"
+            "code = run(sys.argv[1:])\n"
+            "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stderr.split() == ["0", str(hashed)]
 
 
 def test_swc_syntax_error_builds_no_table(capsys, tmp_path):

@@ -3,6 +3,8 @@ the m-th cyclotomic polynomial, by plain long division.  It shares nothing
 with the package's reading of values but `algebra.cyclotomic_polynomial`,
 which tests/test_algebra.py checks against t^m - 1 = prod_{d | m} Phi_d."""
 
+import numpy as np
+
 from sl2swc.algebra import cyclotomic_polynomial
 
 
@@ -20,10 +22,22 @@ def reduce_mod_phi(m, vec):
 
 
 def lift(m, w):
-    """sum_t w[t] zeta_o^t, o = len(w), as a normal form in Z[zeta_m]."""
-    vec = [0] * m
+    """sum_t w[t] zeta_o^t, o = len(w), as a normal form in Z[zeta_m]: the
+    same long division, one int64 row operation per step.  A step raises no
+    entry by more than |c|·max|Phi_m|, so the division is exact while those
+    raises, summed, stay below 2^63."""
+    phi = np.array(cyclotomic_polynomial(m), dtype=np.int64)
+    deg = len(phi) - 1
+    vec = np.zeros(max(m, deg), dtype=np.int64)
     vec[:: m // len(w)] = [int(x) for x in w]
-    return reduce_mod_phi(m, vec)
+    bound, top = int(np.abs(vec).max()), int(np.abs(phi).max())
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = int(vec[k])
+        if c:
+            vec[k - deg:k + 1] -= c * phi
+            bound += abs(c) * top
+    assert bound < 2 ** 63, "the division left int64"
+    return tuple(vec[:deg].tolist())
 
 
 def product_sum(m, pairs):
