@@ -262,21 +262,45 @@ def _table_body(table: CharacterTable) -> dict:
 
 
 def _digest(payload: dict) -> str:
+    """sha256 of the payload's compact JSON without its digest, hashed a key and
+    a row of `values` at a time: the text of SL(2,59)'s table does not fit in memory."""
     import hashlib  # here: only a process that reads or writes a table file maps OpenSSL
-    body = {k: v for k, v in payload.items() if k != "digest"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    h = hashlib.sha256()
+    for n, key in enumerate(sorted(payload.keys() - {"digest"})):
+        h.update(f"{',' if n else '{'}{compact(key)}:".encode())
+        if key != "values":
+            h.update(compact(payload[key]).encode())
+            continue
+        for i, row in enumerate(payload[key]):
+            h.update(f"{',' if i else '['}{compact(row)}".encode())
+        h.update(b"]" if payload[key] else b"[]")
+    h.update(b"}")
+    return h.hexdigest()
 
 
-def table_from_payload(payload: dict) -> CharacterTable:
-    """The table of the group the payload names, built and certified as a
-    cold build is (`char_table`), provided the payload is what it serializes
-    to on every key but the digest.  So nothing in the file is trusted: the
-    digest guards against accidents only, and anyone can recompute it."""
-    table = char_table((build_sl2 if payload["group"] == "sl2" else build_gl2)(payload["q"]))
-    differ = [k for k, v in _table_body(table).items() if payload[k] != v]
-    if differ:
-        raise ValueError(f"cached {', '.join(differ)} differ from the rebuilt table")
+def table_from_payload(fh, kind: str, q: int) -> CharacterTable:
+    """The table of the `kind` group over F_q, built and certified as a cold
+    build is (`char_table`), if `fh` reads exactly its encoding: compared a
+    block at a time, the file is never parsed or held whole.  The first
+    difference raises ValueError naming its line and top-level key."""
+    table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
+    line, key, tail = 1, None, ""
+    for block in _blocks(serialize_table(table)):
+        got = fh.read(len(block))
+        same = len(block) if got == block else len(os.path.commonprefix((got, block)))
+        # a key is one piece of the encoder; the indent before it may end the last block
+        text = tail + block
+        start = text.rfind('\n  "', 0, len(tail) + same + 1)
+        key = text[start + 4:text.index('"', start + 4)] if start >= 0 else key
+        if same < len(block):
+            where = f"line {line + block.count(chr(10), 0, same)}"
+            raise ValueError(f"differs from the rebuilt table at {where}"
+                             + (f", in {key!r}" if key else ""))
+        line += block.count("\n")
+        tail = block[-3:]
+    if fh.read(1):
+        raise ValueError(f"runs past the rebuilt table at line {line}")
     return table
 
 
@@ -288,69 +312,45 @@ def cache_path(cache_dir: Path, kind: str, q: int) -> Path:
     return cache_dir / f"table-{kind}-{q}-v{TABLE_VERSION}.json"
 
 
-_PAYLOAD_KEYS = frozenset({
-    "schema", "kind", "version", "group", "q", "order", "exponent", "num_classes",
-    "class_reps", "class_sizes", "class_orders", "degrees", "fs", "dual",
-    "omega_minus1", "values", "digest",
-})
-
-
 def load_cached_table(cache_dir: Path, kind: str, q: int, *, out=None):
-    """The cached table of the `kind` group over F_q, or None when there is
-    none.  A file that cannot be used is reported as one JSON line on stderr
-    and treated as absent, so the caller rebuilds the table.  On a hit,
-    `out`, when given, receives the file's payload as JSON, which the load
-    has found to be what the table serializes to."""
+    """The cached table of the `kind` group over F_q, or None when there is none
+    or the file is not its encoding byte for byte, which one JSON line on stderr
+    reports.  On a hit, `out`, when given, receives the file's text."""
     path = cache_path(cache_dir, kind, q)
     if not path.exists():
         return None
-    # every path rebuilds the table, so it is built before the file is read:
-    # its structure constants are gone before the parsed file is held
-    char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as e:
-        return _reject(path, f"unreadable: {e}")
-    if not isinstance(payload, dict):
-        return _reject(path, f"not a table object but a JSON {type(payload).__name__}")
-    missing = sorted(_PAYLOAD_KEYS - payload.keys())
-    if missing:
-        return _reject(path, f"missing keys: {', '.join(missing)}")
-    unknown = sorted(payload.keys() - _PAYLOAD_KEYS)
-    if unknown:
-        return _reject(path, f"unknown keys: {', '.join(unknown)}")
-    if payload["version"] != TABLE_VERSION or payload["schema"] != SCHEMA:
-        return _reject(path, "schema or version differs")
-    if payload["digest"] != _digest(payload):
-        return _reject(path, "digest mismatch")
-    if payload["group"] != kind or payload["q"] != q:
-        return _reject(path, f"holds the {payload['group']} table for q={payload['q']}, "
-                             f"not the {kind} table for q={q}")
-    try:
-        table = table_from_payload(payload)
-    except MemoryError:
-        raise
-    except Exception as e:
-        return _reject(path, f"{type(e).__name__}: {e}")
-    if out is not None:
-        _write_json(payload, out)
+        fh = path.open(newline="")   # no newline translation: bytes are compared
+    except OSError as e:
+        return _reject(path, e)
+    with fh:
+        try:
+            table = table_from_payload(fh, kind, q)
+        except (OSError, ValueError) as e:
+            return _reject(path, e)
+        if out is not None:
+            fh.seek(0)
+            shutil.copyfileobj(fh, out)
     return table
 
 
-def _reject(path: Path, reason: str) -> None:
-    print(json.dumps({"cache": "rejected", "path": str(path), "reason": reason}),
-          file=sys.stderr)
-    return None
+def _reject(path: Path, error: Exception) -> None:
+    print(json.dumps({"cache": "rejected", "path": str(path),
+                      "reason": f"{type(error).__name__}: {error}"}), file=sys.stderr)
+
+
+def _blocks(payload: dict):
+    """The payload as indented JSON and a newline, in blocks of pieces: an
+    indented json.dumps holds every piece at once (460 MB for the 51 MB table
+    of GL(2,11)), and writing the pieces one at a time takes twice as long."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(islice(pieces, 1 << 16)):
+        yield block
+    yield "\n"
 
 
 def _write_json(payload: dict, fh) -> None:
-    """The payload as indented JSON and a newline, written in blocks: an
-    indented json.dumps holds every piece at once (460 MB for the 51 MB table
-    of GL(2,11)), and json.dump writes them one at a time, in twice the time."""
-    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while block := "".join(islice(pieces, 1 << 16)):
-        fh.write(block)
-    fh.write("\n")
+    fh.writelines(_blocks(payload))
 
 
 def store_table(cache_dir: Path, table: CharacterTable, *, out=None) -> dict:
@@ -396,11 +396,10 @@ def _emit(payload: dict) -> None:
     _write_json(payload, sys.stdout)
 
 
-# Under 512 MiB of address space (one BLAS thread, a shared 2-vCPU machine),
-# `table --group gl2 --q 16` took 24-31 s cold and 24-35 s warm, at 421 MB
-# either way: a warm load builds the table before it parses the file, so the
-# 255^3 structure constants are freed by then.  At q = 17 the 288^3 int64
-# structure constants do not fit, so larger GL tables are refused up front.
+# Under 512 MiB (one BLAS thread, a shared 2-vCPU machine) `table --group gl2 --q 16`
+# took 22-31 s cold and 24-35 s warm, at 418-421 MB: the peak is the 255^3 int64
+# structure constants, freed before a warm load compares its file a block at a time.
+# At q = 17 the 288^3 constants do not fit, so larger GL tables are refused up front.
 GL_TABLE_CAP = 16
 
 

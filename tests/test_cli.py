@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -352,6 +353,11 @@ def test_cache_roundtrip(tmp_path):
     assert serialize_table(loaded) == serialize_table(fresh)
 
 
+def _encoding(doc) -> str:
+    """`doc` written as the cache writes a table."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_cache_rejects_corruption(tmp_path):
     from sl2swc.cli import cache_path
 
@@ -360,7 +366,7 @@ def test_cache_rejects_corruption(tmp_path):
     path = cache_path(tmp_path, "sl2", 2)
     doc = json.loads(path.read_text())
     doc["degrees"][0] = 999
-    path.write_text(json.dumps(doc))
+    path.write_text(_encoding(doc))
     build_sl2.cache_clear()
     assert load_cached_table(tmp_path, "sl2", 2) is None
 
@@ -375,93 +381,87 @@ def _other_table(group, q):
     return serialize_table(char_table((build_sl2 if group == "sl2" else cli.build_gl2)(q)))
 
 
-@pytest.mark.parametrize("bad, why", [
-    ([], "not a table object"),
-    (_digest_valid({"schema": cli.SCHEMA, "version": cli.TABLE_VERSION}), "missing keys"),
-    (_other_table("sl2", 5), "q=5"),
-    (_other_table("gl2", 3), "gl2 table"),
-    (_digest_valid({**_other_table("sl2", 3), "note": "extra"}), "unknown keys: note"),
-], ids=["list", "missing-keys", "other-q", "other-group", "unknown-key"])
-def test_cache_rejects_unusable_payload(capsys, tmp_path, bad, why):
-    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-    code, fresh, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(fresh_dir))
+def _fresh(capsys, tmp_path, q):
+    """The stdout of a cold `table --q q`."""
+    code, fresh, err = _run(capsys, "table", "--q", str(q), "--cache-dir", str(tmp_path / "fresh"))
     assert code == 0 and err == ""
-    path = cli.cache_path(bad_dir, "sl2", 3)
-    bad_dir.mkdir()
-    path.write_text(json.dumps(bad))
-    code, out, err = _run(capsys, "table", "--q", "3", "--cache-dir", str(bad_dir))
+    return fresh
+
+
+def _rejection(capsys, cache_dir, q, text, fresh):
+    """The reason `table --q q` gives for refusing a cache file that holds
+    `text`; it must print the cold build `fresh` and replace the file with it."""
+    path = cli.cache_path(cache_dir, "sl2", q)
+    cache_dir.mkdir()
+    path.write_text(text)
+    build_sl2.cache_clear()       # a fresh group, as in a new process
+    code, out, err = _run(capsys, "table", "--q", str(q), "--cache-dir", str(cache_dir))
     assert code == 0 and out == fresh
-    lines = err.splitlines()
-    assert len(lines) == 1
-    note = json.loads(lines[0])
+    assert path.read_text() == fresh
+    [line] = err.splitlines()
+    note = json.loads(line)
     assert note["cache"] == "rejected" and note["path"] == str(path)
-    assert why in note["reason"]
-    # the rebuilt table replaced the unusable file
-    assert json.loads(path.read_text()) == json.loads(fresh)
+    return note["reason"]
+
+
+def _difference(text, fresh, key):
+    """The reason for refusing `text`: its first line that differs from the
+    cold build `fresh`, which falls in the top-level `key` of `fresh`."""
+    pairs = itertools.zip_longest(text.splitlines(), fresh.splitlines())
+    line = next(n for n, (a, b) in enumerate(pairs, 1) if a != b)
+    return (f"ValueError: differs from the rebuilt table at line {line}"
+            + (f", in {key!r}" if key else ""))
+
+
+@pytest.mark.parametrize("bad, key", [
+    ([], None),
+    (_digest_valid({"schema": cli.SCHEMA, "version": cli.TABLE_VERSION}), "class_orders"),
+    (_other_table("sl2", 5), "class_orders"),
+    (_other_table("gl2", 3), "class_orders"),
+    (_digest_valid({**_other_table("sl2", 3), "note": "extra"}), "digest"),
+], ids=["list", "missing-keys", "other-q", "other-group", "unknown-key"])
+def test_cache_rejects_unusable_payload(capsys, tmp_path, bad, key):
+    fresh = _fresh(capsys, tmp_path, 3)
+    text = _encoding(bad)
+    assert _rejection(capsys, tmp_path / "bad", 3, text, fresh) == _difference(text, fresh, key)
 
 
 @pytest.mark.parametrize("field, i, value", [
     ("degrees", 1, 5), ("fs", 0, -1), ("dual", 0, 1), ("omega_minus1", 0, -1),
 ])
 def test_cache_rejects_fields_the_values_contradict(capsys, tmp_path, field, i, value):
-    # the digest guards against accidents only: anyone can recompute it
-    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
-    assert code == 0 and err == ""
+    # the digest guards against accidents only: anyone can recompute it, and
+    # it comes before every key but the class data and the degrees
+    fresh = _fresh(capsys, tmp_path, 5)
     doc = json.loads(fresh)
     assert doc[field][i] != value
     doc[field][i] = value
-    path = cli.cache_path(bad_dir, "sl2", 5)
-    bad_dir.mkdir()
-    path.write_text(json.dumps(_digest_valid(doc)))
-    build_sl2.cache_clear()       # a fresh group, so the file is read
-    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
-    assert code == 0 and out == fresh
-    note = json.loads(err)
-    assert note["cache"] == "rejected" and note["path"] == str(path)
-    assert field in note["reason"]
-    assert json.loads(path.read_text()) == json.loads(fresh)
+    text = _encoding(doc)
+    assert _rejection(capsys, tmp_path / "kept", 5, text, fresh) == _difference(text, fresh, field)
+    text = _encoding(_digest_valid(doc))
+    assert _rejection(capsys, tmp_path / "redigested", 5, text, fresh) == _difference(
+        text, fresh, min(field, "digest"))
+
+
+def _tampered_reasons(capsys, tmp_path, tamper):
+    """The reasons `table --q 5` gives for refusing a cache file whose values
+    `tamper` changed, with the file's digest kept and recomputed."""
+    fresh = _fresh(capsys, tmp_path, 5)
+    doc = json.loads(fresh)
+    tamper(doc["values"])
+    kept, redigested = _encoding(doc), _encoding(_digest_valid(doc))
+    assert (_rejection(capsys, tmp_path / "kept", 5, kept, fresh)
+            == _difference(kept, fresh, "values"))
+    assert (_rejection(capsys, tmp_path / "redigested", 5, redigested, fresh)
+            == _difference(redigested, fresh, "digest"))
 
 
 def test_cache_rejects_values_the_table_cannot_use(capsys, tmp_path):
-    # one character's values copied over another's are no table: the load
-    # builds the table and finds the values differ, which rejects the file
-    # like any other unusable one
-    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
-    assert code == 0 and err == ""
-    doc = json.loads(fresh)
-    doc["values"][3][2] = doc["values"][4][2]
-    path = cli.cache_path(bad_dir, "sl2", 5)
-    bad_dir.mkdir()
-    path.write_text(json.dumps(_digest_valid(doc)))
-    build_sl2.cache_clear()
-    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
-    assert code == 0 and out == fresh
-    note = json.loads(err)
-    assert note["cache"] == "rejected" and note["path"] == str(path)
-    assert note["reason"] == "ValueError: cached values differ from the rebuilt table"
-    assert json.loads(path.read_text()) == json.loads(fresh)
+    # one character's values copied over another's are no table
+    def tamper(values):
+        values[3][2] = values[4][2]
 
-
-def _tampered_load(capsys, tmp_path, tamper):
-    """The stderr note of `table --q 5` on a re-digested cache file whose
-    values `tamper` changed; its stdout must be that of a fresh build."""
-    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
-    assert code == 0 and err == ""
-    doc = json.loads(fresh)
-    tamper(doc["values"])
-    path = cli.cache_path(bad_dir, "sl2", 5)
-    bad_dir.mkdir()
-    path.write_text(json.dumps(_digest_valid(doc)))
-    build_sl2.cache_clear()
-    code, out, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(bad_dir))
-    assert code == 0 and out == fresh
-    assert json.loads(path.read_text()) == json.loads(fresh)
-    note = json.loads(err)
-    assert note["cache"] == "rejected" and note["path"] == str(path)
-    return note
+    _tampered_reasons(capsys, tmp_path, tamper)
 
 
 def test_cache_rejects_tampered_values(capsys, tmp_path):
@@ -469,8 +469,7 @@ def test_cache_rejects_tampered_values(capsys, tmp_path):
     def tamper(values):
         values[1][0][0] += 1
 
-    assert _tampered_load(capsys, tmp_path, tamper)["reason"] == (
-        "ValueError: cached values differ from the rebuilt table")
+    _tampered_reasons(capsys, tmp_path, tamper)
 
 
 def test_cache_rejects_a_value_moved_by_a_multiple_of_l(capsys, tmp_path):
@@ -485,26 +484,98 @@ def test_cache_rejects_a_value_moved_by_a_multiple_of_l(capsys, tmp_path):
     def tamper(values):
         values[3][2][1] += l
 
-    assert _tampered_load(capsys, tmp_path, tamper)["reason"] == (
-        "ValueError: cached values differ from the rebuilt table")
+    _tampered_reasons(capsys, tmp_path, tamper)
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+def test_cache_rejects_an_integer_written_otherwise(capsys, tmp_path, value):
+    # True == 1 == 1.0 in Python, so a comparison of parsed values accepted
+    # these and printed them
+    fresh = _fresh(capsys, tmp_path, 5)
+    doc = json.loads(fresh)
+    assert doc["degrees"][0] == 1
+    doc["degrees"][0] = value
+    text = _encoding(_digest_valid(doc))
+    assert _rejection(capsys, tmp_path / "bad", 5, text, fresh) == _difference(
+        text, fresh, "degrees")
+
+
+def test_cache_rejects_a_truncated_file(capsys, tmp_path):
+    fresh = _fresh(capsys, tmp_path, 5)
+    text = fresh[:len(fresh) // 2]
+    assert _rejection(capsys, tmp_path / "bad", 5, text, fresh) == _difference(
+        text, fresh, "values")
+
+
+def test_cache_rejects_trailing_data(capsys, tmp_path):
+    fresh = _fresh(capsys, tmp_path, 5)
+    reason = _rejection(capsys, tmp_path / "bad", 5, fresh + "\n", fresh)
+    assert reason == f"ValueError: runs past the rebuilt table at line {fresh.count(chr(10)) + 1}"
+
+
+def test_a_reason_names_its_key_when_blocks_split_it_from_its_indent(
+        capsys, monkeypatch, tmp_path):
+    # with one piece of the encoder per block, the line break and indent
+    # before each top-level key end the block before the key's
+    fresh = _fresh(capsys, tmp_path, 5)
+    doc = json.loads(fresh)
+    doc["fs"][0] = -doc["fs"][0]
+    text = _encoding(doc)
+    monkeypatch.setattr(cli, "islice", lambda pieces, n: itertools.islice(pieces, 1))
+    assert _rejection(capsys, tmp_path / "bad", 5, text, fresh) == _difference(text, fresh, "fs")
+
+
+def test_cache_rejects_other_line_ends(capsys, tmp_path):
+    # the file is read without newline translation, so bytes are compared
+    fresh = _fresh(capsys, tmp_path, 5)
+    reason = _rejection(capsys, tmp_path / "bad", 5, fresh.replace("\n", "\r\n"), fresh)
+    assert reason == "ValueError: differs from the rebuilt table at line 1"
 
 
 def test_cache_load_compares_a_table_the_process_already_holds(capsys, tmp_path):
     # the group, and so its table, outlive a load in one process: the file is
     # compared with that table all the same
-    fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-    code, fresh, err = _run(capsys, "table", "--q", "5", "--cache-dir", str(fresh_dir))
-    assert code == 0 and err == ""
+    fresh = _fresh(capsys, tmp_path, 5)
     char_table(build_sl2(5))
     doc = json.loads(fresh)
     doc["values"][1][0][0] += 1
+    bad_dir = tmp_path / "bad"
     path = cli.cache_path(bad_dir, "sl2", 5)
     bad_dir.mkdir()
-    path.write_text(json.dumps(_digest_valid(doc)))
+    text = _encoding(_digest_valid(doc))
+    path.write_text(text)
     assert load_cached_table(bad_dir, "sl2", 5) is None
     note = json.loads(capsys.readouterr().err)
-    assert note["reason"] == "ValueError: cached values differ from the rebuilt table"
-    assert serialize_table(load_cached_table(fresh_dir, "sl2", 5)) == json.loads(fresh)
+    assert note["reason"] == _difference(text, fresh, "digest")
+    assert serialize_table(load_cached_table(tmp_path / "fresh", "sl2", 5)) == json.loads(fresh)
+
+
+def test_a_warm_load_never_parses_the_file(capsys, monkeypatch, tmp_path):
+    cache = ("--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, "table", "--q", "5", *cache)
+    assert code == 0
+    code, swc_cold, _ = _run(capsys, "swc", "--q", "5", "--rep", "reg", "--cache-dir",
+                             str(tmp_path / "other"))
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache file was parsed")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    build_sl2.cache_clear()
+    assert _run(capsys, "table", "--q", "5", *cache) == (0, cold, "")
+    build_sl2.cache_clear()
+    assert _run(capsys, "swc", "--q", "5", "--rep", "reg", *cache) == (0, swc_cold, "")
+
+
+@pytest.mark.parametrize("group, q", [("sl2", q) for q in (2, 3, 4, 5, 7, 8, 9)] + [("gl2", 3)])
+def test_digest_hashes_the_one_shot_compact_text(group, q):
+    import hashlib
+
+    body = cli._table_body(char_table((build_sl2 if group == "sl2" else cli.build_gl2)(q)))
+    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._digest(body) == cli._digest({**body, "digest": "x"})
+    assert cli._digest(body) == hashlib.sha256(blob).hexdigest()
 
 
 def test_table_serializes_once(capsys, monkeypatch, tmp_path):
@@ -526,8 +597,9 @@ def test_table_serializes_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and err == "" and warm == cold and len(calls) == 2
 
 
-def test_a_warm_load_hashes_the_file_once(monkeypatch, tmp_path):
-    # the file's digest is checked; the rebuilt table is compared without one
+def test_a_warm_load_hashes_once(monkeypatch, tmp_path):
+    # the rebuilt table's digest is part of its encoding, which the file is
+    # compared with; the file itself is not hashed
     store_table(tmp_path, char_table(build_sl2(5)))
     calls = []
     digest = cli._digest
@@ -599,6 +671,3 @@ def test_swc_syntax_error_builds_no_table(capsys, tmp_path):
     assert json.loads(err)["error"] == "RepSyntaxError"
     assert not (tmp_path / "cache").exists()
 
-
-def test_payload_keys_match_serialized_table():
-    assert set(serialize_table(char_table(build_sl2(2)))) == cli._PAYLOAD_KEYS
