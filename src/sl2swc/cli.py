@@ -1,5 +1,5 @@
 """Command-line front end: representation-expression parsing, table / class /
-verification pipelines, JSON emission, and a persistent character-table cache.
+verification pipelines, JSON emission, and a character-table file under --cache-dir.
 
 All output is deterministic JSON on stdout (schema "sl2swc/1"); errors are
 JSON objects on stderr.  Exit codes: 0 success or all suites pass, 1 suite
@@ -37,7 +37,6 @@ from .oracle import run_suite
 from .swc import TRUNCATION_CAP, swc_report
 
 SCHEMA = "sl2swc/1"
-CACHE_ENV = "SL2SWC_CACHE"
 
 
 class UsageError(Exception):
@@ -264,7 +263,7 @@ def _table_body(table: CharacterTable) -> dict:
 def _digest(payload: dict) -> str:
     """sha256 of the payload's compact JSON without its digest, hashed a key and
     a row of `values` at a time: the text of SL(2,59)'s table does not fit in memory."""
-    import hashlib  # here: only a process that reads or writes a table file maps OpenSSL
+    import hashlib  # here: only a process that encodes a table with its digest maps OpenSSL
     compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     h = hashlib.sha256()
     for n, key in enumerate(sorted(payload.keys() - {"digest"})):
@@ -302,10 +301,6 @@ def table_from_payload(fh, kind: str, q: int) -> CharacterTable:
     if fh.read(1):
         raise ValueError(f"runs past the rebuilt table at line {line}")
     return table
-
-
-def cache_directory(flag_value: str | None) -> Path:
-    return Path(flag_value or os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "sl2swc")
 
 
 def cache_path(cache_dir: Path, kind: str, q: int) -> Path:
@@ -377,7 +372,7 @@ def store_table(cache_dir: Path, table: CharacterTable, *, out=None) -> dict:
 
 def get_table(kind: str, q: int, cache_dir: Path | None, *, out=None) -> CharacterTable:
     """The table, read from or written to `cache_dir` unless that is None;
-    `out`, given with a cache directory, receives the table's JSON as the file holds it."""
+    `out`, when given, receives the table's JSON, byte for byte what a file holds."""
     if cache_dir is not None:
         cached = load_cached_table(cache_dir, kind, q, out=out)
         if cached is not None:
@@ -385,6 +380,8 @@ def get_table(kind: str, q: int, cache_dir: Path | None, *, out=None) -> Charact
     table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
     if cache_dir is not None:
         store_table(cache_dir, table, out=out)
+    elif out is not None:
+        _write_json(serialize_table(table), out)
     return table
 
 
@@ -406,7 +403,7 @@ GL_TABLE_CAP = 16
 def cmd_table(args) -> int:
     if args.group == "gl2" and args.q > GL_TABLE_CAP:
         raise UsageError(f"table --group gl2 needs q <= {GL_TABLE_CAP}, not {args.q}")
-    get_table(args.group, args.q, cache_directory(args.cache_dir), out=sys.stdout)
+    get_table(args.group, args.q, args.cache_dir, out=sys.stdout)
     return 0
 
 
@@ -421,11 +418,8 @@ def cmd_swc(args) -> int:
     terms = _RepParser(args.rep).parse()   # a syntax error costs no table
     if args.q > PS_CUSP_CAP and any(_innermost(atom)[0] in ("ps", "cusp") for _, atom in terms):
         raise UsageError(f"ps(k) and cusp(k) need q <= {PS_CUSP_CAP}, not {args.q}")
-    cache_dir = cache_directory(args.cache_dir)
-    table = get_table("sl2", args.q, cache_dir)
-    pi = rep_from_terms(terms, table)
-    report = swc_report(pi, args.truncate)
-    _emit(report.to_json_dict())
+    pi = rep_from_terms(terms, get_table("sl2", args.q, args.cache_dir))
+    _emit(swc_report(pi, args.truncate).to_json_dict())
     return 0
 
 
@@ -530,6 +524,12 @@ def degree(text: str) -> int:
     return n
 
 
+def directory(text: str) -> Path:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path would name the current directory")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sl2swc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -537,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="emit an exact character table")
     t.add_argument("--q", type=prime_power, required=True)
     t.add_argument("--group", choices=("sl2", "gl2"), default="sl2")
-    t.add_argument("--cache-dir", default=None)
+    t.add_argument("--cache-dir", type=directory, default=None)
     t.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("swc", help="total characteristic class of a representation")
     s.add_argument("--q", type=prime_power, required=True)
     s.add_argument("--rep", required=True)
     s.add_argument("--truncate", type=degree, default=None)
-    s.add_argument("--cache-dir", default=None)
+    s.add_argument("--cache-dir", type=directory, default=None)
     s.set_defaults(fn=cmd_swc)
 
     v = sub.add_parser("verify", help="run oracle verification suites")

@@ -190,6 +190,9 @@ def test_usage_errors(capsys, tmp_path):
     # GL tables above GL_TABLE_CAP = 16 are refused: GL(2,17) runs out of memory
     ("table", "--group", "gl2", "--q", "17"),
     ("table", "--group", "gl2", "--q", "81"),
+    # an empty --cache-dir would name the current directory
+    ("table", "--q", "3", "--cache-dir", ""),
+    ("swc", "--q", "3", "--rep", "reg", "--cache-dir", ""),
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -311,14 +314,6 @@ def test_a_raising_case_is_recorded_and_replayable(capsys, monkeypatch, suite, t
         pi = random_genuine_rep(char_table(build_sl2(3)), random.Random(42), max_degree=60)
         assert (failure["rep"], failure["i"], failure["j"]) == ("random:0", 0, 2)
     assert parse_rep(failure["expr"], pi.table).mults == pi.mults
-
-
-def test_default_cache_is_the_tests_own(capsys, monkeypatch, tmp_path, default_cache_dir):
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    code, _, _ = _run(capsys, "swc", "--q", "3", "--rep", "X99")
-    assert code == 2
-    assert [p.name for p in default_cache_dir.iterdir()] == ["table-sl2-3-v1.json"]
-    assert not (tmp_path / "home").exists()
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch):
@@ -597,6 +592,16 @@ def test_table_serializes_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and err == "" and warm == cold and len(calls) == 2
 
 
+def test_a_plain_swc_never_serializes(capsys, monkeypatch):
+    # without --cache-dir the table stays in memory
+    calls = []
+    body = cli._table_body
+    monkeypatch.setattr(cli, "_table_body", lambda table: calls.append(table) or body(table))
+    code, out, err = _run(capsys, "swc", "--q", "5", "--rep", "reg")
+    assert code == 0 and err == "" and json.loads(out)["degree"] == 120
+    assert calls == []
+
+
 def test_a_warm_load_hashes_once(monkeypatch, tmp_path):
     # the rebuilt table's digest is part of its encoding, which the file is
     # compared with; the file itself is not hashed
@@ -644,24 +649,27 @@ def test_a_failed_store_prints_nothing_and_leaves_no_file(capsys, monkeypatch, t
 
 
 # OpenSSL's libcrypto comes in with hashlib's _hashlib: only a command that
-# reads or writes a table file may map it
+# encodes a table with its digest (`table`, or `swc --cache-dir`) may map it
 @pytest.mark.parametrize("argv, hashed", [
     (("verify", "--q", "3", "--suite", "theorem", "--trials", "1"), False),
     (("dickson", "--rank", "2"), False),
     (("cohomology", "--group", "Q8", "--max-degree", "4"), False),
+    (("swc", "--q", "3", "--rep", "reg"), False),
+    # the printed table carries its digest
     (("table", "--q", "3"), True),
 ], ids=lambda a: a[0] if isinstance(a, tuple) else None)
 def test_only_a_table_file_loads_hashlib(tmp_path, argv, hashed):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "SL2SWC_CACHE": str(tmp_path)}
+           "HOME": str(tmp_path)}
     code = ("import sys\n"
             "from sl2swc.cli import run\n"
             "code = run(sys.argv[1:])\n"
             "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path)
     assert proc.stderr.split() == ["0", str(hashed)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_swc_syntax_error_builds_no_table(capsys, tmp_path):

@@ -8,7 +8,8 @@ arrays, and the SL(2,23), SL(2,31) and SL(2,32) table digests from the code
 before orthogonality was checked in Z on eigenvalue spectra, and the
 `swc --rep reg` digests at q = 16 and q = 32 from the code before monomials
 were formatted a degree at a time; a refactor that
-changes no behaviour must leave every one of them unchanged."""
+changes no behaviour must leave every one of them unchanged.  Each command
+runs twice: through a table file under --cache-dir, and without one."""
 
 import hashlib
 import json
@@ -27,3 +28,15 @@ def test_golden_output(case, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output_without_cache_dir(case, capsys, monkeypatch, tmp_path):
+    # no table file: nothing is written to HOME or the working directory
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    code = run(case["argv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    assert list(tmp_path.iterdir()) == []
