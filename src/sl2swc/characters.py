@@ -36,7 +36,6 @@ multiplies group elements once those are built.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm, prod
@@ -631,7 +630,7 @@ class VirtualRep:
     the integer read from it, so a caller that reads a few classes, as the
     oracles do, never sums the whole character and reads each value once."""
 
-    __slots__ = ("table", "mults", "_degree", "_values", "_ints")
+    __slots__ = ("table", "mults", "_degree", "_coeffs", "_values", "_ints")
 
     def __init__(self, table: CharacterTable, mults):
         self.table = table
@@ -639,6 +638,7 @@ class VirtualRep:
         if len(self.mults) != table.nchars():
             raise ValueError(f"{len(self.mults)} multiplicities for {table.nchars()} characters")
         self._degree = sum(n * d for n, d in zip(self.mults, table.degrees))
+        self._coeffs = None
         self._values: dict[int, np.ndarray] = {}
         self._ints: dict[int, int] = {}
 
@@ -647,12 +647,13 @@ class VirtualRep:
         the vector of pi at c (see `ClassFunction`)."""
         v = self._values.get(c)
         if v is None:
-            # each entry, and so each trace over the order o <= exp G, is at
-            # most sum |n_i| d_i times o: int64 while that fits
-            bound = sum(abs(n) * d for n, d in zip(self.mults, self.table.degrees))
-            exact = bound * self.table.m >= 2 ** 63
-            n = np.array(self.mults, dtype=object if exact else np.int64)
-            v = self._values[c] = n @ self.table.spectra[c]
+            if self._coeffs is None:
+                # each entry, and so each trace over the order o <= exp G, is
+                # at most sum |n_i| d_i times o: int64 while that fits
+                bound = sum(abs(n) * d for n, d in zip(self.mults, self.table.degrees))
+                exact = bound * self.table.m >= 2 ** 63
+                self._coeffs = np.array(self.mults, dtype=object if exact else np.int64)
+            v = self._values[c] = self._coeffs @ self.table.spectra[c]
         return v
 
     def character(self) -> ClassFunction:
@@ -670,7 +671,7 @@ class VirtualRep:
         return r
 
     def is_genuine(self) -> bool:
-        return all(n >= 0 for n in self.mults)
+        return min(self.mults) >= 0
 
     def dual(self) -> "VirtualRep":
         out = [0] * len(self.mults)
@@ -803,38 +804,61 @@ def rep_from_class_function(table: CharacterTable, cf: ClassFunction) -> Virtual
     return rep
 
 
+def _draw_until(rng: random.Random, degrees, max_degree: int) -> list[int]:
+    """How often each index i < n = len(degrees) is drawn by uniform draws
+    i = rng.randrange(n), each counted with weight degrees[i] >= 1, up to the
+    first draw that would pass max_degree, which is made but not counted.
+
+    The draws are the loop's, and rng is left as the loop leaves it, but the
+    words come from rng.getrandbits(32·W), W words at a time.  CPython's
+    randrange(n) takes the top k = n.bit_length() bits of one 32-bit word of
+    the Mersenne Twister and rejects values >= n, drawing again; and
+    getrandbits(32·W) holds the next W words, the first in the lowest 32 bits.
+    So the draws are replayed on the words with numpy, and then rng is rewound
+    and advanced by exactly the words the draws used."""
+    n = len(degrees)
+    k = n.bit_length()
+    degs = np.array(degrees, dtype=np.int64)
+    # a batch of about the words the draws take, with a margin: the expected
+    # number of draws over the share n / 2^k of the words that are accepted;
+    # a batch that falls short is followed by another
+    draws = max(max_degree, 0) * n // int(degs.sum()) + 1
+    W = (draws << k) // n * 5 // 4 + 8
+    state = rng.getstate()
+    counts = np.zeros(n, dtype=np.int64)
+    deg = used = 0
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * W).to_bytes(4 * W, "little"), "<u4")
+        vals = words >> (32 - k)
+        at = np.flatnonzero(vals < n)
+        drawn = vals[at].astype(np.intp)
+        cum = deg + np.cumsum(degs[drawn])
+        stop = int(np.searchsorted(cum, max_degree, side="right"))
+        counts += np.bincount(drawn[:stop], minlength=n)
+        if stop < len(drawn):
+            used += int(at[stop]) + 1
+            break
+        deg = int(cum[-1]) if len(cum) else deg
+        used += W
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
+    return counts.tolist()
+
+
 def random_orthogonal_rep(table, rng, max_degree=2000) -> VirtualRep:
     """Seeded random genuine orthogonal combination of OIR blocks: uniform
-    draws until the first that would pass max_degree.
-
-    The draws come in batches that cannot pass max_degree, as many as the
-    largest block fits into what is left, and one at a time once none fits.
-    rng.choice makes the same calls on rng as rng.randrange(len(labels)), so
-    the stream, and the representation, do not depend on the batching."""
+    draws rng.choice(oir_labels(table)), which is rng.randrange over the
+    labels, until the first that would pass max_degree (see _draw_until)."""
     labels = oir_labels(table)
-    top = max(d for _, d in labels)
-    blocks: Counter = Counter()
-    deg = 0
-    while True:
-        batch = [rng.choice(labels) for _ in range(max(1, (max_degree - deg) // top))]
-        if deg + batch[-1][1] > max_degree:   # only a batch of one can pass
-            return rep_from_oir_blocks(table, blocks)
-        labs, degs = zip(*batch)
-        blocks.update(labs)
-        deg += sum(degs)
+    counts = _draw_until(rng, [d for _, d in labels], max_degree)
+    return rep_from_oir_blocks(table, {lab: c for (lab, _), c in zip(labels, counts) if c})
 
 
 def random_genuine_rep(table, rng, max_degree=200) -> VirtualRep:
-    """Seeded random genuine (not necessarily self-dual) combination."""
-    mults = [0] * table.nchars()
-    deg = 0
-    while True:
-        i = rng.randrange(table.nchars())
-        if deg + table.degrees[i] > max_degree:
-            break
-        mults[i] += 1
-        deg += table.degrees[i]
-    return VirtualRep(table, mults)
+    """Seeded random genuine (not necessarily self-dual) combination: uniform
+    draws rng.randrange(table.nchars()) until the first that would pass
+    max_degree (see _draw_until)."""
+    return VirtualRep(table, _draw_until(rng, table.degrees, max_degree))
 
 
 # ---------------------------------------------------------------------------

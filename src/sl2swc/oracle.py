@@ -20,8 +20,20 @@ the inverse classes, and the place of the order-2 class.  Per group: the
 central involution, and for even q the unitriangular elements, the signs
 (-1)^Tr(ax) and the linear forms of w1 (_unipotent_frame).  What stays per
 case is what reads pi: its integer values at those classes (each read once,
-see VirtualRep.int_at), the small integer products against the frames, the
-divisibility and balance checks, and the product of units.
+see VirtualRep.int_at), the small integer products against the frames, and
+the divisibility and balance checks.
+
+Each class a suite compares is a pure function of a few integers read from
+pi, and is kept per those integers: the center class per (b, D), the Q8 class
+per its profile and D (quaternion_class) and its image in H*(Z) per class,
+the unipotent product per (r, D, form and multiplicity pairs), and each Wu
+check per (restricted class, i, j); on the closed-form side,
+swc.total_swc_restricted keeps the compared image per (ring, n, D).  A case
+whose integers an earlier case had pays only for reading them.  That reading
+and every check on it still run for each case (divisibility, degree and
+central balance, torus invariance, and the comparison of the two sides), so
+a suite checks the same facts as without the caches.  clear_caches empties
+them.
 
 The suites record every failing case, a Mismatch with its diff and any other
 exception with its type and message, and give each failure an `expr`:
@@ -51,7 +63,6 @@ from .cohomology import (
     center_ring,
     quaternion8_ring,
     restrict_q8_to_center,
-    restrict_sl2odd_to_center,
     steenrod_sq,
     unipotent_ring,
 )
@@ -59,10 +70,11 @@ from .groups import Group, Subgroup, build_sl2, conjugacy, find_quaternion
 from .swc import (
     TotalSWC,
     WrongParity,
+    _center_image,
+    _expanded_image,
     minus_one_class,
     quaternionic_multiplicity,
-    total_swc,
-    total_swc_expanded,
+    total_swc_restricted,
     unipotent_multiplicities,
 )
 
@@ -123,10 +135,14 @@ def swc_from_center(pi: VirtualRep, D: int) -> TotalSWC:
     b = (deg - chi_z) // 2
     if (deg - chi_z) % 2 or b < 0:
         raise AssertionError(f"deg - chi(z) = {deg - chi_z} is not a nonnegative even number")
-    d_max = min(D, deg)
-    ring = center_ring(d_max)
-    cls = ring.from_monomials([(d,) for d in range(d_max + 1) if binom_mod2(b, d)])
-    return TotalSWC(cls, "center")
+    return TotalSWC(center_class(b, min(D, deg)), "center")
+
+
+@lru_cache(maxsize=None)
+def center_class(b: int, D: int) -> GradedClass:
+    """(1+v)^b in H*(Z) = F2[v] truncated at D: the Lucas series, the sum of
+    the v^d with C(b, d) odd."""
+    return center_ring(D).from_monomials([(d,) for d in range(D + 1) if binom_mod2(b, d)])
 
 
 def _check_embedding(emb: Subgroup):
@@ -239,12 +255,19 @@ def quaternion_class(m1: int, m2: int, m3: int, m4: int, D: int) -> GradedClass:
     """(1+x)^m1 (1+y)^m2 (1+x+y)^m3 (1+e)^m4 in H*(Q8) truncated at D, in
     closed form: the degree-1 units' product (see _quaternion_low_part, which
     depends on each m mod 4 only) times the Lucas series (1+e)^m4, the sum of
-    the e^k with C(m4, k) odd.
+    the e^k with C(m4, k) odd.  Only k <= D/4 < 2^L, L = (D // 4).bit_length(),
+    is read, and C(m4, k) = C(m4 mod 2^L, k) mod 2 there (Lucas), so the class
+    is kept per (m1, m2, m3 mod 4, m4 mod 2^L, D).
 
     H*(Q8) = F2[x,y]/(r1, r2) tensor F2[e], so a normal-form monomial of x, y
     times e^k is in normal form, and the class is written as its codes
     a(D+1)^2 + b(D+1) + k directly."""
-    low = _quaternion_low_part(m1 % 4, m2 % 4, m3 % 4)
+    return _quaternion_class(m1 % 4, m2 % 4, m3 % 4, m4 % 2 ** (D // 4).bit_length(), D)
+
+
+@lru_cache(maxsize=None)
+def _quaternion_class(m1: int, m2: int, m3: int, m4: int, D: int) -> GradedClass:
+    low = _quaternion_low_part(m1, m2, m3)
     ring = quaternion8_ring(D)
     B = D + 1
     comps: dict[int, list[int]] = {}
@@ -254,6 +277,12 @@ def quaternion_class(m1: int, m2: int, m3: int, m4: int, D: int) -> GradedClass:
                 if a + b + 4 * k <= D:
                     comps.setdefault(a + b + 4 * k, []).append((a * B + b) * B + k)
     return GradedClass(ring, {d: frozenset(c) for d, c in comps.items()})
+
+
+@lru_cache(maxsize=None)
+def _q8_class_at_center(cls: GradedClass) -> GradedClass:
+    """The restriction of a class of H*(Q8) truncated at D to H*(Z)."""
+    return restrict_q8_to_center(cls.ring.D)(cls)
 
 
 def swc_from_quaternion(pi: VirtualRep, emb: Subgroup, D: int) -> TotalSWC:
@@ -317,9 +346,16 @@ def swc_from_unipotent(pi: VirtualRep, D: int) -> TotalSWC:
     if min(mults) < 0:
         raise AssertionError(f"negative additive character multiplicity in {mults}")
     forms = _unipotent_frame(pi.table.group).forms
-    cls = linear_unit_product(pi.table.group.field.r, min(D, pi.degree()),
-                              zip(forms, mults[1:]))
+    cls = unipotent_class(pi.table.group.field.r, min(D, pi.degree()),
+                          tuple(zip(forms, mults[1:])))
     return TotalSWC(cls, "unipotent")
+
+
+@lru_cache(maxsize=None)
+def unipotent_class(r: int, D: int, factors: tuple) -> GradedClass:
+    """linear_unit_product(r, D, factors) for a tuple of (form, multiplicity)
+    pairs, each form a tuple: the unipotent product of one restriction profile."""
+    return linear_unit_product(r, D, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +466,22 @@ def verify_swc_formula(pi: VirtualRep, D: int, emb: Subgroup | None = None) -> d
     q = G.q
     deg = pi.degree()
     d_eff = min(D, deg)
+    image = total_swc_restricted(pi, d_eff)
     if G.field.p != 2:
-        total = total_swc(pi, d_eff)
-        mapped = restrict_sl2odd_to_center(d_eff)(total.cls)
         oz = swc_from_center(pi, d_eff)
-        _compare(f"q={q} closed formula vs center oracle", mapped, oz.cls)
+        _compare(f"q={q} closed formula vs center oracle", image.cls, oz.cls)
         if emb is None:
             emb = find_quaternion(G)
         oq = swc_from_quaternion(pi, emb, d_eff)
-        mq = restrict_q8_to_center(d_eff)(oq.cls)
+        mq = _q8_class_at_center(oq.cls)
         _compare(f"q={q} quaternion oracle vs center oracle", mq, oz.cls)
         return {
             "q": q, "parity": "odd", "degree": deg,
             "r": quaternionic_multiplicity(pi),
             "common_center_image": oz.cls,
         }
-    expanded = total_swc_expanded(pi, d_eff)
     on = swc_from_unipotent(pi, d_eff)
-    _compare(f"q={q} closed formula vs unipotent oracle", expanded.cls, on.cls)
+    _compare(f"q={q} closed formula vs unipotent oracle", image.cls, on.cls)
     mults = unipotent_character_multiplicities(pi)
     nontrivial = set(mults[1:])
     if len(nontrivial) > 1:
@@ -482,6 +516,13 @@ def wu_formula_holds(w: GradedClass, i: int, j: int) -> bool:
     T(i + j) reaches if and only if T(D) does."""
     if not 0 <= i <= j:
         raise ValueError(f"the Wu formula needs 0 <= i <= j, not i={i}, j={j}")
+    return _wu_holds(w, i, j)
+
+
+@lru_cache(maxsize=None)
+def _wu_holds(w: GradedClass, i: int, j: int) -> bool:
+    """wu_formula_holds for 0 <= i <= j, kept per (w, i, j): representations
+    with equal restricted classes share each check."""
     ring = w.ring
     lhs = steenrod_sq(i, w.truncate(j, j))
     rhs = ring.zero()
@@ -618,7 +659,7 @@ def suite_wu(q: int, trials: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport
 def _wu_case(w, i: int, j: int) -> bool:
     if isinstance(w, Exception):
         raise w
-    return wu_formula_holds(w.truncate(i + j), i, j)
+    return wu_formula_holds(w, i, j)
 
 
 def suite_obstruction(q: int, n_max: int = 1024) -> SuiteReport:
@@ -642,6 +683,14 @@ def suite_obstruction(q: int, n_max: int = 1024) -> SuiteReport:
         rep.record(ok, None if ok else {"rep": f"n={n}", "degree": low,
                                         "lhs": low, "rhs": want_idx})
     return rep
+
+
+def clear_caches() -> None:
+    """Empty the caches of the classes the suites compare (see the module
+    docstring), so that the next suite computes each of them again."""
+    for cached in (center_class, _quaternion_class, _q8_class_at_center, unipotent_class,
+                   _wu_holds, _center_image, _expanded_image):
+        cached.cache_clear()
 
 
 def run_suite(name: str, q: int, trials: int | None = None,

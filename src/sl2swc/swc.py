@@ -12,19 +12,23 @@ x1^(2^ord2 n), x1 the first generator (e, resp. d1), is checked on
 [0, deg_o]; the top class is the window [deg pi, deg pi]; an image
 certificate is compared with the window [0, D] of its power.  The even-q class
 in the v-variables of H*(N) is the image of the printed total under the
-Dickson expansion.  Virtual inputs (n < 0) take the same route: in the
-truncated ring the series inverse is a nonnegative power (see `_power`).
+Dickson expansion, and the odd-q class in H*(Z), Z the center, is its image
+under e -> v^4.  The oracle suites compare these images case after case, so
+`total_swc_restricted` keeps each per (ring, n, D).  Virtual inputs (n < 0)
+take the same route: in the truncated ring the series inverse is a
+nonnegative power (see `_power`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .algebra import ord2
 from .characters import NotOrthogonal, VirtualRep, decompose_orthogonal, is_orthogonal_virtual
-from .cohomology import GradedClass, Ring, dickson_expansion, dickson_ring, sl2_odd_class_ring
+from .cohomology import (GradedClass, Ring, dickson_expansion, dickson_ring,
+                         restrict_sl2odd_to_center, sl2_odd_class_ring)
 from .groups import minus_one
 
 TRUNCATION_CAP = 256
@@ -169,10 +173,43 @@ def total_swc_expanded(pi: VirtualRep, D: int | None = None) -> TotalSWC:
     if p != 2:
         raise WrongParity("expansion in v-variables applies to even q")
     th = _theorem(pi)
-    D = th.window(D)
+    return TotalSWC(_expanded_power(r, th.n, th.window(D)), "unipotent")
+
+
+def _expanded_power(r: int, n: int, D: int) -> GradedClass:
+    """The image of (1+D)^n, truncated at D, under the Dickson expansion of
+    rank r."""
     d_ring = max(D, 2**r - 1)
-    total = _power(th.ring(d_ring), th.n).truncate(D)
-    return TotalSWC(dickson_expansion(r, d_ring)(total), "unipotent")
+    return dickson_expansion(r, d_ring)(_power(dickson_ring(r, d_ring), n).truncate(D))
+
+
+def total_swc_restricted(pi: VirtualRep, D: int | None = None) -> TotalSWC:
+    """The total class restricted to the elementary abelian subgroup that the
+    oracle suites compare it on: for even q the unitriangular N, where it is
+    the Dickson expansion of (1+D)^m (total_swc_expanded); for odd q the
+    center Z, where it is the image of (1+e)^r under e -> v^4 in
+    H*(Z) = F2[v].  Genuine inputs truncate at deg pi and are checked as by
+    total_swc.
+
+    The class depends on pi only through n and the truncation, so it is kept
+    per (ring, n, D): a suite computes it once per distinct n.  swc_report
+    does not keep it."""
+    th = _theorem(pi)
+    D = th.window(D)
+    if th.genuine and th.n * th.top > th.degree:
+        raise AssertionError("classes above deg pi must vanish")
+    if th.parity == "odd":
+        return TotalSWC(_center_image(th.n, D), "center")
+    return TotalSWC(_expanded_image(pi.table.group.field.r, th.n, D), "unipotent")
+
+
+@lru_cache(maxsize=None)
+def _center_image(n: int, D: int) -> GradedClass:
+    """The image of (1+e)^n, truncated at D, in H*(Z)."""
+    return restrict_sl2odd_to_center(D)(_power(sl2_odd_class_ring(D), n))
+
+
+_expanded_image = lru_cache(maxsize=None)(_expanded_power)
 
 
 def obstruction(pi: VirtualRep):

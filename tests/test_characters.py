@@ -23,6 +23,7 @@ from sl2swc.characters import (
     _check_class_algebra,
     _check_int64,
     _check_spectra,
+    _draw_until,
     _modulus,
     _nullspace_mod,
     _power_mod,
@@ -36,12 +37,14 @@ from sl2swc.characters import (
     fs_indicator,
     induce,
     is_orthogonal_virtual,
+    oir_labels,
     principal_series,
     principal_series_sl,
     random_genuine_rep,
     random_orthogonal_rep,
     regular_rep,
     rep_from_class_function,
+    rep_from_oir_blocks,
     restrict,
     structure_constants,
     symmetrize,
@@ -827,3 +830,80 @@ def test_random_orthogonal_rep_stops_at_the_first_draw_past_the_bound():
         assert pi.degree() <= 100 and is_orthogonal_virtual(pi)
         assert pi.degree() + 2 * max(t.degrees) > 100   # the last draw did not fit
     assert random_orthogonal_rep(t, random.Random(0), max_degree=0).degree() == 0
+
+
+def _orthogonal_rep_by_choice(table, rng, max_degree):
+    """random_orthogonal_rep as one rng.choice call per block: the reference
+    the word-batched draw must replay."""
+    labels = oir_labels(table)
+    top = max(d for _, d in labels)
+    blocks = Counter()
+    deg = 0
+    while True:
+        batch = [rng.choice(labels) for _ in range(max(1, (max_degree - deg) // top))]
+        if deg + batch[-1][1] > max_degree:   # only a batch of one can pass
+            return rep_from_oir_blocks(table, blocks)
+        labs, degs = zip(*batch)
+        blocks.update(labs)
+        deg += sum(degs)
+
+
+def _counts_by_randrange(degrees, rng, max_degree):
+    """How often each index is drawn by one rng.randrange call per draw, up
+    to the first draw that would pass max_degree."""
+    counts = [0] * len(degrees)
+    deg = 0
+    while True:
+        i = rng.randrange(len(degrees))
+        if deg + degrees[i] > max_degree:
+            return counts
+        counts[i] += 1
+        deg += degrees[i]
+
+
+def _genuine_rep_by_randrange(table, rng, max_degree):
+    """random_genuine_rep as one rng.randrange call per character."""
+    return VirtualRep(table, _counts_by_randrange(table.degrees, rng, max_degree))
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 16])
+def test_word_batched_draws_replay_the_draw_loops(q):
+    # one generator per seed runs through every bound and both samplers, so
+    # each draw also starts where the previous one left the stream
+    t = char_table(build_sl2(q))
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for max_degree in (0, 1, 100, 300, 2000):
+            assert (random_orthogonal_rep(t, rng, max_degree).mults
+                    == _orthogonal_rep_by_choice(t, ref, max_degree).mults)
+            assert rng.getstate() == ref.getstate()
+            assert (random_genuine_rep(t, rng, max_degree).mults
+                    == _genuine_rep_by_randrange(t, ref, max_degree).mults)
+            assert rng.getstate() == ref.getstate()
+
+
+class _CountingRandom(random.Random):
+    """random.Random that records the width of each getrandbits call; it
+    draws as random.Random does, since randrange still goes through
+    getrandbits."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_a_short_word_batch_is_followed_by_another():
+    # with one heavy index the number of draws varies widely around its
+    # mean, so some seeds need a second batch of words
+    degrees = [1, 1000]
+    batches = []
+    for seed in range(200):
+        rng, ref = _CountingRandom(seed), random.Random(seed)
+        assert _draw_until(rng, degrees, 2000) == _counts_by_randrange(degrees, ref, 2000)
+        assert rng.getstate() == ref.getstate()
+        batches.append(len(rng.widths) - 1)   # the last call advances the rewound rng
+    assert min(batches) == 1 and max(batches) >= 2

@@ -35,6 +35,7 @@ from sl2swc.groups import (
     subgroup_from_indices,
 )
 from sl2swc.oracle import (
+    DEFAULT_SEED,
     BadEmbedding,
     Mismatch,
     _check_embedding,
@@ -482,7 +483,7 @@ def test_verify_random_combinations_q7():
 
 
 def test_oracles_do_not_reach_the_closed_form_route(monkeypatch):
-    from sl2swc import cohomology, swc
+    from sl2swc import cohomology, oracle, swc
 
     t8, t9 = char_table(build_sl2(8)), char_table(build_sl2(9))
     rng = random.Random(8)
@@ -498,13 +499,19 @@ def test_oracles_do_not_reach_the_closed_form_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle reached the closed-form route")
 
+    # cold caches on both runs, so that each computes every class
+    oracle.clear_caches()
     with monkeypatch.context() as patch:
         for module, name in ((swc, "_power"), (cohomology, "dickson"),
                              (cohomology, "dickson_expansion")):
             patch.setattr(module, name, forbidden)
         with pytest.raises(AssertionError, match="closed-form route"):
             swc.total_swc_expanded(reps8[0], 24)
+        for pi, D in ((reps8[0], 24), (reps9[0], 64)):
+            with pytest.raises(AssertionError, match="closed-form route"):
+                swc.total_swc_restricted(pi, D)
         isolated = classes()
+    oracle.clear_caches()
     assert isolated == classes()
 
 
@@ -713,3 +720,96 @@ def test_theorem_suite_formats_no_class_of_a_passing_case(monkeypatch):
     monkeypatch.setattr(GradedClass, "monomial_strings", no_formatting)
     (rep,) = run_suite("theorem", 8, 5)
     assert rep.ok() and rep.cases == rep.passes > 5
+
+
+def _theorem_cases(q, trials, seed=DEFAULT_SEED):
+    """The name and the representation of each case of suite_theorem, drawn
+    as the suite draws them."""
+    t = char_table(build_sl2(q))
+    cases = [(f"oir:{lab}", rep_from_oir_blocks(t, {lab: 1})) for lab, _ in oir_labels(t)]
+    rng = random.Random(seed)
+    return cases + [(f"random:{n}", random_orthogonal_rep(t, rng)) for n in range(trials)]
+
+
+def _wrong_for(real, bad_key, key_of):
+    """A cache of real that adds the lowest-degree generator of the ring to
+    the class of each call whose arguments key_of maps to bad_key."""
+    def wrong(*args):
+        cls = real(*args)
+        if key_of(*args) != bad_key:
+            return cls
+        return cls + cls.ring.monomial((1,) + (0,) * (len(cls.ring.names) - 1))
+    return lru_cache(maxsize=None)(wrong)
+
+
+def test_a_wrong_center_class_fails_every_case_of_its_b(monkeypatch):
+    from collections import Counter
+
+    from sl2swc import oracle
+
+    cases = _theorem_cases(9, 100)
+    z = central_involution(cases[0][1].table.group)
+    b_of = {name: (pi.degree() - pi.int_at(pi.table.conj.class_of[z])) // 2
+            for name, pi in cases}
+    bad_b, n = Counter(b_of.values()).most_common(1)[0]
+    assert n >= 2
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "center_class",
+                        _wrong_for(oracle.center_class, bad_b, lambda b, D: b))
+    rep = suite_theorem(9, trials=100)
+    assert {f["rep"] for f in rep.failures} == {name for name, b in b_of.items() if b == bad_b}
+    assert rep.cases == len(cases)
+
+
+def test_a_wrong_unipotent_product_fails_every_case_of_its_profile(monkeypatch):
+    from collections import Counter
+
+    from sl2swc import oracle
+
+    cases = _theorem_cases(8, 60)
+    profile_of = {name: tuple(unipotent_character_multiplicities(pi)[1:]) for name, pi in cases}
+    bad, n = Counter(profile_of.values()).most_common(1)[0]
+    assert n >= 2
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "unipotent_class",
+                        _wrong_for(oracle.unipotent_class, bad,
+                                   lambda r, D, factors: tuple(m for _, m in factors)))
+    rep = suite_theorem(8, trials=60)
+    assert {f["rep"] for f in rep.failures} == {
+        name for name, profile in profile_of.items() if profile == bad}
+
+
+def test_a_wrong_wu_check_fails_every_case_of_its_class(monkeypatch):
+    from sl2swc import oracle
+
+    t = char_table(build_sl2(8))
+    rng = random.Random(DEFAULT_SEED)
+    w_of = [restricted_total_class(random_genuine_rep(t, rng, max_degree=60), 6)
+            for _ in range(40)]
+    bad = max(w_of, key=w_of.count)
+    assert w_of.count(bad) >= 2
+    oracle.clear_caches()
+    real = oracle._wu_holds
+
+    def wrong(w, i, j):
+        return not real(w, i, j) if w == bad and (i, j) == (1, 2) else real(w, i, j)
+
+    monkeypatch.setattr(oracle, "_wu_holds", lru_cache(maxsize=None)(wrong))
+    rep = suite_wu(8, trials=40)
+    assert {f["rep"] for f in rep.failures} == {
+        f"random:{n}" for n, w in enumerate(w_of) if w == bad}
+    assert all((f["i"], f["j"]) == (1, 2) for f in rep.failures)
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9])
+def test_suite_reports_are_the_same_with_cold_and_warm_caches(capsys, q):
+    from sl2swc import oracle
+    from sl2swc.cli import run
+
+    outs = []
+    for clear in (True, False):
+        if clear:
+            oracle.clear_caches()
+        assert run(["verify", "--q", str(q), "--suite", "all"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

@@ -22,7 +22,8 @@ from sl2swc.characters import (
     symmetrize,
     trivial_rep,
 )
-from sl2swc.cohomology import dickson_ring, quaternion8_ring, sl2_odd_class_ring
+from sl2swc.cohomology import (dickson_ring, quaternion8_ring, restrict_sl2odd_to_center,
+                               sl2_odd_class_ring)
 from sl2swc.groups import build_sl2
 from sl2swc.oracle import verify_swc_formula
 from sl2swc.swc import (
@@ -35,6 +36,7 @@ from sl2swc.swc import (
     top_class_nonzero,
     total_swc,
     total_swc_expanded,
+    total_swc_restricted,
     unipotent_multiplicities,
 )
 
@@ -422,3 +424,18 @@ def test_report_shapes():
     d4 = swc_report(regular_rep(t4)).to_json_dict()
     assert d4["parity"] == "even" and d4["r_or_m"] == 15 and d4["ell"] == 15
     assert d4["total_expanded"] is not None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_restricted_total_is_the_center_image_or_the_expansion(q):
+    t = char_table(build_sl2(q))
+    reps = [regular_rep(t)] + [rep_from_oir_blocks(t, {lab: 1}) for lab, _ in oir_labels(t)]
+    for pi in reps:
+        for D in (4, 24, None):
+            restricted = total_swc_restricted(pi, D)
+            if q % 2:
+                total = total_swc(pi, D)
+                assert restricted.tag == "center"
+                assert restricted.cls == restrict_sl2odd_to_center(total.ring.D)(total.cls)
+            else:
+                assert restricted == total_swc_expanded(pi, D)
