@@ -20,12 +20,10 @@ from .characters import (
     ClassFunction,
     VirtualRep,
     char_table,
-    cuspidal,
     cuspidal_sl,
     decompose_orthogonal,
     fs_indicator,
     induce,
-    principal_series,
     principal_series_sl,
     regular_rep,
     restrict,

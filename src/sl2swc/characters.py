@@ -49,8 +49,8 @@ from .algebra import (
     prime_factors,
     smallest_prime_in_progression,
 )
-from .groups import (ConjugacyData, Group, Subgroup, build_gl2, build_sl2, conjugacy, minus_one,
-                     standard_subgroup)
+from .groups import (ConjugacyData, Group, Subgroup, build_sl2, conjugacy, elliptic_torus,
+                     minus_one, standard_subgroup, subgroup_from_indices)
 
 
 class LiftFailure(Exception):
@@ -889,92 +889,84 @@ def _logs(mult, one, elems, n: int) -> dict:
     raise AssertionError(f"no element of order {n}")
 
 
-def principal_series(q: int, k: int) -> ClassFunction:
-    """Parabolically induced character of GL(2,q) of degree q+1.
-
-    The inducing character of the diagonal torus is alpha x 1 where
-    alpha(gen^j) = zeta_{q-1}^{kj}; requires alpha(-1) = -1 (k odd, q odd)
-    and alpha^2 != 1.
-    """
+def check_exponent(kind: str, q: int, k: int) -> None:
+    """Raise BadConstructionParams unless ps(k) (kind "ps") or cusp(k) ("cusp")
+    is defined over F_q: alpha(-1) = -1 (q and k odd) and alpha^2 != 1 for
+    alpha = zeta_{q-1}^k, and the same for chi = zeta_{q^2-1}^k with chi^q != chi.
+    It reads q and k only, so a refusal costs no group."""
+    name, n = ("alpha", q - 1) if kind == "ps" else ("chi", q * q - 1)
     if q % 2 == 0:
-        raise BadConstructionParams("alpha(-1) = -1 is impossible in even characteristic")
+        raise BadConstructionParams(f"{name}(-1) = -1 is impossible in even characteristic")
     if k % 2 == 0:
-        raise BadConstructionParams("alpha(-1) = -1 requires an odd exponent")
-    if (2 * k) % (q - 1) == 0:
-        raise BadConstructionParams("alpha^2 = 1 is not allowed")
-    Gt = build_gl2(q)
-    B = standard_subgroup(Gt, "B")
-    F = Gt.field
-    dlog = _logs(lambda a, b: F.mul[a][b], 1, range(2, q), q - 1)
-    m = conjugacy(Gt).exponent
-    if m % (q - 1):
-        raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q - 1")
-    step = m // (q - 1)
-    conj_b = conjugacy(B.group)
-    vals = [_root(o, m, step * k * dlog[B.group.elem(r)[0]])
-            for r, o in zip(conj_b.reps, conj_b.orders)]
-    chi = ClassFunction(B.group, conj_b, vals)
-    out = induce(B, chi, Gt)
-    if out.degree() != q + 1:
-        raise AssertionError(f"principal series of degree {out.degree()}, not q + 1")
-    return out
-
-
-def cuspidal(q: int, k: int) -> ClassFunction:
-    """Irreducible cuspidal character of GL(2,q) of degree q-1.
-
-    Built as Ind_{ZN} chi_phi - Ind_{Te} chi where chi(gen^j) = zeta_{q^2-1}^{kj}
-    on the elliptic torus; requires chi(-1) = -1 (k odd, q odd), chi^2 != 1 and
-    chi^q != chi.  phi is the additive character x -> zeta_p^{Tr(x)}.
-    """
-    if q % 2 == 0:
-        raise BadConstructionParams("chi(-1) = -1 is impossible in even characteristic")
-    if k % 2 == 0:
-        raise BadConstructionParams("chi(-1) = -1 requires an odd exponent")
-    if (2 * k) % (q * q - 1) == 0:
-        raise BadConstructionParams("chi^2 = 1 is not allowed")
-    if ((q - 1) * k) % (q * q - 1) == 0:
+        raise BadConstructionParams(f"{name}(-1) = -1 requires an odd exponent")
+    if (2 * k) % n == 0:
+        raise BadConstructionParams(f"{name}^2 = 1 is not allowed")
+    if kind == "cusp" and ((q - 1) * k) % n == 0:
         raise BadConstructionParams("chi^q = chi is not allowed")
-    Gt = build_gl2(q)
-    F = Gt.field
-    p = F.p
-    Te = standard_subgroup(Gt, "Te")
-    ZN = standard_subgroup(Gt, "ZN")
-    m = conjugacy(Gt).exponent
-    if m % (q * q - 1) or m % p:
-        raise AssertionError(f"exp GL(2,{q}) = {m} is not a multiple of q^2 - 1 and p")
-    step = m // (q * q - 1)
 
-    dlog_te = _logs(Te.group.mult, Te.group.identity, range(len(Te.group)), q * q - 1)
 
-    conj_te = conjugacy(Te.group)
-    vals_te = [_root(o, m, step * k * dlog_te[r]) for r, o in zip(conj_te.reps, conj_te.orders)]
-    chi_te = ClassFunction(Te.group, conj_te, vals_te)
+def _class_function(H: Subgroup, value) -> ClassFunction:
+    """The class function of H that is value(r, o) at each class, r its
+    representative and o its order."""
+    conj = conjugacy(H.group)
+    return ClassFunction(H.group, conj, [value(r, o) for r, o in zip(conj.reps, conj.orders)])
 
-    conj_zn = conjugacy(ZN.group)
-    vals_zn = []
-    for r, o in zip(conj_zn.reps, conj_zn.orders):
-        s_, x, _, _ = ZN.group.elem(r)
-        tr = int(F.trace[F.mul[x, F.inv[s_]]])  # k, and so e, may pass int64
-        e = step * k * dlog_te[Te.group.find((s_, 0, 0, s_))] + (m // p) * tr
-        vals_zn.append(_root(o, m, e))
-    chi_zn = ClassFunction(ZN.group, conj_zn, vals_zn)
 
-    out = induce(ZN, chi_zn, Gt) - induce(Te, chi_te, Gt)
-    if out.degree() != q - 1:
-        raise AssertionError(f"cuspidal character of degree {out.degree()}, not q - 1")
-    return out
+def _decompose(G: Group, cf: ClassFunction, degree: int) -> VirtualRep:
+    """cf over the table of G, once its degree is checked."""
+    if cf.degree() != degree:
+        raise AssertionError(f"a construction of degree {cf.degree()}, not {degree}")
+    return rep_from_class_function(char_table(G), cf)
 
 
 def principal_series_sl(q: int, k: int) -> VirtualRep:
-    """Restriction to SL(2,q) of the degree q+1 principal series; irreducible."""
+    """The restriction to SL(2,q) of the principal series Ind_B^GL (alpha x 1)
+    of degree q+1, alpha(gen^j) = zeta_{q-1}^{kj}; irreducible.
+
+    det maps B onto F_q^*, so SL(2,q) \\ GL(2,q) / B is one double coset and, by
+    Mackey's formula, the restriction is Ind_{B∩SL}^{SL} of alpha(a) at
+    (a, b; 0, a^-1)."""
+    check_exponent("ps", q, k)
     G = build_sl2(q)
-    cf = restrict(principal_series(q, k), G)
-    return rep_from_class_function(char_table(G), cf)
+    F = G.field
+    B = standard_subgroup(G, "B")
+    dlog = _logs(lambda a, b: F.mul[a][b], 1, range(2, q), q - 1)
+    alpha = _class_function(B, lambda r, o: _root(o, q - 1, k * dlog[B.group.elem(r)[0]]))
+    return _decompose(G, induce(B, alpha, G), q + 1)
 
 
 def cuspidal_sl(q: int, k: int) -> VirtualRep:
-    """Restriction to SL(2,q) of the degree q-1 cuspidal character; irreducible."""
+    """The restriction to SL(2,q) of the cuspidal character Ind_ZN^GL theta -
+    Ind_Te^GL chi of degree q-1, where chi(gen^j) = zeta_{q^2-1}^{kj} on the
+    elliptic torus, theta(s, x; 0, s) = chi(s) phi(x/s) and phi is the additive
+    character x -> zeta_p^{Tr(x)}; irreducible.
+
+    By Mackey's formula: det maps Te onto F_q^* (the norm map), so the second
+    term restricts to Ind_{Te∩SL}^{SL} chi; det(ZN) is the squares, two double
+    cosets, so the first restricts to Ind_{ZN∩SL}^{SL} (theta + theta'), where
+    theta' replaces phi(x/s) by phi(x/(nu s)) for a non-square nu."""
+    check_exponent("cusp", q, k)
     G = build_sl2(q)
-    cf = restrict(cuspidal(q, k), G)
-    return rep_from_class_function(char_table(G), cf)
+    F, p, n = G.field, G.field.p, q * q - 1
+    T = elliptic_torus(q)   # chi is defined through the log on all of it
+    dlog = _logs(T.mult, T.identity, range(len(T)), n)
+
+    def log(code) -> int:
+        return dlog[int(T.locate([code])[0])]
+
+    at = G.locate(T.codes)
+    Te = subgroup_from_indices(G, at[at >= 0], "Te")
+    chi = _class_function(Te, lambda r, o: _root(o, n, k * log(Te.group.codes[r])))
+
+    ZN = standard_subgroup(G, "ZN")
+    squares = F.mul[np.arange(1, q), np.arange(1, q)].tolist()
+    nu_inv = F.inv[min(set(range(1, q)) - set(squares))]
+
+    def theta(r: int, o: int) -> np.ndarray:
+        s, x, _, _ = ZN.group.elem(r)
+        e = p * k * log(G.arith.code(s, 0, 0, s))   # k, and so e, may pass int64
+        y = F.mul[x, F.inv[s]]
+        return sum(_root(o, p * n, e + n * int(F.trace[t])) for t in (y, F.mul[nu_inv, y]))
+
+    cf = induce(ZN, _class_function(ZN, theta), G) - induce(Te, chi, G)
+    return _decompose(G, cf, q - 1)

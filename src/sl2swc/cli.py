@@ -25,6 +25,7 @@ from .characters import (
     NotOrthogonal,
     VirtualRep,
     char_table,
+    check_exponent,
     cuspidal_sl,
     principal_series_sl,
     regular_rep,
@@ -407,17 +408,12 @@ def cmd_table(args) -> int:
     return 0
 
 
-# Cold `swc --rep "S(ps(1)) + S(cusp(1))"` under 512 MiB took at most 20 s
-# and 337 MB at every odd q <= 37, but ran out of memory building GL(2,41)
-# (one BLAS thread, a shared 2-vCPU machine), so larger q is refused before
-# any table is built.
-PS_CUSP_CAP = 37
-
-
 def cmd_swc(args) -> int:
-    terms = _RepParser(args.rep).parse()   # a syntax error costs no table
-    if args.q > PS_CUSP_CAP and any(_innermost(atom)[0] in ("ps", "cusp") for _, atom in terms):
-        raise UsageError(f"ps(k) and cusp(k) need q <= {PS_CUSP_CAP}, not {args.q}")
+    terms = _RepParser(args.rep).parse()   # a syntax error costs no table,
+    for _, atom in terms:                   # and neither does a bad exponent
+        atom = _innermost(atom)
+        if atom[0] in ("ps", "cusp"):
+            check_exponent(atom[0], args.q, atom[1])
     pi = rep_from_terms(terms, get_table("sl2", args.q, args.cache_dir))
     _emit(swc_report(pi, args.truncate).to_json_dict())
     return 0

@@ -10,7 +10,8 @@ numpy arrays of indices (`Group.mul_many`): entrywise on codes (matrix
 entries through the field's numpy add and mul tables), then mapped back to
 indices by binary search in the sorted codes.  A subgroup is a set of parent
 indices and shares its parent's codes and coding object; there is one coding
-per q, and codes are compared only between groups that share it.  All
+per q, and codes are compared only between groups that share it.  The
+elliptic torus is built from its own codes on that coding, with no parent.  All
 data is immutable once built; conjugacy and power tables are cached on the
 group object.
 
@@ -380,7 +381,7 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
         raise UnsupportedTag(f"standard subgroups undefined for {G.name}")
     F = G.field
     q = G.q
-    mul, neg, add = F.mul, F.neg, F.add
+    mul, neg = F.mul, F.neg
     sl = G.kind == "sl2"
 
     if sl:
@@ -407,26 +408,26 @@ def standard_subgroup(G: Group, tag: str) -> Subgroup:
     elif tag == "Te":
         if sl:
             raise UnsupportedTag("elliptic torus is realized inside GL(2,q) only")
-        c0, c1 = _canonical_irreducible_quadratic(F)
-        # companion matrix of t^2 + c1 t + c0
-        C = (0, neg[c0], 1, neg[c1])
-        elems = []
-        for a in range(q):
-            for b in range(q):
-                if a == 0 and b == 0:
-                    continue
-                elems.append((
-                    add[a][mul[b][C[0]]], mul[b][C[1]],
-                    mul[b][C[2]], add[a][mul[b][C[3]]],
-                ))
-        if len(set(elems)) != q * q - 1:
-            raise AssertionError(f"elliptic torus of {G.name} has {len(set(elems))} elements")
     else:
         raise UnsupportedTag(f"unknown subgroup tag {tag!r}")
-    idxs = G.locate([G.arith.code(*e) for e in elems])
+    idxs = G.locate(elliptic_torus(q).codes if tag == "Te" else [G.arith.code(*e) for e in elems])
     if np.count_nonzero(idxs < 0):
         raise AssertionError(f"{tag} of {G.name} has a matrix outside the group")
     return subgroup_from_indices(G, idxs, tag)
+
+
+@lru_cache(maxsize=None)
+def elliptic_torus(q: int) -> Group:
+    """The elliptic torus F_q[C]^*, C the companion matrix (0, -c0; 1, -c1) of
+    the first root-free monic quadratic t^2 + c1 t + c0: its q^2 - 1 matrices
+    a + bC on the shared matrix coding, built without GL(2,q)."""
+    F, arith = _field_table(q), _matrix_codes(q)
+    c0, c1 = _canonical_irreducible_quadratic(F)
+    b, a = np.divmod(np.arange(1, q * q), q)
+    codes = np.sort(arith.code(a, F.mul[b, F.neg[c0]], b, F.add[a, F.mul[b, F.neg[c1]]]))
+    T = Group(f"Te(2,{q})", "sub", codes, arith, (1, 0, 0, 1), q=q, field=F)
+    _generators(T)  # raises unless closed under products
+    return T
 
 
 def _canonical_irreducible_quadratic(F: FieldTable) -> tuple[int, int]:

@@ -13,11 +13,9 @@ import sl2swc.groups as groups_mod
 from sl2swc.characters import (
     VirtualRep,
     char_table,
-    cuspidal,
     cuspidal_sl,
     fs_indicator,
     oir_labels,
-    principal_series,
     principal_series_sl,
     regular_rep,
     rep_from_oir_blocks,
@@ -276,11 +274,11 @@ def test_criterion_11_character_table_validity():
             _check_rows(t)
             _check_columns(t)
         for q in (5, 7):
-            assert principal_series(q, 1).degree() == q + 1
-            assert cuspidal(q, 1).degree() == q - 1
+            assert principal_series_sl(q, 1).degree() == q + 1
+            assert cuspidal_sl(q, 1).degree() == q - 1
             assert fs_indicator(principal_series_sl(q, 1).character()) == -1
             assert fs_indicator(cuspidal_sl(q, 1).character()) == -1
-        assert cuspidal(3, 1).degree() == 2
+        assert cuspidal_sl(3, 1).degree() == 2
         assert fs_indicator(cuspidal_sl(3, 1).character()) == -1
 
 

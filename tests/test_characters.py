@@ -24,21 +24,22 @@ from sl2swc.characters import (
     _check_int64,
     _check_spectra,
     _draw_until,
+    _logs,
     _modulus,
     _nullspace_mod,
     _power_mod,
+    _root,
     _root_of_unity,
     _spectra,
     _split,
     char_table,
-    cuspidal,
+    check_exponent,
     cuspidal_sl,
     decompose_orthogonal,
     fs_indicator,
     induce,
     is_orthogonal_virtual,
     oir_labels,
-    principal_series,
     principal_series_sl,
     random_genuine_rep,
     random_orthogonal_rep,
@@ -453,12 +454,10 @@ def test_virtual_orthogonality():
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_psc_degrees_and_indicators(q):
-    ps = principal_series(q, 1)
-    assert ps.degree() == q + 1
-    cu = cuspidal(q, 1)
-    assert cu.degree() == q - 1
     pi1 = principal_series_sl(q, 1)
+    assert pi1.degree() == q + 1
     pi2 = cuspidal_sl(q, 1)
+    assert pi2.degree() == q - 1
     # restrictions are irreducible and symplectic
     assert pi1.character().inner(pi1.character()) == 1
     assert pi2.character().inner(pi2.character()) == 1
@@ -467,8 +466,7 @@ def test_psc_degrees_and_indicators(q):
 
 
 def test_ps_restriction_stays_irreducible():
-    G = build_sl2(5)
-    cf = restrict(principal_series(5, 1), G)
+    cf = principal_series_sl(5, 1).character()
     assert cf.inner(cf) == 1
     assert cf.dual() == cf
 
@@ -481,18 +479,60 @@ def test_cusp_q3_is_the_symplectic_2dim():
 
 
 def test_bad_construction_params():
-    with pytest.raises(BadConstructionParams):
-        principal_series(5, 0)     # alpha(-1) = 1
-    with pytest.raises(BadConstructionParams):
-        principal_series(5, 2)     # even exponent
-    with pytest.raises(BadConstructionParams):
-        principal_series(3, 1)     # alpha^2 = 1 forced
-    with pytest.raises(BadConstructionParams):
-        cuspidal(5, 12)            # chi(-1) = 1
-    with pytest.raises(BadConstructionParams):
-        cuspidal(4, 1)             # even characteristic
-    with pytest.raises(BadConstructionParams):
-        cuspidal(5, (5 * 5 - 1) // 2)  # chi^2 = 1
+    for build, q, k in [(principal_series_sl, 5, 0),    # alpha(-1) = 1
+                        (principal_series_sl, 5, 2),    # even exponent
+                        (principal_series_sl, 3, 1),    # alpha^2 = 1 forced
+                        (cuspidal_sl, 5, 12),           # chi(-1) = 1
+                        (cuspidal_sl, 4, 1),            # even characteristic
+                        (cuspidal_sl, 5, (5 * 5 - 1) // 2)]:  # chi^2 = 1
+        with pytest.raises(BadConstructionParams):
+            build(q, k)
+        with pytest.raises(BadConstructionParams):
+            check_exponent("ps" if build is principal_series_sl else "cusp", q, k)
+
+
+# The old route, kept only as a reference: induce inside GL(2,q), then restrict.
+def _gl_principal_series(q, k):
+    """Ind_B^GL (alpha x 1), alpha(gen^j) = zeta_{q-1}^{kj}."""
+    G = build_gl2(q)
+    F = G.field
+    B = standard_subgroup(G, "B")
+    dlog = _logs(lambda a, b: F.mul[a][b], 1, range(2, q), q - 1)
+    conj = conjugacy(B.group)
+    vals = [_root(o, q - 1, k * dlog[B.group.elem(r)[0]]) for r, o in zip(conj.reps, conj.orders)]
+    return induce(B, ClassFunction(B.group, conj, vals), G)
+
+
+def _gl_cuspidal(q, k):
+    """Ind_ZN^GL theta - Ind_Te^GL chi, chi(gen^j) = zeta_{q^2-1}^{kj} on the
+    elliptic torus, theta(s, x; 0, s) = chi(s) zeta_p^{Tr(x/s)}."""
+    G = build_gl2(q)
+    F, p, n = G.field, G.field.p, q * q - 1
+    Te, ZN = standard_subgroup(G, "Te"), standard_subgroup(G, "ZN")
+    dlog = _logs(Te.group.mult, Te.group.identity, range(len(Te.group)), n)
+    conj = conjugacy(Te.group)
+    chi = ClassFunction(Te.group, conj,
+                        [_root(o, n, k * dlog[r]) for r, o in zip(conj.reps, conj.orders)])
+    conj = conjugacy(ZN.group)
+    vals = []
+    for r, o in zip(conj.reps, conj.orders):
+        s, x, _, _ = ZN.group.elem(r)
+        e = p * k * dlog[Te.group.find((s, 0, 0, s))] + n * int(F.trace[F.mul[x, F.inv[s]]])
+        vals.append(_root(o, p * n, e))
+    return induce(ZN, ClassFunction(ZN.group, conj, vals), G) - induce(Te, chi, G)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_sl_constructions_equal_the_restricted_gl_inductions(q):
+    G = build_sl2(q)
+    for k in (1, 3, 5):
+        for build, ref in ((principal_series_sl, _gl_principal_series),
+                           (cuspidal_sl, _gl_cuspidal)):
+            if build is principal_series_sl and (2 * k) % (q - 1) == 0:
+                continue   # alpha^2 = 1: refused
+            want = restrict(ref(q, k), G)
+            assert want.degree() == (q + 1 if build is principal_series_sl else q - 1)
+            assert build(q, k).character() == want, (build.__name__, k)
 
 
 def test_cusp_independent_of_additive_character():

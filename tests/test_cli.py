@@ -15,6 +15,7 @@ from sl2swc import cli
 from sl2swc.characters import (
     char_table,
     oir_labels,
+    principal_series_sl,
     random_genuine_rep,
     regular_rep,
     symmetrize,
@@ -33,7 +34,8 @@ from sl2swc.cli import (
     store_table,
 )
 from sl2swc.characters import BadConstructionParams
-from sl2swc.groups import build_sl2
+from sl2swc.groups import build_gl2, build_sl2
+from sl2swc.oracle import verify_swc_formula
 
 
 def _run(capsys, *argv):
@@ -214,15 +216,24 @@ def test_a_huge_prime_is_refused_at_once(argv):
     assert "exceeds cap 81" in json.loads(proc.stderr)["detail"]
 
 
-# ps(k) and cusp(k) above PS_CUSP_CAP = 37 are refused before any table is
-# built: cold, GL(2,41) runs out of 512 MiB
-@pytest.mark.parametrize("q, rep", [("41", "S(ps(1))"), ("41", "cusp(1)"), ("81", "ps(1)"),
-                                    ("41", "reg - 2*S(S(cusp(3)))")])
-def test_ps_cusp_cap_refuses_before_any_build(capsys, monkeypatch, q, rep):
+# a bad ps/cusp exponent depends on q and k only, so it is refused before any
+# table is built: a cold SL(2,81) table takes about 15 s
+@pytest.mark.parametrize("q, rep", [("81", "ps(2)"), ("64", "S(cusp(1))"),
+                                    ("41", "reg - 2*S(S(cusp(2)))")])
+def test_bad_exponents_are_refused_before_any_build(capsys, monkeypatch, q, rep):
     monkeypatch.setattr(cli, "get_table", lambda *args: pytest.fail("a table was built"))
     code, out, err = _run(capsys, "swc", "--q", q, "--rep", rep)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "UsageError"
+    assert json.loads(err)["error"] == "BadConstructionParams"
+
+
+def test_swc_ps_past_q37_agrees_with_the_oracles(capsys):
+    # GL(2,41) ran out of 512 MiB; SL(2,41) and its subgroups do not
+    code, out, _ = _run(capsys, "swc", "--q", "41", "--rep", "S(ps(1))")
+    assert code == 0
+    report = json.loads(out)
+    check = verify_swc_formula(symmetrize(principal_series_sl(41, 1)), report["degree"])
+    assert (report["degree"], report["r_or_m"]) == (check["degree"], check["r"]) == (84, 21)
 
 
 def test_swc_parses_the_expression_once(capsys, monkeypatch, tmp_path):
@@ -268,12 +279,13 @@ def test_swc_cusp_exponent_beyond_int64(capsys, tmp_path):
     assert out == CUSP_BIG_K_REPORT
 
 
-def test_gl_table_cap_leaves_the_gl_constructions(capsys, tmp_path):
-    # ps(k) and cusp(k) induce inside GL(2,q) without its character table
-    code, out, _ = _run(capsys, "swc", "--q", "11", "--rep", "S(ps(1))",
-                        "--cache-dir", str(tmp_path))
+def test_ps_and_cusp_build_no_gl_group(capsys):
+    # both induce inside SL(2,q), from subgroups of it
+    build_gl2.cache_clear()
+    code, out, _ = _run(capsys, "swc", "--q", "5", "--rep", "S(ps(1)) + S(cusp(1))")
     assert code == 0
-    assert json.loads(out)["degree"] == 24
+    assert json.loads(out)["degree"] == 2 * 6 + 2 * 4
+    assert build_gl2.cache_info().currsize == 0
 
 
 def test_zero_trials_runs_no_random_cases(capsys):

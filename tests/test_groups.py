@@ -23,6 +23,7 @@ from sl2swc.groups import (
     build_gl2,
     build_sl2,
     conjugacy,
+    elliptic_torus,
     find_quaternion,
     gen_quaternion,
     quaternion_embeddings,
@@ -376,6 +377,14 @@ def test_elliptic_torus_gl23():
     conj = conjugacy(Te.group)
     orders = [conj.orders[conj.class_of[i]] for i in range(8)]
     assert max(orders) == 8  # cyclic
+
+
+# built from its codes alone, with no GL(2,q); the GL subgroup reads the same codes
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_elliptic_torus_is_cyclic_of_order_q2_minus_1(q):
+    T = elliptic_torus(q)
+    assert len(T) == q * q - 1 and conjugacy(T).exponent == q * q - 1
+    assert np.array_equal(standard_subgroup(build_gl2(q), "Te").group.codes, T.codes)
 
 
 def test_subgroup_orders():
