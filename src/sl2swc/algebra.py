@@ -220,18 +220,6 @@ def power_rows(m: int, ks) -> np.ndarray:
     return out
 
 
-def binom_mod2(n: int, k: int) -> int:
-    """C(n, k) mod 2 for any integer n and k >= 0 (Lucas; negative n reflected)."""
-    if k < 0:
-        return 0
-    if n < 0:
-        # C(n, k) = (-1)^k C(k - n - 1, k)
-        n = k - n - 1
-    if k > n:
-        return 0
-    return 1 if (k & n) == k else 0
-
-
 def ord2(n: int) -> int:
     """Exponent of 2 in n; raises on n = 0."""
     if n == 0:

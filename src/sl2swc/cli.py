@@ -15,27 +15,13 @@ import re
 import shutil
 import sys
 import tempfile
+import types
 from itertools import islice
 from pathlib import Path
 
-from .algebra import factor_prime_power
-from .characters import (
-    BadConstructionParams,
-    CharacterTable,
-    NotOrthogonal,
-    VirtualRep,
-    char_table,
-    check_exponent,
-    cuspidal_sl,
-    principal_series_sl,
-    regular_rep,
-    symmetrize,
-    trivial_rep,
-)
-from .cohomology import dickson, dickson_ring, genq_ring, poly_ring, quaternion8_ring, sl2_odd_ring
-from .groups import SIZE_CAP, build_gl2, build_sl2
-from .oracle import run_suite
-from .swc import TRUNCATION_CAP, swc_report
+# none of these runs until a command first reads a name from it (see the package
+# docstring): `dickson` and `cohomology` run `cohomology` alone, without numpy
+from . import algebra, characters, cohomology, groups, oracle, swc
 
 SCHEMA = "sl2swc/1"
 
@@ -152,12 +138,12 @@ class _RepParser:
         raise RepSyntaxError(f"unknown atom {val!r}", pos)
 
 
-def _atom_to_rep(atom, table: CharacterTable) -> VirtualRep:
+def _atom_to_rep(atom, table: characters.CharacterTable) -> characters.VirtualRep:
     kind = atom[0]
     if kind == "triv":
-        return trivial_rep(table)
+        return characters.trivial_rep(table)
     if kind == "reg":
-        return regular_rep(table)
+        return characters.regular_rep(table)
     if kind == "X":
         k = atom[1]
         if not 1 <= k <= table.nchars():
@@ -165,29 +151,29 @@ def _atom_to_rep(atom, table: CharacterTable) -> VirtualRep:
                 f"X{k} out of range; the table has {table.nchars()} irreducibles")
         mults = [0] * table.nchars()
         mults[k - 1] = 1
-        return VirtualRep(table, mults)
+        return characters.VirtualRep(table, mults)
     if kind == "S":
-        return symmetrize(_atom_to_rep(atom[1], table))
+        return characters.symmetrize(_atom_to_rep(atom[1], table))
     if kind == "ps":
         if table.group.kind != "sl2":
-            raise BadConstructionParams("ps(...) is defined over SL(2,q) tables")
-        return principal_series_sl(table.group.q, atom[1])
+            raise characters.BadConstructionParams("ps(...) is defined over SL(2,q) tables")
+        return characters.principal_series_sl(table.group.q, atom[1])
     if kind == "cusp":
         if table.group.kind != "sl2":
-            raise BadConstructionParams("cusp(...) is defined over SL(2,q) tables")
-        return cuspidal_sl(table.group.q, atom[1])
+            raise characters.BadConstructionParams("cusp(...) is defined over SL(2,q) tables")
+        return characters.cuspidal_sl(table.group.q, atom[1])
     raise AssertionError(f"unhandled atom {atom!r}")
 
 
-def rep_from_terms(terms, table: CharacterTable) -> VirtualRep:
+def rep_from_terms(terms, table: characters.CharacterTable) -> characters.VirtualRep:
     """The sum of the parsed (weight, atom) terms over `table`."""
-    out = VirtualRep(table, [0] * table.nchars())
+    out = characters.VirtualRep(table, [0] * table.nchars())
     for weight, atom in terms:
         out = out + _atom_to_rep(atom, table).scaled(weight)
     return out
 
 
-def parse_rep(src: str, table: CharacterTable) -> VirtualRep:
+def parse_rep(src: str, table: characters.CharacterTable) -> characters.VirtualRep:
     return rep_from_terms(_RepParser(src).parse(), table)
 
 
@@ -229,12 +215,12 @@ def print_rep_terms(terms) -> str:
 TABLE_VERSION = 1
 
 
-def serialize_table(table: CharacterTable) -> dict:
+def serialize_table(table: characters.CharacterTable) -> dict:
     payload = _table_body(table)
     return {**payload, "digest": _digest(payload)}
 
 
-def _table_body(table: CharacterTable) -> dict:
+def _table_body(table: characters.CharacterTable) -> dict:
     """The serialization without its digest."""
     G = table.group
     conj = table.conj
@@ -279,12 +265,12 @@ def _digest(payload: dict) -> str:
     return h.hexdigest()
 
 
-def table_from_payload(fh, kind: str, q: int) -> CharacterTable:
+def table_from_payload(fh, kind: str, q: int) -> characters.CharacterTable:
     """The table of the `kind` group over F_q, built and certified as a cold
     build is (`char_table`), if `fh` reads exactly its encoding: compared a
     block at a time, the file is never parsed or held whole.  The first
     difference raises ValueError naming its line and top-level key."""
-    table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
+    table = characters.char_table((groups.build_sl2 if kind == "sl2" else groups.build_gl2)(q))
     line, key, tail = 1, None, ""
     for block in _blocks(serialize_table(table)):
         got = fh.read(len(block))
@@ -349,7 +335,7 @@ def _write_json(payload: dict, fh) -> None:
     fh.writelines(_blocks(payload))
 
 
-def store_table(cache_dir: Path, table: CharacterTable, *, out=None) -> dict:
+def store_table(cache_dir: Path, table: characters.CharacterTable, *, out=None) -> dict:
     """Write the table's file; `out`, when given, receives its text once it
     is in place, so the table is encoded once."""
     payload = serialize_table(table)
@@ -371,14 +357,15 @@ def store_table(cache_dir: Path, table: CharacterTable, *, out=None) -> dict:
     return payload
 
 
-def get_table(kind: str, q: int, cache_dir: Path | None, *, out=None) -> CharacterTable:
+def get_table(kind: str, q: int, cache_dir: Path | None, *,
+              out=None) -> characters.CharacterTable:
     """The table, read from or written to `cache_dir` unless that is None;
     `out`, when given, receives the table's JSON, byte for byte what a file holds."""
     if cache_dir is not None:
         cached = load_cached_table(cache_dir, kind, q, out=out)
         if cached is not None:
             return cached
-    table = char_table((build_sl2 if kind == "sl2" else build_gl2)(q))
+    table = characters.char_table((groups.build_sl2 if kind == "sl2" else groups.build_gl2)(q))
     if cache_dir is not None:
         store_table(cache_dir, table, out=out)
     elif out is not None:
@@ -413,14 +400,14 @@ def cmd_swc(args) -> int:
     for _, atom in terms:                   # and neither does a bad exponent
         atom = _innermost(atom)
         if atom[0] in ("ps", "cusp"):
-            check_exponent(atom[0], args.q, atom[1])
+            characters.check_exponent(atom[0], args.q, atom[1])
     pi = rep_from_terms(terms, get_table("sl2", args.q, args.cache_dir))
-    _emit(swc_report(pi, args.truncate).to_json_dict())
+    _emit(swc.swc_report(pi, args.truncate).to_json_dict())
     return 0
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.q, args.trials, args.seed)
+    reports = oracle.run_suite(args.suite, args.q, args.trials, args.seed)
     ok = all(r.ok() for r in reports)
     _emit({
         "schema": SCHEMA,
@@ -436,32 +423,33 @@ def cmd_dickson(args) -> int:
     if r < 1 or r > 6:
         raise UsageError("rank must be between 1 and 6")
     D = 2**r - 1
-    degrees = dickson_ring(r, D).degs
+    degrees = cohomology.dickson_ring(r, D).degs
     classes = {f"d{i}": " + ".join(d.monomial_strings(deg))
-               for i, (d, deg) in enumerate(zip(dickson(r, D), degrees), start=1)}
+               for i, (d, deg) in enumerate(zip(cohomology.dickson(r, D), degrees), start=1)}
     _emit({"schema": SCHEMA, "rank": r, "degrees": list(degrees), "dickson": classes})
     return 0
 
 
-_RING_BUILDERS = {"Q8": quaternion8_ring, "sl2odd": sl2_odd_ring}
+# by name: a builder is looked up only when its ring is asked for
+_RING_BUILDERS = {"Q8": "quaternion8_ring", "sl2odd": "sl2_odd_ring"}
 
 
 def _resolve_ring(spec: str, D: int):
     if spec in _RING_BUILDERS:
-        return _RING_BUILDERS[spec](D), spec
+        return getattr(cohomology, _RING_BUILDERS[spec])(D), spec
     m = re.fullmatch(r"Q2n:(\d+)", spec)
     if m:
         n = int(m.group(1))
         if n <= 3:
             raise UsageError("Q2n:N needs N > 3 (use Q8 for order 8)")
-        return genq_ring(D), spec
+        return cohomology.genq_ring(D), spec
     m = re.fullmatch(r"c2:(\d+)", spec)
     if m:
         r = int(m.group(1))
         if not 1 <= r <= 6:
             raise UsageError("c2:R needs 1 <= R <= 6")
         names = tuple(f"v{i}" for i in range(1, r + 1))
-        return poly_ring(names, D), spec
+        return cohomology.poly_ring(names, D), spec
     raise UsageError(f"unknown ring {spec!r}; use Q8, Q2n:N, sl2odd or c2:R")
 
 
@@ -496,10 +484,10 @@ class _Parser(argparse.ArgumentParser):
 def prime_power(text: str) -> int:
     """A field order q: a prime power between 2 and SIZE_CAP."""
     q = int(text)
-    if q > SIZE_CAP:   # before factoring: trial division runs up to sqrt(q)
-        raise argparse.ArgumentTypeError(f"q={q} exceeds cap {SIZE_CAP}")
+    if q > groups.SIZE_CAP:   # before factoring: trial division runs up to sqrt(q)
+        raise argparse.ArgumentTypeError(f"q={q} exceeds cap {groups.SIZE_CAP}")
     try:
-        factor_prime_power(q)
+        algebra.factor_prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"q={q} is not a prime power") from None
     return q
@@ -515,15 +503,20 @@ def nonnegative_int(text: str) -> int:
 def degree(text: str) -> int:
     """A truncation or maximal degree: between 0 and TRUNCATION_CAP."""
     n = nonnegative_int(text)
-    if n > TRUNCATION_CAP:
-        raise argparse.ArgumentTypeError(f"{n} exceeds cap {TRUNCATION_CAP}")
+    if n > cohomology.TRUNCATION_CAP:
+        raise argparse.ArgumentTypeError(f"{n} exceeds cap {cohomology.TRUNCATION_CAP}")
     return n
 
 
 def directory(text: str) -> Path:
+    """A --cache-dir: refused before any table is built if it cannot be one."""
     if not text:
         raise argparse.ArgumentTypeError("an empty path would name the current directory")
-    return Path(text)
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,13 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_USAGE_ERRORS = (
-    UsageError,
-    RepSyntaxError,
-    UnknownIrreducible,
-    BadConstructionParams,
-    NotOrthogonal,
-)
+_USAGE_ERRORS = (UsageError, RepSyntaxError, UnknownIrreducible)
+
+
+def _is_usage_error(e: Exception) -> bool:
+    if isinstance(e, _USAGE_ERRORS):
+        return True
+    # only a command that ran `characters` can raise its errors: looking them up
+    # after another command failed would run the module for nothing
+    return type(characters) is types.ModuleType and isinstance(
+        e, (characters.BadConstructionParams, characters.NotOrthogonal))
 
 
 def run(argv=None) -> int:
@@ -579,7 +575,7 @@ def run(argv=None) -> int:
     except Exception as e:  # internal failures still produce structured output
         print(json.dumps({"error": type(e).__name__, "detail": str(e)}),
               file=sys.stderr)
-        return 2 if isinstance(e, _USAGE_ERRORS) else 3
+        return 2 if _is_usage_error(e) else 3
 
 
 def main() -> None:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import binom_mod2
+# the largest truncation degree: `swc --truncate` and `cohomology --max-degree`
+# refuse larger ones, which exhaust memory, and no default truncation exceeds it
+TRUNCATION_CAP = 256
 
 
 class InhomogeneousRelation(Exception):
@@ -539,6 +541,18 @@ def dickson_expansion(r: int, D: int) -> RestrictionMap:
 # ---------------------------------------------------------------------------
 # Steenrod squares and Dickson invariants
 # ---------------------------------------------------------------------------
+
+def binom_mod2(n: int, k: int) -> int:
+    """C(n, k) mod 2 for any integer n and k >= 0 (Lucas; negative n reflected)."""
+    if k < 0:
+        return 0
+    if n < 0:
+        # C(n, k) = (-1)^k C(k - n - 1, k)
+        n = k - n - 1
+    if k > n:
+        return 0
+    return 1 if (k & n) == k else 0
+
 
 def steenrod_sq(i: int, a: GradedClass) -> GradedClass:
     """Sq^i on a polynomial ring with degree-1 generators (total square

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import binom_mod2, ord2
+from .algebra import ord2
 from .characters import (
     VirtualRep,
     char_table,
@@ -60,6 +60,7 @@ from .characters import (
 )
 from .cohomology import (
     GradedClass,
+    binom_mod2,
     center_ring,
     quaternion8_ring,
     restrict_q8_to_center,

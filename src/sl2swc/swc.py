@@ -27,11 +27,9 @@ from typing import Callable
 
 from .algebra import ord2
 from .characters import NotOrthogonal, VirtualRep, decompose_orthogonal, is_orthogonal_virtual
-from .cohomology import (GradedClass, Ring, dickson_expansion, dickson_ring,
+from .cohomology import (TRUNCATION_CAP, GradedClass, Ring, dickson_expansion, dickson_ring,
                          restrict_sl2odd_to_center, sl2_odd_class_ring)
 from .groups import minus_one
-
-TRUNCATION_CAP = 256
 
 
 class NotDivisible(Exception):

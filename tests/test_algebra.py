@@ -16,7 +16,6 @@ from sl2swc.algebra import (
     CompositeP,
     FieldTable,
     ReducibleModulus,
-    binom_mod2,
     cyclotomic_polynomial,
     factor_prime_power,
     field_make,
@@ -25,6 +24,7 @@ from sl2swc.algebra import (
     power_rows,
     prime_factors,
 )
+from sl2swc.cohomology import binom_mod2
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,23 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"] == "UsageError"
 
 
+# a --cache-dir that names a file, or a path under one, is refused before the
+# table is built, not when the built table is to be stored
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("argv", [("table", "--q", "3"), ("swc", "--q", "3", "--rep", "triv")],
+                         ids=lambda a: a[0])
+def test_a_cache_dir_naming_a_file_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, under):
+    monkeypatch.setattr(cli, "get_table", lambda *args, **kw: pytest.fail("a table was built"))
+    path = tmp_path / "table.json"
+    path.write_text("x")
+    code, out, err = _run(capsys, *argv, "--cache-dir", str(path / under))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "detail": f"argument --cache-dir: {path} exists and is not a directory"}
+    assert path.read_text() == "x"
+
+
 # --q is checked against SIZE_CAP before it is factored: trial division of the
 # prime 2^61 - 1 would run for hours
 @pytest.mark.parametrize("argv", [("table",), ("swc", "--rep", "triv"),
@@ -385,7 +402,7 @@ def _digest_valid(doc):
 
 
 def _other_table(group, q):
-    return serialize_table(char_table((build_sl2 if group == "sl2" else cli.build_gl2)(q)))
+    return serialize_table(char_table((build_sl2 if group == "sl2" else build_gl2)(q)))
 
 
 def _fresh(capsys, tmp_path, q):
@@ -579,7 +596,7 @@ def test_a_warm_load_never_parses_the_file(capsys, monkeypatch, tmp_path):
 def test_digest_hashes_the_one_shot_compact_text(group, q):
     import hashlib
 
-    body = cli._table_body(char_table((build_sl2 if group == "sl2" else cli.build_gl2)(q)))
+    body = cli._table_body(char_table((build_sl2 if group == "sl2" else build_gl2)(q)))
     blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     assert cli._digest(body) == cli._digest({**body, "digest": "x"})
     assert cli._digest(body) == hashlib.sha256(blob).hexdigest()

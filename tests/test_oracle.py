@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl2swc.algebra import binom_mod2
 from sl2swc.characters import (
     VirtualRep,
     char_table,
@@ -20,6 +19,7 @@ from sl2swc.characters import (
     trivial_rep,
 )
 from sl2swc.cohomology import (
+    binom_mod2,
     quaternion8_ring,
     restrict_genq_to_q8,
     restrict_q8_to_center,
