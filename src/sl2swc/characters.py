@@ -15,18 +15,21 @@ takes that X to a checked table: it lifts each class to the spectra of every
 character by discrete Fourier inversion over the power-class table, and
 certifies that the rows are the irreducible characters (row orthogonality in
 Z, read off the spectra through the trace form, and the class-algebra
-relations mod l).  It also folds each distinct spectrum once into its normal
-form in Z[zeta_m], m = exp G, which orders the characters and is what the v1
-table format stores.
+relations mod l on the class matrices built, whose classes the rows must
+tell apart; by Dedekind's lemma that makes each row a homomorphism of the
+whole class algebra).  It also folds each distinct spectrum once into its
+normal form in Z[zeta_m], m = exp G, which orders the characters and is what
+the v1 table format stores.
 
 The modular step works on int64 numpy arrays.  Dixon's method splits the
 class algebra itself, as equal-degree splitting does (Cantor-Zassenhaus):
-each round takes a seeded random combination M of the class matrices and
-cuts every space by the quadratic character of M's eigenvalues, read off
-M^((l-1)/2), with one null-space kernel, `_nullspace_mod`; no characteristic
-polynomial is formed and no root is searched for.  The lift is one matrix
-product per class.  `_check_int64` proves that no sum of products leaves
-int64.
+each round builds the class matrix of one more class (`class_matrix`, s·|C|
+products), takes a seeded random combination M of I and the class matrices
+built so far, and cuts every space by the quadratic character of M's
+eigenvalues, read off M^((l-1)/2), with one null-space kernel,
+`_nullspace_mod`; no characteristic polynomial is formed and no root is
+searched for.  The lift is one matrix product per class.  `_check_int64`
+proves that no sum of products leaves int64.
 
 Induction and restriction read subgroup classes through one fusion map,
 `_fusion`, taken from the conjugacy data of both groups, so neither
@@ -222,9 +225,9 @@ def _check_int64(terms: int, l: int) -> None:
 
     The modular step reduces every operand mod l, so an entry of a product
     sums at most `terms` products of residues below l: s of them in Dixon's
-    combinations sum_i w_i M_i, their powers and the class-algebra check, o
-    in the lift at a class of order o.  `_modulus` checks max(s, largest
-    element order) before anything is allocated; at q = 81, s = 85 and
+    combinations of I and the class matrices, their powers and the
+    class-algebra check, o in the lift at a class of order o.  `_modulus` checks max(s,
+    largest element order) before anything is allocated; at q = 81, s = 85 and
     l < 2^24, so the sums stay below 85·2^48 < 2^55."""
     if terms * (l - 1) ** 2 >= 2 ** 63:
         raise LiftFailure(f"{terms} products mod {l} overflow int64")
@@ -234,7 +237,7 @@ def _modulus(G: Group, conj: ConjugacyData) -> int:
     """The prime l of Dixon's method: the least l = 1 (mod exp G) above
     2(isqrt|G| + 1)·max |C|.  So l does not divide |G| (every prime that does
     divides exp G), every degree, being at most sqrt|G|, is below l/2, and
-    every structure constant, being at most a class size, is below l."""
+    every entry of a class matrix, being at most a class size, is below l."""
     bound = 2 * (isqrt(len(G)) + 1) * max(conj.sizes)
     l = smallest_prime_in_progression(conj.exponent, 1, bound)
     _check_int64(max(conj.nclasses(), *conj.orders), l)
@@ -300,37 +303,54 @@ def _split(spaces, M, l):
 
 
 # Dixon's method splits by at most this many random combinations: two
-# characters share the quadratic character of a combination's eigenvalue
-# with chance below 1/2, so some two of s characters are still together
-# after r rounds with chance below s^2·2^-r
+# characters that differ at a class built so far share the quadratic
+# character of a combination's eigenvalue with chance below 1/2, so some two
+# of s characters are still together r rounds after the built classes tell
+# them all apart with chance below s^2·2^-r
 DIXON_ROUNDS = 64
 
 
-def _dixon_eigenvectors(struct, s, id_class, l):
-    """Common eigenvectors of the class matrices, normalized at the identity class.
+def _dixon_eigenvectors(G: Group, conj: ConjugacyData, l: int):
+    """Common eigenvectors of the class matrices, normalized at the identity
+    class, and the class matrices {i: M_i} they were split by.
 
     A central character omega of the class algebra satisfies
-    omega_i·omega = M_i omega with M_i[j][k] = struct[i][j][k], so as a row
-    it is a common eigenvector of the transposes.  Each round splits by a
-    combination sum_i w_i M_i with weights drawn from a seeded stream; the
-    class matrix of the identity class is I, so its weight shifts the
-    combination at random."""
-    mats = np.transpose(np.asarray(struct, dtype=np.int64) % l, (0, 2, 1))
+    omega·M_i = omega_i·omega (`class_matrix`), so as a row it is a common
+    eigenvector of the M_i.  Each round builds the matrix of one more class
+    that is not the identity's, and splits by a combination of I and every
+    matrix built so far, with weights drawn from a seeded stream; the weight
+    of I shifts the combination at random."""
+    s = conj.nclasses()
+    one = conj.class_of[G.identity]
+    todo = (i for i in range(s) if i != one)
     rng = random.Random(0)
     spaces = [np.eye(s, dtype=np.int64)]
+    mats = {}
     for _ in range(DIXON_ROUNDS):
         if all(len(V) == 1 for V in spaces):
             break
-        w = np.array([rng.randrange(l) for _ in range(s)], dtype=np.int64)
-        spaces = _split(spaces, np.tensordot(w, mats, axes=1) % l, l)
+        i = next(todo, None)
+        if i is not None:
+            mats[i] = class_matrix(G, conj, i)
+        M = rng.randrange(l) * np.eye(s, dtype=np.int64)
+        spaces = _split(spaces, (M + sum(rng.randrange(l) * A for A in mats.values())) % l, l)
     if not all(len(V) == 1 for V in spaces):
         raise LiftFailure("class matrices failed to separate characters")
     W = np.concatenate(spaces)
-    c = W[:, id_class]
+    c = W[:, one]
     if not c.all():
         raise LiftFailure("eigenvector vanished at the identity class")
     inv = np.array([pow(int(x), -1, l) for x in c], dtype=np.int64)
-    return W * inv[:, None] % l
+    return W * inv[:, None] % l, mats
+
+
+def class_matrix(G: Group, conj: ConjugacyData, i: int) -> np.ndarray:
+    """M[k][j] = #{x in C_i : x^-1 z_k in C_j}, z_k the representative of C_k:
+    the constants of C_i·C_j = sum_k M[k][j]·C_k in the class algebra.  One
+    product of C_i's inverses against the s representatives, s·|C_i| of them."""
+    cls = np.asarray(conj.class_of)
+    y = G.mul_many(G.inverses[cls == i], np.asarray(conj.reps)[:, None])
+    return np.array([np.bincount(row, minlength=len(y)) for row in cls[y]])
 
 
 def _root_of_unity(m, l):
@@ -383,14 +403,12 @@ def char_table(G: Group) -> CharacterTable:
         return G._char_table
     conj = conjugacy(G)
     n = len(G)
-    s = conj.nclasses()
     l = _modulus(G, conj)
-    struct = structure_constants(G, conj)
-    W = _dixon_eigenvectors(struct, s, conj.class_of[G.identity], l)
+    W, mats = _dixon_eigenvectors(G, conj, l)
 
     # chi = d·omega / |C| with d^2 = n / sum_j omega_j omega_{j^-1} / |C_j|;
     # a zero sum leaves 0, which is the square of no 0 < d < l
-    inv_of = [conj.inverse_class(c) for c in range(s)]
+    inv_of = [conj.inverse_class(c) for c in range(conj.nclasses())]
     size_inv = np.array([pow(h, -1, l) for h in conj.sizes], dtype=np.int64)
     norms = (W * W[:, inv_of] % l * size_inv % l).sum(axis=1) % l
     root_of = {x * x % l: x for x in range(1, isqrt(n) + 2)}
@@ -399,11 +417,11 @@ def char_table(G: Group) -> CharacterTable:
         raise LiftFailure("degree recovery failed")
     X = np.array(degrees, dtype=np.int64)[:, None] * W % l * size_inv % l
 
-    G._char_table = _certified_table(G, conj, l, struct, X)
+    G._char_table = _certified_table(G, conj, l, mats, X)
     return G._char_table
 
 
-def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> CharacterTable:
+def _certified_table(G: Group, conj: ConjugacyData, l: int, mats, X) -> CharacterTable:
     """The table of the characters chi_a with chi_a(c) = X[a][c] (mod l),
     each lifted through its spectra, or LiftFailure unless the rows of X are
     exactly the irreducible characters.  Its one caller is `char_table`,
@@ -412,10 +430,11 @@ def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> Charac
     The checks: there are s rows for s classes; every degree d_a, the entry
     of X[a] at the identity class, lies in 0 < d_a < l/2; the spectra pass
     `_check_spectra` (row orthogonality in Z); and every
-    omega_a = X[a]·|C| / d_a is a homomorphism of the class algebra mod l
-    (`_check_class_algebra`).  Together they admit only Irr(G), by three
-    facts: l does not divide |G|, every degree is below l/2, and every
-    multiplicity is at most chi(1) < l.
+    omega_a = X[a]·|C| / d_a is a homomorphism of the class algebra mod l,
+    checked on the class matrices `mats` that Dixon's method built
+    (`_check_class_algebra`, which proves that these suffice).  Together
+    they admit only Irr(G), by three facts: l does not divide |G|, every
+    degree is below l/2, and every multiplicity is at most chi(1) < l.
 
     Proof.  Fix the prime ideal of Z[zeta_m] over l with zeta_m = z; its
     residue field is F_l, as l = 1 (mod m).  Since l does not divide |G|, the
@@ -442,7 +461,7 @@ def _certified_table(G: Group, conj: ConjugacyData, l: int, struct, X) -> Charac
     spectra = _spectra(conj, X, l)
     _check_spectra(conj, spectra, d, len(G))
     d_inv = np.array([pow(int(x), -1, l) for x in d], dtype=np.int64)
-    _check_class_algebra(struct, X * np.array(conj.sizes) % l * d_inv[:, None] % l, l)
+    _check_class_algebra(mats, X * np.array(conj.sizes) % l * d_inv[:, None] % l, l)
 
     # the v1 coefficients order the characters by (degree, values)
     rows = list(zip(*_fold(m, conj.orders, spectra)))
@@ -527,15 +546,26 @@ def _check_spectra(conj: ConjugacyData, spectra, d, n: int) -> None:
         raise LiftFailure(f"row orthogonality failed at {tuple(bad[0].tolist())}")
 
 
-def _check_class_algebra(struct, omega, l: int) -> None:
-    """LiftFailure unless omega_i·omega_j = sum_k a_ijk omega_k (mod l) for
-    every row omega, a_ijk = struct[i][j][k]: each row is a homomorphism of
-    the class algebra (omega is 1 at the identity class, where X[a] is d_a).
-    One i at a time, the s products of residues and structure constants
-    below l stay in int64."""
-    for i, A in enumerate(struct):
-        if ((omega @ A.T) % l != omega[:, i:i + 1] * omega % l).any():
+def _check_class_algebra(mats, omega, l: int) -> None:
+    """LiftFailure unless omega·M_i = omega_i·omega (mod l) for every class
+    matrix M_i in mats ({i: M_i}, see `class_matrix`) and no two rows of omega
+    agree at every class i of mats.  Then each row is a homomorphism of the
+    whole class algebra Z (omega is 1 at the identity class, where X[a] is d_a).
+
+    Proof.  Let omega be a row.  The y in Z with omega(y·x) = omega(y)·omega(x)
+    for every x form a subalgebra (it holds 1, and sums and products of such
+    y), which holds each C_i of mats, since (omega·M_i)[j] = omega(C_i·C_j),
+    and so the subalgebra A those C_i generate.  The s rows restrict to s
+    homomorphisms A -> F_l, distinct since they differ at some C_i, and
+    distinct homomorphisms into a field are linearly independent (Dedekind).
+    So dim A >= s = dim Z, A = Z, and omega(y·x) = omega(y)·omega(x) for all y
+    and x in Z.  One i at a time, the s products of residues and class-matrix
+    entries below l stay in int64."""
+    for i, M in mats.items():
+        if ((omega @ M) % l != omega[:, i:i + 1] * omega % l).any():
             raise LiftFailure(f"a character fails the class-algebra relations at class {i}")
+    if len({tuple(row) for row in omega[:, list(mats)].tolist()}) < len(omega):
+        raise LiftFailure("two characters agree at every class of the class matrices")
 
 
 def table_from_spectra(G: Group, conj: ConjugacyData, spectra, coeffs) -> CharacterTable:
@@ -563,17 +593,6 @@ def table_from_spectra(G: Group, conj: ConjugacyData, spectra, coeffs) -> Charac
 
     return CharacterTable(G, conj, conj.exponent, chars, degrees, fs, dual, omega,
                           spectra, coeffs)
-
-
-def structure_constants(G: Group, conj: ConjugacyData) -> np.ndarray:
-    """a[i][j][k] = #{x in C_i : x^-1 z in C_j}, z the representative of C_k."""
-    s = conj.nclasses()
-    cls = np.asarray(conj.class_of)
-    a = np.empty((s, s, s), dtype=np.int64)
-    for k, z in enumerate(conj.reps):
-        pairs = cls * s + cls[G.mul_many(G.inverses, z)]
-        a[:, :, k] = np.bincount(pairs, minlength=s * s).reshape(s, s)
-    return a
 
 
 # ---------------------------------------------------------------------------

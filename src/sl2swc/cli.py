@@ -382,9 +382,10 @@ def _emit(payload: dict) -> None:
 
 
 # Under 512 MiB (one BLAS thread, a shared 2-vCPU machine) `table --group gl2 --q 16`
-# took 22-31 s cold and 24-35 s warm, at 418-421 MB: the peak is the 255^3 int64
-# structure constants, freed before a warm load compares its file a block at a time.
-# At q = 17 the 288^3 constants do not fit, so larger GL tables are refused up front.
+# took 17-24 s cold and 18 s warm, at 187-194 MB.  At q = 17 the table fits (257 MB)
+# but its Dixon rounds, 288 x 288 matrix powers mod l, take about 39 s of the
+# character table alone, and two cold runs passed 60 s; larger GL tables are
+# refused up front.
 GL_TABLE_CAP = 16
 
 

@@ -81,7 +81,6 @@ class Group:
         self.field = field
         self._conj = None
         self._char_table = None
-        self._q8 = None
 
     def __len__(self):
         return len(self.codes)
@@ -320,15 +319,13 @@ def conjugacy(G: Group) -> ConjugacyData:
 # Subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)   # compared and hashed by identity, so a cache can key on it
 class Subgroup:
     parent: Group
     indices: tuple[int, ...]    # sorted parent indices
     tag: str
     group: Group = field(repr=False)
     gens: tuple[int, ...] | None = None   # parent indices, when found by search
-    # what an oracle reads of this embedding, built on its first use
-    _frame: object = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.indices)
@@ -477,16 +474,15 @@ def _quaternion_subgroup(G: Group, x: int, y: int) -> Subgroup:
     return subgroup_from_indices(G, list(idxs), "Q8", gens=(x, y))
 
 
+@lru_cache(maxsize=None)
 def find_quaternion(G: Group) -> Subgroup:
     """First quaternion subgroup of order 8 in canonical element order, with
     generators x, y satisfying x^2 = y^2 = -1 and y x y^-1 = x^-1.  Found
     once per group; later calls return the same Subgroup."""
-    if G._q8 is None:
-        pair = next(_quaternion_pairs(G), None)
-        if pair is None:
-            raise NotFound("no quaternion subgroup found")  # unreachable for odd q
-        G._q8 = _quaternion_subgroup(G, *pair)
-    return G._q8
+    pair = next(_quaternion_pairs(G), None)
+    if pair is None:
+        raise NotFound("no quaternion subgroup found")  # unreachable for odd q
+    return _quaternion_subgroup(G, *pair)
 
 
 def quaternion_embeddings(G: Group, limit: int = 3) -> list[Subgroup]:

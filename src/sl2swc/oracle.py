@@ -177,25 +177,25 @@ class _Q8Frame(NamedTuple):
     z: int
 
 
+@lru_cache(maxsize=None)
 def _q8_frame(emb: Subgroup) -> _Q8Frame:
     """The frame of the embedding, built once it has passed _check_embedding:
-    a bad embedding is refused on every call."""
-    if emb._frame is None:
-        _check_embedding(emb)
-        at = emb.indices  # at[i] is the index in G of element i of K
-        qt = char_table(emb.group)
-        conj = qt.conj
-        cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
-        by_key = {}
-        for i, chi in enumerate(qt.chars):
-            key = "rho" if qt.degrees[i] == 2 else (chi.int_at(cx), chi.int_at(cy))
-            by_key[key] = [size * chi.int_at(conj.inverse_class(c))
-                           for c, size in enumerate(conj.sizes)]
-        emb._frame = _Q8Frame(
-            tuple(at[r] for r in conj.reps),
-            tuple(tuple(by_key[k]) for k in ((1, 1), (1, -1), (-1, 1), (-1, -1), "rho")),
-            conj.orders.index(2))
-    return emb._frame
+    a bad embedding raises, which leaves nothing cached, so it is refused on
+    every call."""
+    _check_embedding(emb)
+    at = emb.indices  # at[i] is the index in G of element i of K
+    qt = char_table(emb.group)
+    conj = qt.conj
+    cx, cy = (conj.class_of[at.index(g)] for g in emb.gens)
+    by_key = {}
+    for i, chi in enumerate(qt.chars):
+        key = "rho" if qt.degrees[i] == 2 else (chi.int_at(cx), chi.int_at(cy))
+        by_key[key] = [size * chi.int_at(conj.inverse_class(c))
+                       for c, size in enumerate(conj.sizes)]
+    return _Q8Frame(
+        tuple(at[r] for r in conj.reps),
+        tuple(tuple(by_key[k]) for k in ((1, 1), (1, -1), (-1, 1), (-1, -1), "rho")),
+        conj.orders.index(2))
 
 
 def quaternion_profile(pi: VirtualRep, emb: Subgroup) -> RestrictionProfile:

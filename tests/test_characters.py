@@ -23,6 +23,7 @@ from sl2swc.characters import (
     _check_class_algebra,
     _check_int64,
     _check_spectra,
+    _dixon_eigenvectors,
     _draw_until,
     _logs,
     _modulus,
@@ -34,6 +35,7 @@ from sl2swc.characters import (
     _split,
     char_table,
     check_exponent,
+    class_matrix,
     cuspidal_sl,
     decompose_orthogonal,
     fs_indicator,
@@ -47,7 +49,6 @@ from sl2swc.characters import (
     rep_from_class_function,
     rep_from_oir_blocks,
     restrict,
-    structure_constants,
     symmetrize,
     trivial_rep,
 )
@@ -158,13 +159,13 @@ def test_certificate_rejects_a_moved_eigenvalue():
     t, X, spectra, bad = _moved_eigenvalue(11)
     G, conj = t.group, t.conj
     l = _modulus(G, conj)
-    struct = structure_constants(G, conj)
-    assert _certified_table(G, conj, l, struct, X).coeffs == t.coeffs
+    mats = _dixon_eigenvectors(G, conj, l)[1]
+    assert _certified_table(G, conj, l, mats, X).coeffs == t.coeffs
     c = conj.class_of[minus_one(G)]
     X_bad = X.copy()
     X_bad[:, c] = (bad[c][:, 0] - bad[c][:, 1]) % l
     with pytest.raises(LiftFailure):
-        _certified_table(G, conj, l, struct, X_bad)
+        _certified_table(G, conj, l, mats, X_bad)
 
 
 def test_spectra_must_be_galois_compatible():
@@ -188,21 +189,60 @@ def test_spectra_must_be_galois_compatible():
         _check_spectra(conj, extra, d, len(t.group))
 
 
+def _omega(t, X, l):
+    """The rows omega_a = X[a]·|C| / d_a of the table mod l."""
+    conj = t.conj
+    d = X[:, conj.class_of[t.group.identity]]
+    return X * np.array(conj.sizes) % l * np.array([pow(int(x), -1, l) for x in d])[:, None] % l
+
+
+def _all_class_matrices(conj):
+    return {i: class_matrix(conj.group, conj, i) for i in range(conj.nclasses())}
+
+
+def _mixed_row(t, X, l):
+    """omega of chi_a + chi_b for the first two characters a, b that are
+    trivial at -1, and the class of -1: scaled to 1 at the identity, it is no
+    homomorphism of the class algebra, but it is one at the class of -1."""
+    conj = t.conj
+    z = conj.class_of[minus_one(t.group)]
+    a, b = [a for a in range(t.nchars()) if t.omega_minus1[a] == 1][:2]
+    mixed = X[a] + X[b]
+    row = mixed * np.array(conj.sizes) % l
+    return row * pow(int(mixed[conj.class_of[t.group.identity]]), -1, l) % l, z
+
+
 def test_class_algebra_check_rejects_a_sum_of_characters():
-    # chi_1 + chi_2, scaled to 1 at the identity, is no homomorphism of the
-    # class algebra
+    # chi_a + chi_b, scaled to 1 at the identity, fails the relations of the
+    # class algebra at some class
+    t = char_table(build_sl2(5))
+    l, X = _residues(t)
+    mats = _all_class_matrices(t.conj)
+    omega = _omega(t, X, l)
+    _check_class_algebra(mats, omega, l)
+    omega[0], _ = _mixed_row(t, X, l)
+    with pytest.raises(LiftFailure, match="class-algebra"):
+        _check_class_algebra(mats, omega, l)
+
+
+def test_class_algebra_check_needs_the_rows_told_apart():
+    # at the class of -1 alone, which generates no more than span(1, -1) of
+    # the class algebra, the sum of two characters trivial at -1 passes the
+    # relations; so do the true rows, but they agree in pairs there, and the
+    # certificate refuses both
     t = char_table(build_sl2(5))
     G, conj = t.group, t.conj
     l, X = _residues(t)
-    struct = structure_constants(G, conj)
-    sizes = np.array(conj.sizes, dtype=np.int64)
-    d = X[:, conj.class_of[G.identity]]
-    omega = X * sizes % l * np.array([pow(int(x), -1, l) for x in d])[:, None] % l
-    _check_class_algebra(struct, omega, l)
-    mixed = X[1] + X[2]
-    omega[0] = mixed * sizes % l * pow(int(mixed[conj.class_of[G.identity]]), -1, l) % l
-    with pytest.raises(LiftFailure, match="class-algebra"):
-        _check_class_algebra(struct, omega, l)
+    row, z = _mixed_row(t, X, l)
+    only = {z: class_matrix(G, conj, z)}
+    omega = _omega(t, X, l)
+    omega[0] = row
+    assert ((omega @ only[z]) % l == omega[:, z:z + 1] * omega % l).all()
+    with pytest.raises(LiftFailure, match="agree"):
+        _check_class_algebra(only, omega, l)
+    with pytest.raises(LiftFailure, match="agree"):
+        _certified_table(G, conj, l, only, X)
+    assert _certified_table(G, conj, l, _all_class_matrices(conj), X).coeffs == t.coeffs
 
 
 def test_certificate_rejects_a_degree_above_half_of_l():
@@ -212,10 +252,11 @@ def test_certificate_rejects_a_degree_above_half_of_l():
     G, conj = t.group, t.conj
     l, X = _residues(t)
     X[-1] = -X[-1] % l
+    mats = _dixon_eigenvectors(G, conj, l)[1]
     with pytest.raises(LiftFailure, match="between 0 and l/2"):
-        _certified_table(G, conj, l, structure_constants(G, conj), X)
+        _certified_table(G, conj, l, mats, X)
     with pytest.raises(LiftFailure, match="8 characters for 9 classes"):
-        _certified_table(G, conj, l, structure_constants(G, conj), X[1:])
+        _certified_table(G, conj, l, mats, X[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +790,14 @@ def test_int64_bound():
         _check_int64(85, bound + 2)
 
 
-def test_int64_guard_runs_before_the_structure_constants(monkeypatch):
+def test_int64_guard_runs_before_any_class_matrix(monkeypatch):
     from sl2swc import characters
 
     def never(*args):
-        raise AssertionError("allocated the structure constants")
+        raise AssertionError("built a class matrix")
 
     monkeypatch.setattr(characters, "smallest_prime_in_progression", lambda *a: 2 ** 31 - 1)
-    monkeypatch.setattr(characters, "structure_constants", never)
+    monkeypatch.setattr(characters, "class_matrix", never)
     with pytest.raises(LiftFailure, match="overflow int64"):
         char_table(build_sl2.__wrapped__(3))   # a fresh group, no cached table
 
@@ -778,7 +819,7 @@ def test_a_repeated_eigenvalue_leaves_its_space_whole(build, q):
     eigenvalues = omega @ weights % l
     lam, mult = Counter(eigenvalues.tolist()).most_common(1)[0]
     assert mult > 1
-    mats = np.transpose(structure_constants(G, conj) % l, (0, 2, 1))
+    mats = np.array([class_matrix(G, conj, i) for i in range(s)])
     M = np.tensordot(weights, mats, axes=1) % l
     E = _nullspace_mod(M - lam * np.eye(s, dtype=np.int64), l)
     assert len(E) == mult

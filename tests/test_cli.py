@@ -189,7 +189,7 @@ def test_usage_errors(capsys, tmp_path):
     ("swc", "--q", "8", "--rep", "triv - reg", "--truncate", "4000"),
     ("swc", "--q", "3", "--rep", "reg", "--truncate", "257"),
     ("cohomology", "--group", "c2:6", "--max-degree", "257"),
-    # GL tables above GL_TABLE_CAP = 16 are refused: GL(2,17) runs out of memory
+    # GL tables above GL_TABLE_CAP = 16 are refused: GL(2,17) takes over a minute
     ("table", "--group", "gl2", "--q", "17"),
     ("table", "--group", "gl2", "--q", "81"),
     # an empty --cache-dir would name the current directory

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sl2swc.characters import structure_constants
+from sl2swc.characters import char_table, class_matrix
 from sl2swc.groups import (
     EvenQ,
     TooLarge,
@@ -253,18 +253,23 @@ def test_conjugacy_digest(kind, q):
     assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == CONJUGACY_DIGESTS[kind, q]
 
 
-def test_structure_constants_match_brute_force():
-    G = build_sl2(5)
+@pytest.mark.parametrize("kind, q", [("sl2", 3), ("sl2", 4), ("gl2", 3)],
+                         ids=["SL(2,3)", "SL(2,4)", "GL(2,3)"])
+def test_class_matrix_matches_brute_force(kind, q):
+    # M_i[k][j] counts the x in C_i with x^-1 z_k in C_j, z_k the
+    # representative of C_k, here by products of element tuples
+    G = _group(kind, q)
     prod, _ = _tuple_product(G)
     ref = _reference_conjugacy(G)
     cls, s = ref["class_of"], len(ref["reps"])
-    want = [[[0] * s for _ in range(s)] for _ in range(s)]
-    for k, r in enumerate(ref["reps"]):
-        z = G.elem(r)
-        for x in range(len(G)):
-            y = prod(ref["inverse"][x], z)
-            want[cls[x]][cls[G.find(y)]][k] += 1
-    assert structure_constants(G, conjugacy(G)).tolist() == want
+    conj = conjugacy(G)
+    for i in range(s):
+        want = [[0] * s for _ in range(s)]
+        for k, r in enumerate(ref["reps"]):
+            z = G.elem(r)
+            for x in ref["classes"][i]:
+                want[k][cls[G.find(prod(ref["inverse"][x], z))]] += 1
+        assert class_matrix(G, conj, i).tolist() == want, i
 
 
 def test_checks_survive_python_O():
@@ -427,6 +432,21 @@ def test_find_quaternion_square_is_minus_one(q):
 def test_find_quaternion_even_q_rejected():
     with pytest.raises(EvenQ):
         find_quaternion(build_sl2(4))
+
+
+def test_group_data_is_computed_once_per_group():
+    # conjugacy, char_table and find_quaternion return the object of their
+    # first call on a group; a fresh build is another group with its own
+    G = build_sl2(5)
+    assert conjugacy(G) is conjugacy(G)
+    assert char_table(G) is char_table(G)
+    assert find_quaternion(G) is find_quaternion(G)
+    H = build_sl2.__wrapped__(5)
+    assert H is not G
+    assert conjugacy(H) is not conjugacy(G)
+    assert char_table(H) is not char_table(G)
+    assert find_quaternion(H) is not find_quaternion(G)
+    assert find_quaternion(H).indices == find_quaternion(G).indices
 
 
 def test_quaternion_embeddings_counts():

@@ -39,6 +39,7 @@ from sl2swc.oracle import (
     BadEmbedding,
     Mismatch,
     _check_embedding,
+    _q8_frame,
     _quaternion_low_part,
     central_involution,
     linear_unit_product,
@@ -180,6 +181,16 @@ def test_embedding_is_checked_once(monkeypatch):
     for lab, _ in oir_labels(t):
         quaternion_profile(rep_from_oir_blocks(t, {lab: 1}), emb)
     assert checks == [emb]
+
+
+def test_q8_frame_is_built_once_per_embedding():
+    # the same embedding gives the same frame; the embedding in a fresh build
+    # of the group gets its own, equal one
+    emb = find_quaternion(build_sl2(5))
+    assert _q8_frame(emb) is _q8_frame(emb)
+    other = find_quaternion(build_sl2.__wrapped__(5))
+    assert _q8_frame(other) is not _q8_frame(emb)
+    assert _q8_frame(other) == _q8_frame(emb)
 
 
 def test_irreducible_orthogonal_has_no_quaternionic_block():
